@@ -2,17 +2,14 @@
 measured power to methods, and test whether API-utilization shifts track
 energy changes across software revisions."""
 
-from .apimetric import ApiClassifier, ApiRule, RUapiValue, UapiProfile, api_distribution, classify, ruapi, uapi
-from .callgraph import CallNode, CallTree, MethodInterval, adjacency, build_call_trees, method_intervals, node_intervals
+from .apimetric import ApiClassifier, ApiRule, UapiProfile, uapi
+from .callgraph import CallNode, CallTree, build_call_trees, node_intervals
 from .config import AnalysisConfig, ConfigError, emit_config, parse_config
 from .energy import (
     AttributionError,
-    MethodEnergyRecord,
     PowerFormatError,
     PowerProfile,
     PowerSample,
-    TestEnergyRecord,
-    aggregate_samples,
     attribute,
     integrate,
     parse_power,
@@ -28,6 +25,7 @@ from .evolution import (
     RevisionSummary,
     align_tests,
     compare,
+    normalize_ruapi,
     proxy_eval,
     revision_summaries,
     select_top_energy_tests,

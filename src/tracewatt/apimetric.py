@@ -1,10 +1,11 @@
-"""API-interaction classification and the utilization metrics U and rU.
+"""API-interaction classification and the utilization metric U.
 
 An API interaction is a traced call into a method whose package matches
 one of the configured prefixes (e.g. ``android.``, ``java.``).  The U
 value of a call-tree node counts the API interactions in its subtree plus
-every internal frame that contributes at least one; rU normalizes a U
-value by the total interaction count N of the run it belongs to.
+every internal frame that contributes at least one; rU, which normalizes
+a U value by the total interaction count N of the run it belongs to, is
+set by ``evolution.normalize_ruapi``.
 """
 
 from dataclasses import dataclass, field
@@ -64,10 +65,6 @@ class ApiClassifier:
         return None
 
 
-def classify(method: MethodId, classifier: ApiClassifier) -> Optional[str]:
-    return classifier.classify(method)
-
-
 @dataclass
 class UapiProfile:
     """Per-tree utilization results for one (test, sample) execution.
@@ -84,24 +81,6 @@ class UapiProfile:
     node_values: dict[CallNode, int] = field(default_factory=dict)
     total_api_interactions: int = 0
     api_distribution: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RUapiValue:
-    """A U value normalized by its run's total interaction count N."""
-
-    value: float
-    numerator: float
-    denominator_base: int
-
-
-def ruapi(u_value: float, n_base: int) -> RUapiValue:
-    """Normalize a U value: rU = U / (N + 1)."""
-    if n_base < 0:
-        raise ValueError(f"total interaction count must be >= 0, got {n_base}")
-    if u_value < 0:
-        raise ValueError(f"U value must be >= 0, got {u_value}")
-    return RUapiValue(u_value / (n_base + 1), u_value, n_base)
 
 
 def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
@@ -150,9 +129,3 @@ def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
         total_api,
         distribution,
     )
-
-
-def api_distribution(tree: CallTree, classifier: ApiClassifier) -> dict[str, int]:
-    """Count API interactions per group label; nested API-under-API calls
-    are pruned and not counted."""
-    return uapi(tree, classifier).api_distribution

@@ -51,17 +51,6 @@ class CallTree:
         return count
 
 
-@dataclass(frozen=True)
-class MethodInterval:
-    """Start/duration of one call occurrence, with its nesting depth."""
-
-    method: MethodId
-    thread: int
-    t_start_ns: int
-    duration_ns: int
-    depth: int
-
-
 def build_call_trees(trace: TestTrace) -> CallTree:
     """Build the per-test call tree forest from a balanced trace.
 
@@ -102,41 +91,21 @@ def build_call_trees(trace: TestTrace) -> CallTree:
     return CallTree(trace.test_name, trace.sample_index, tuple(roots))
 
 
-def adjacency(node: CallNode) -> tuple[CallNode, ...]:
-    """The calls issued directly by this node, as a multiset of occurrences.
-
-    Repeated calls to the same method appear once per call event.
-    """
-    return node.children
-
-
-def node_intervals(tree: CallTree) -> list[tuple[CallNode, MethodInterval]]:
-    """Per-occurrence (node, interval) pairs ordered by start time.
+def node_intervals(tree: CallTree) -> list[tuple[CallNode, int]]:
+    """Per-occurrence (node, depth) pairs ordered by start time.
 
     Depth counts real nesting from the top-level frame (depth 0); synthetic
     wrapper roots are omitted and add no depth.  Ties on t_start_ns keep
     parent-before-child (pre-order) ordering, which attribution relies on.
     """
-    out: list[tuple[CallNode, MethodInterval]] = []
+    out: list[tuple[CallNode, int]] = []
     stack = [(node, 0) for node in reversed(tree.roots)]
     while stack:
         node, depth = stack.pop()
         if node.synthetic:
             stack.extend((child, depth) for child in reversed(node.children))
             continue
-        out.append(
-            (
-                node,
-                MethodInterval(
-                    node.method, node.thread, node.t_start_ns, node.duration_ns, depth
-                ),
-            )
-        )
+        out.append((node, depth))
         stack.extend((child, depth + 1) for child in reversed(node.children))
-    out.sort(key=lambda pair: pair[1].t_start_ns)
+    out.sort(key=lambda pair: pair[0].t_start_ns)
     return out
-
-
-def method_intervals(tree: CallTree) -> list[MethodInterval]:
-    """Flatten a tree into per-occurrence intervals ordered by start time."""
-    return [interval for _, interval in node_intervals(tree)]

@@ -6,15 +6,16 @@ Commands:
     tracewatt synth <spec> <out_dir>   generate a synthetic fixture
     tracewatt report <evolve_out>      plot CSV + human-readable summary
 
-Global flags (also settable through TRACEWATT_CONFIG, TRACEWATT_ALPHA,
-TRACEWATT_JOBS and TRACEWATT_OUT environment variables; flags win):
+Global flags (also settable through TRACEWATT_CONFIG, TRACEWATT_ALPHA
+and TRACEWATT_OUT environment variables; flags win):
     --config FILE   analysis configuration file
     --alpha X       significance level override
-    --jobs N        worker threads for per-execution analysis
     --out DIR       output directory
 
 Exit codes: 0 success; 2 layout/configuration errors; 3 parse errors;
-4 attribution errors; 5 statistical degeneracy.
+4 attribution errors; 5 statistical degeneracy (no common tests, top-k
+selection leaving no test, too few observations, or quadrature that
+does not converge).
 """
 
 import argparse
@@ -31,6 +32,7 @@ from .config import AnalysisConfig, ConfigError, parse_config
 from .energy import AttributionError, PowerFormatError
 from .evolution import AnalysisError, ComparisonReport
 from .ingest import LayoutError, RevisionAnalysis, analyze_revision
+from .stats import ConvergenceError
 from .trace import TraceFormatError
 
 EXIT_OK = 0
@@ -84,18 +86,17 @@ def _load_analysis_config(args) -> AnalysisConfig:
 def _write_analysis(analysis: RevisionAnalysis, out_dir: Path) -> None:
     method_rows = []
     test_rows = []
-    for ex in analysis.executions:
-        for row in ex.method_rows:
-            method_rows.append(
-                [
-                    row.test_name, row.sample_index, row.thread, row.depth,
-                    row.t_start_ns, row.duration_ns, row.method.package,
-                    row.method.class_name, row.method.method,
-                    row.api_label, row.u_value,
-                    row.energy_mj_inclusive, row.energy_mj_exclusive,
-                    row.avg_power_mw,
-                ]
-            )
+    for row in analysis.method_rows:
+        method_rows.append(
+            [
+                row.test_name, row.sample_index, row.thread, row.depth,
+                row.t_start_ns, row.duration_ns, row.method.package,
+                row.method.class_name, row.method.method,
+                row.api_label, row.u_value,
+                row.energy_mj_inclusive, row.energy_mj_exclusive,
+                row.avg_power_mw,
+            ]
+        )
     for record in analysis.dataset.records:
         test_rows.append(
             [
@@ -210,13 +211,13 @@ def cmd_analyze(args) -> int:
     revision_dir = Path(args.revision_dir)
     if not revision_dir.is_dir():
         raise LayoutError(f"{revision_dir} is not a directory")
-    analysis = analyze_revision(revision_dir.name, revision_dir, config, jobs=args.jobs)
+    analysis = analyze_revision(revision_dir.name, revision_dir, config)
     out_dir = Path(args.out if args.out is not None else "tracewatt-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_analysis(analysis, out_dir)
     print(
-        f"analyzed revision {analysis.revision}: "
-        f"{len(analysis.executions)} executions -> {out_dir}"
+        f"analyzed revision {analysis.dataset.revision}: "
+        f"{len(analysis.dataset.records)} executions -> {out_dir}"
     )
     return EXIT_OK
 
@@ -234,9 +235,7 @@ def cmd_evolve(args) -> int:
         )
     datasets = []
     for rev_dir in revision_dirs:
-        datasets.append(
-            analyze_revision(rev_dir.name, rev_dir, config, jobs=args.jobs).dataset
-        )
+        datasets.append(analyze_revision(rev_dir.name, rev_dir, config).dataset)
     report = evolution.compare(
         datasets,
         alpha=config.alpha,
@@ -291,8 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None)
     common.add_argument("--alpha", type=float, default=None,
                         help="significance level override")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for per-execution analysis")
     common.add_argument("--out", default=None)
 
     parser = argparse.ArgumentParser(
@@ -335,14 +332,6 @@ def _apply_env(args) -> None:
             args.alpha = float(raw)
         except ValueError:
             raise ConfigError(f"{ENV_PREFIX}ALPHA = {raw!r} is not a number") from None
-    if args.jobs is None:
-        raw = os.environ.get(ENV_PREFIX + "JOBS", "1")
-        try:
-            args.jobs = int(raw)
-        except ValueError:
-            raise ConfigError(f"{ENV_PREFIX}JOBS = {raw!r} is not an integer") from None
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def main(argv=None) -> int:
@@ -356,7 +345,7 @@ def main(argv=None) -> int:
     except AttributionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ATTRIBUTION
-    except AnalysisError as exc:
+    except (AnalysisError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATS
     except (LayoutError, ConfigError, OSError, ValueError) as exc:

@@ -11,12 +11,11 @@ trapezoidal integral of power over a time window: mW times seconds gives
 millijoules.
 """
 
-import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .callgraph import MethodInterval
-from .trace import MethodId
+from .callgraph import CallNode
+from .trace import MethodId, _parse_uint
 
 POWER_VERSION = "v1"
 _HEADER_MAGIC = "#power"
@@ -52,37 +51,6 @@ class PowerProfile:
     sample_index: int
     nominal_rate_hz: float
     samples: tuple[PowerSample, ...] = ()
-
-
-@dataclass(frozen=True)
-class MethodEnergyRecord:
-    """Energy attributed to one call occurrence.
-
-    Inclusive energy integrates the node's whole window; exclusive energy
-    removes the windows of its direct children, so exclusive sums are free
-    of nested double-counting.
-    """
-
-    method: MethodId
-    t_start_ns: int
-    duration_ns: int
-    energy_mj_inclusive: float
-    energy_mj_exclusive: float
-    avg_power_mw: float
-
-
-@dataclass(frozen=True)
-class TestEnergyRecord:
-    """Energy/power/duration of one test, averaged over its sample runs."""
-
-    __test__ = False  # keep pytest from collecting the Test* name
-
-    test_name: str
-    revision: str
-    energy_mj: float
-    avg_power_mw: float
-    duration_ms: float
-    n_samples_averaged: int
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -123,9 +91,7 @@ def parse_power(data: "bytes | str") -> PowerProfile:
     try:
         test_name = header[1]
         MethodId.from_canonical(test_name)
-        sample_index = int(header[2])
-        if sample_index < 0:
-            raise ValueError(f"sample_index must be >= 0, got {sample_index}")
+        sample_index = _parse_uint(header[2], "sample_index")
         rate_hz = _parse_float(header[3], "nominal_rate_hz")
         if rate_hz <= 0:
             raise ValueError(f"nominal_rate_hz must be > 0, got {rate_hz}")
@@ -228,80 +194,45 @@ def integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
 
 
 def attribute(
-    intervals: "list[MethodInterval]", profile: PowerProfile
-) -> list[MethodEnergyRecord]:
-    """Attribute energy to method intervals (one record per interval, in
-    input order).
+    intervals: "list[tuple[CallNode, int]]", profile: PowerProfile
+) -> list[tuple[float, float]]:
+    """Attribute energy to call occurrences: one (inclusive, exclusive)
+    pair in millijoules per (node, depth) interval, in input order.
 
-    Expects intervals as produced by method_intervals: time-ordered with
+    Expects intervals as produced by node_intervals: time-ordered with
     parents before their children.  Inclusive energy integrates the
-    interval's own window; exclusive subtracts the direct children.
+    node's own window; exclusive subtracts the direct children, so
+    exclusive sums are free of nested double-counting.
     """
     inclusive = []
-    for iv in intervals:
-        if iv.duration_ns == 0:
+    for node, _ in intervals:
+        if node.duration_ns == 0:
             inclusive.append(0.0)
             continue
-        a_us = iv.t_start_ns / 1000.0
-        b_us = (iv.t_start_ns + iv.duration_ns) / 1000.0
+        a_us = node.t_start_ns / 1000.0
+        b_us = (node.t_start_ns + node.duration_ns) / 1000.0
         try:
             inclusive.append(integrate(profile, a_us, b_us))
         except AttributionError as exc:
-            raise AttributionError(f"{iv.method.canonical()}: {exc}") from None
+            raise AttributionError(f"{node.method.canonical()}: {exc}") from None
 
     child_sums = [0.0] * len(intervals)
     open_stack: dict[int, list[tuple[int, int]]] = {}  # thread -> [(depth, index)]
-    for idx, iv in enumerate(intervals):
-        stack = open_stack.setdefault(iv.thread, [])
-        while stack and stack[-1][0] >= iv.depth:
+    for idx, (node, depth) in enumerate(intervals):
+        stack = open_stack.setdefault(node.thread, [])
+        while stack and stack[-1][0] >= depth:
             stack.pop()
-        if stack and stack[-1][0] == iv.depth - 1:
+        if stack and stack[-1][0] == depth - 1:
             child_sums[stack[-1][1]] += inclusive[idx]
-        stack.append((iv.depth, idx))
+        stack.append((depth, idx))
 
-    records = []
-    for idx, iv in enumerate(intervals):
+    energies = []
+    for idx, (node, _) in enumerate(intervals):
         exclusive = inclusive[idx] - child_sums[idx]
         if exclusive < -NEGATIVE_EXCLUSIVE_TOL_MJ:
             raise AttributionError(
-                f"{iv.method.canonical()}: children energy {child_sums[idx]} exceeds "
+                f"{node.method.canonical()}: children energy {child_sums[idx]} exceeds "
                 f"inclusive energy {inclusive[idx]}"
             )
-        exclusive = max(exclusive, 0.0)
-        avg_power = (
-            inclusive[idx] / (iv.duration_ns * 1e-9) if iv.duration_ns > 0 else 0.0
-        )
-        records.append(
-            MethodEnergyRecord(
-                iv.method, iv.t_start_ns, iv.duration_ns, inclusive[idx], exclusive, avg_power
-            )
-        )
-    return records
-
-
-def aggregate_samples(
-    records: "list[TestEnergyRecord]", method: str = "mean"
-) -> TestEnergyRecord:
-    """Collapse repeated sample runs of one test into a single record."""
-    if not records:
-        raise ValueError("no records to aggregate")
-    names = {r.test_name for r in records}
-    if len(names) > 1:
-        raise ValueError(f"mixed test names: {sorted(names)}")
-    revisions = {r.revision for r in records}
-    if len(revisions) > 1:
-        raise ValueError(f"mixed revisions: {sorted(revisions)}")
-    if method == "mean":
-        agg = statistics.fmean
-    elif method == "median":
-        agg = statistics.median
-    else:
-        raise ValueError(f"unknown aggregation {method!r}")
-    return TestEnergyRecord(
-        records[0].test_name,
-        records[0].revision,
-        agg([r.energy_mj for r in records]),
-        agg([r.avg_power_mw for r in records]),
-        agg([r.duration_ms for r in records]),
-        len(records),
-    )
+        energies.append((inclusive[idx], max(exclusive, 0.0)))
+    return energies

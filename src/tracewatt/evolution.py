@@ -9,10 +9,11 @@ reported as accuracy and F1 with "significant change" as the positive
 class.
 """
 
+import dataclasses
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .stats import AnovaResult, TukeyPair, anova, tukey_hsd
 
@@ -32,7 +33,7 @@ class ExecutionRecord:
 
     root_uapi and api_interactions are the raw per-tree counts; ruapi is
     the normalized value U / (N + 1) where N sums api_interactions over
-    all analyzed tests of the same sample run.
+    all analyzed tests of the same sample run (see normalize_ruapi).
     """
 
     test_name: str
@@ -122,11 +123,11 @@ def version_key(label: str):
 def align_tests(revisions: Sequence[RevisionDataset]) -> list[str]:
     """Intersection of test names present in every revision, sorted.
 
-    Raises ValueError when fewer than 2 revisions are given or the
+    Raises AnalysisError when fewer than 2 revisions are given or the
     intersection is empty.
     """
     if len(revisions) < 2:
-        raise ValueError(f"need at least 2 revisions, got {len(revisions)}")
+        raise AnalysisError(f"need at least 2 revisions, got {len(revisions)}")
     common = set.intersection(*(rev.test_names() for rev in revisions))
     if not common:
         raise AnalysisError("no test is present in every revision")
@@ -184,35 +185,24 @@ def proxy_eval(
     return ProxyScore(tp, fp, fn, tn, accuracy, precision, recall, f1)
 
 
-def _recompute_ruapi(
-    revisions: Sequence[RevisionDataset], analysis_tests: Sequence[str]
-) -> list[RevisionDataset]:
-    """Renormalize rU over the analysis test set: N for a (revision,
-    sample) run counts API interactions of analyzed tests only."""
-    selected = set(analysis_tests)
-    out = []
-    for rev in revisions:
-        kept = [r for r in rev.records if r.test_name in selected]
-        n_by_sample: dict[int, int] = {}
-        for r in kept:
-            n_by_sample[r.sample_index] = (
-                n_by_sample.get(r.sample_index, 0) + r.api_interactions
-            )
-        records = tuple(
-            ExecutionRecord(
-                r.test_name,
-                r.sample_index,
-                r.energy_mj,
-                r.avg_power_mw,
-                r.duration_ms,
-                r.root_uapi,
-                r.api_interactions,
-                r.root_uapi / (n_by_sample[r.sample_index] + 1),
-            )
-            for r in kept
+def normalize_ruapi(
+    revision: str, records: Iterable[ExecutionRecord], tests: Collection[str]
+) -> RevisionDataset:
+    """Keep the records of ``tests`` and set rU = U / (N + 1), where N
+    sums the API interactions of the kept records of the same sample run."""
+    kept = [r for r in records if r.test_name in tests]
+    n_by_sample: dict[int, int] = {}
+    for r in kept:
+        n_by_sample[r.sample_index] = (
+            n_by_sample.get(r.sample_index, 0) + r.api_interactions
         )
-        out.append(RevisionDataset(rev.revision, records))
-    return out
+    return RevisionDataset(
+        revision,
+        tuple(
+            dataclasses.replace(r, ruapi=r.root_uapi / (n_by_sample[r.sample_index] + 1))
+            for r in kept
+        ),
+    )
 
 
 def _observations(
@@ -290,10 +280,11 @@ def compare(
         analysis_tests = [t for t in top if t in set(aligned)]
         analysis_tests.sort()
         if not analysis_tests:
-            raise ValueError("top-k selection removed every aligned test")
+            raise AnalysisError("top-k selection removed every aligned test")
 
     ordered = sorted(revisions, key=lambda r: version_key(r.revision))
-    datasets = _recompute_ruapi(ordered, analysis_tests)
+    selected = set(analysis_tests)
+    datasets = [normalize_ruapi(rev.revision, rev.records, selected) for rev in ordered]
     labels = [rev.revision for rev in datasets]
 
     metrics: dict[str, MetricComparison] = {}

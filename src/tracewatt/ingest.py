@@ -6,7 +6,7 @@ files named ``<test_name>.<sample_index>.trace`` / ``.power``; every trace
 must have its matching power file and vice versa.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -14,9 +14,9 @@ from typing import Optional
 from .apimetric import ApiClassifier, uapi
 from .callgraph import build_call_trees, node_intervals
 from .config import AnalysisConfig
-from .energy import attribute, integrate, parse_power, shift_profile
-from .evolution import ExecutionRecord, RevisionDataset
-from .trace import MethodId, parse_trace
+from .energy import AttributionError, PowerFormatError, attribute, integrate, parse_power, shift_profile
+from .evolution import ExecutionRecord, RevisionDataset, normalize_ruapi
+from .trace import MethodId, TraceFormatError, parse_trace
 
 
 class LayoutError(ValueError):
@@ -42,22 +42,9 @@ class MethodRow:
 
 
 @dataclass
-class ExecutionAnalysis:
-    test_name: str
-    sample_index: int
-    energy_mj: float
-    avg_power_mw: float
-    duration_ms: float
-    root_uapi: int
-    api_interactions: int
-    method_rows: list[MethodRow]
-
-
-@dataclass
 class RevisionAnalysis:
-    revision: str
-    executions: list[ExecutionAnalysis]
     dataset: RevisionDataset
+    method_rows: list[MethodRow]
 
 
 def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
@@ -115,14 +102,23 @@ def analyze_execution(
     trace_path: Path,
     power_path: Path,
     config: AnalysisConfig,
-    classifier: Optional[ApiClassifier] = None,
-) -> ExecutionAnalysis:
+    classifier: ApiClassifier,
+) -> tuple[ExecutionRecord, list[MethodRow]]:
     """Analyze one (test, sample) execution: build the call tree, compute
-    U values and attribute energy."""
-    if classifier is None:
-        classifier = ApiClassifier(config.api_rules)
-    trace = parse_trace(trace_path.read_bytes())
-    profile = parse_power(power_path.read_bytes())
+    U values and attribute energy.
+
+    The record's rU is NaN until normalize_ruapi sets it, because N sums
+    over every execution of the same sample run.  Parse and attribution
+    errors name the file they came from.
+    """
+    try:
+        trace = parse_trace(trace_path.read_bytes())
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{trace_path}: {exc}") from None
+    try:
+        profile = parse_power(power_path.read_bytes())
+    except PowerFormatError as exc:
+        raise PowerFormatError(f"{power_path}: {exc}") from None
     if trace.test_name != test_name or trace.sample_index != sample_index:
         raise LayoutError(
             f"{trace_path}: header names {trace.test_name} sample "
@@ -138,41 +134,44 @@ def analyze_execution(
 
     tree = build_call_trees(trace)
     metric = uapi(tree, classifier)
-    pairs = node_intervals(tree)
-    records = attribute([interval for _, interval in pairs], profile)
-
-    rows = []
-    for (node, interval), record in zip(pairs, records):
-        rows.append(
-            MethodRow(
-                test_name,
-                sample_index,
-                interval.thread,
-                interval.depth,
-                interval.t_start_ns,
-                interval.duration_ns,
-                interval.method,
-                classifier.classify(interval.method),
-                metric.node_values.get(node, 0),
-                record.energy_mj_inclusive,
-                record.energy_mj_exclusive,
-                record.avg_power_mw,
-            )
-        )
-
+    intervals = node_intervals(tree)
     if tree.roots:
         start_ns = min(r.t_start_ns for r in tree.roots)
         end_ns = max(r.t_end_ns for r in tree.roots)
     else:
         start_ns = end_ns = 0
+    try:
+        energies = attribute(intervals, profile)
+        if end_ns > start_ns:
+            energy_mj = integrate(profile, start_ns / 1000.0, end_ns / 1000.0)
+            avg_power_mw = energy_mj / ((end_ns - start_ns) * 1e-9)
+        else:
+            energy_mj = 0.0
+            avg_power_mw = 0.0
+    except AttributionError as exc:
+        raise AttributionError(f"{power_path}: {exc}") from None
+
+    rows = []
+    for (node, depth), (inclusive, exclusive) in zip(intervals, energies):
+        rows.append(
+            MethodRow(
+                test_name,
+                sample_index,
+                node.thread,
+                depth,
+                node.t_start_ns,
+                node.duration_ns,
+                node.method,
+                classifier.classify(node.method),
+                metric.node_values.get(node, 0),
+                inclusive,
+                exclusive,
+                inclusive / (node.duration_ns * 1e-9) if node.duration_ns > 0 else 0.0,
+            )
+        )
+
     duration_ms = (end_ns - start_ns) / 1e6
-    if end_ns > start_ns:
-        energy_mj = integrate(profile, start_ns / 1000.0, end_ns / 1000.0)
-        avg_power_mw = energy_mj / ((end_ns - start_ns) * 1e-9)
-    else:
-        energy_mj = 0.0
-        avg_power_mw = 0.0
-    return ExecutionAnalysis(
+    record = ExecutionRecord(
         test_name,
         sample_index,
         energy_mj,
@@ -180,50 +179,24 @@ def analyze_execution(
         duration_ms,
         metric.root_uapi,
         metric.total_api_interactions,
-        rows,
+        math.nan,
     )
+    return record, rows
 
 
 def analyze_revision(
-    revision: str, path: "Path | str", config: AnalysisConfig, jobs: int = 1
+    revision: str, path: "Path | str", config: AnalysisConfig
 ) -> RevisionAnalysis:
-    """Analyze every execution of a revision directory.
-
-    Executions are independent and run on up to ``jobs`` worker threads;
-    results are ordered by (test_name, sample_index) regardless.  rU of an
-    execution is its U value normalized by the total API interactions of
-    the same sample run across all tests in this revision.
-    """
-    entries = scan_revision_dir(path)
+    """Analyze every execution of a revision directory, in (test_name,
+    sample_index) order, with rU normalized over all of its tests."""
     classifier = ApiClassifier(config.api_rules)
-
-    def work(entry):
-        name, sample, trace_path, power_path = entry
-        return analyze_execution(name, sample, trace_path, power_path, config, classifier)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            executions = list(pool.map(work, entries))
-    else:
-        executions = [work(entry) for entry in entries]
-    executions.sort(key=lambda e: (e.test_name, e.sample_index))
-
-    n_by_sample: dict[int, int] = {}
-    for ex in executions:
-        n_by_sample[ex.sample_index] = (
-            n_by_sample.get(ex.sample_index, 0) + ex.api_interactions
+    records = []
+    method_rows = []
+    for name, sample, trace_path, power_path in scan_revision_dir(path):
+        record, rows = analyze_execution(
+            name, sample, trace_path, power_path, config, classifier
         )
-    records = tuple(
-        ExecutionRecord(
-            ex.test_name,
-            ex.sample_index,
-            ex.energy_mj,
-            ex.avg_power_mw,
-            ex.duration_ms,
-            ex.root_uapi,
-            ex.api_interactions,
-            ex.root_uapi / (n_by_sample[ex.sample_index] + 1),
-        )
-        for ex in executions
-    )
-    return RevisionAnalysis(revision, executions, RevisionDataset(revision, records))
+        records.append(record)
+        method_rows.extend(rows)
+    dataset = normalize_ruapi(revision, records, {r.test_name for r in records})
+    return RevisionAnalysis(dataset, method_rows)

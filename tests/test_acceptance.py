@@ -18,7 +18,7 @@ from conftest import DEFAULT_CLASSIFIER, oracle_u_value, random_call_tree
 from test_apimetric import _attach_api_leaf
 from tracewatt import cli
 from tracewatt.apimetric import uapi
-from tracewatt.callgraph import method_intervals
+from tracewatt.callgraph import node_intervals
 from tracewatt.energy import attribute, integrate, parse_power, write_power
 from tracewatt.evolution import report_from_json_dict, report_to_json_dict
 from tracewatt.stats import anova, normal_cdf, ptukey, tukey_hsd
@@ -93,19 +93,19 @@ def test_criterion_3_energy_integration():
         # tree conservation on random nested intervals
         for _ in range(200):
             tree = random_call_tree(rng, max_nodes=50)
-            intervals = method_intervals(tree)
+            intervals = node_intervals(tree)
             if not intervals:
                 continue
-            end_ns = max(iv.t_start_ns + iv.duration_ns for iv in intervals)
+            end_ns = max(node.t_end_ns for node, _ in intervals)
             profile = _profile(
                 [(t * 5.0, 80.0 + (t % 11) * 7.0) for t in range(end_ns // 5_000 + 2)]
             )
-            records = attribute(intervals, profile)
-            total_exclusive = sum(r.energy_mj_exclusive for r in records)
+            energies = attribute(intervals, profile)
+            total_exclusive = sum(exclusive for _, exclusive in energies)
             roots_inclusive = sum(
-                r.energy_mj_inclusive
-                for r, iv in zip(records, intervals)
-                if iv.depth == 0
+                inclusive
+                for (inclusive, _), (_, depth) in zip(energies, intervals)
+                if depth == 0
             )
             assert total_exclusive == pytest.approx(roots_inclusive, rel=1e-6, abs=1e-12)
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,8 +9,9 @@ from conftest import (
     oracle_u_value,
     random_call_tree,
 )
-from tracewatt.apimetric import ApiClassifier, ApiRule, api_distribution, classify, ruapi, uapi
+from tracewatt.apimetric import ApiClassifier, ApiRule, uapi
 from tracewatt.callgraph import CallNode, CallTree
+from tracewatt.evolution import ExecutionRecord, normalize_ruapi
 from tracewatt.trace import MethodId
 
 
@@ -17,10 +19,27 @@ def _tree(*roots) -> CallTree:
     return CallTree("com.app.S::t", 0, tuple(roots))
 
 
+def _ruapi(u_value: int, n_base: int) -> float:
+    """rU of an execution with U = u_value in a sample run whose analyzed
+    tests hold n_base API interactions; a test left out of the analysis
+    and another sample run add interactions that must not count."""
+    records = [
+        ExecutionRecord("a.B::t", 0, 1.0, 1.0, 1.0, u_value, 0, math.nan),
+        ExecutionRecord("a.B::u", 0, 1.0, 1.0, 1.0, 0, n_base, math.nan),
+        ExecutionRecord("a.B::x", 0, 1.0, 1.0, 1.0, 0, 50, math.nan),
+        ExecutionRecord("a.B::t", 1, 1.0, 1.0, 1.0, 0, 99, math.nan),
+    ]
+    dataset = normalize_ruapi("1.0", records, {"a.B::t", "a.B::u"})
+    assert [(r.test_name, r.sample_index) for r in dataset.records] == [
+        ("a.B::t", 0), ("a.B::u", 0), ("a.B::t", 1),
+    ]
+    return dataset.records[0].ruapi
+
+
 class TestClassify:
     def test_platform_class_matches_java_rule(self):
         method = MethodId("java.util", "LinkedHashMap", "put")
-        assert classify(method, DEFAULT_CLASSIFIER) == "java"
+        assert DEFAULT_CLASSIFIER.classify(method) == "java"
 
     def test_unmatched_package_is_absent(self):
         classifier = ApiClassifier(
@@ -100,26 +119,18 @@ class TestUapi:
 
 class TestRuapi:
     def test_zero_numerator_is_zero(self):
-        assert ruapi(0, 17).value == 0.0
+        assert _ruapi(0, 17) == 0.0
 
     def test_direct_substitution(self):
-        value = ruapi(4, 2)
-        assert value.value == pytest.approx(4.0 / 3.0, rel=1e-12)
-        assert (value.numerator, value.denominator_base) == (4, 2)
+        assert _ruapi(4, 2) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_unit_case(self):
-        assert ruapi(2, 1).value == 1.0
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            ruapi(1, -1)
-        with pytest.raises(ValueError):
-            ruapi(-1, 0)
+        assert _ruapi(2, 1) == 1.0
 
 
 class TestApiDistribution:
     def test_empty_for_api_free_tree(self):
-        assert api_distribution(_tree(build_node(HELPER, 0, 5)), DEFAULT_CLASSIFIER) == {}
+        assert uapi(_tree(build_node(HELPER, 0, 5)), DEFAULT_CLASSIFIER).api_distribution == {}
 
     def test_counts_by_label(self):
         children = [
@@ -128,7 +139,7 @@ class TestApiDistribution:
             build_node(MethodId("android.os", "C", "m"), 5, 1),
         ]
         root = build_node(HELPER, 0, 10, children)
-        assert api_distribution(_tree(root), DEFAULT_CLASSIFIER) == {
+        assert uapi(_tree(root), DEFAULT_CLASSIFIER).api_distribution == {
             "java": 2,
             "android": 1,
         }
@@ -209,5 +220,5 @@ class TestMetricLaws:
         u_values = [rng.randrange(0, 500) for _ in range(50)]
         n_base = 37
         by_u = sorted(range(50), key=lambda i: u_values[i])
-        by_ru = sorted(range(50), key=lambda i: ruapi(u_values[i], n_base).value)
+        by_ru = sorted(range(50), key=lambda i: _ruapi(u_values[i], n_base))
         assert by_u == by_ru

@@ -7,11 +7,7 @@ from conftest import (
     random_trace,
     tree_direct_call_counts,
 )
-from tracewatt.callgraph import (
-    adjacency,
-    build_call_trees,
-    method_intervals,
-)
+from tracewatt.callgraph import build_call_trees, node_intervals
 from tracewatt.trace import (
     EventKind,
     MethodId,
@@ -84,7 +80,7 @@ def test_invalid_trace_rejected():
 
 def test_adjacency_leaf_is_empty():
     tree = build_call_trees(A_B_TRACE)
-    assert adjacency(tree.roots[0].children[0]) == ()
+    assert tree.roots[0].children[0].children == ()
 
 
 def test_adjacency_keeps_call_multiplicity():
@@ -97,29 +93,30 @@ def test_adjacency_keeps_call_multiplicity():
             "X;1;7;p;C;root\n"
         )
     )
-    callees = adjacency(tree.roots[0])
+    callees = tree.roots[0].children
     assert len(callees) == 3
     assert [c.method.method for c in callees] == ["m1", "m2", "m1"]
 
 
 def test_adjacency_of_nested_example():
     tree = build_call_trees(A_B_TRACE)
-    assert [c.method.method for c in adjacency(tree.roots[0])] == ["b"]
+    assert [c.method.method for c in tree.roots[0].children] == ["b"]
 
 
 def test_method_intervals_nested_example():
-    intervals = method_intervals(build_call_trees(A_B_TRACE))
+    intervals = node_intervals(build_call_trees(A_B_TRACE))
     assert [
-        (iv.method.method, iv.t_start_ns, iv.duration_ns, iv.depth) for iv in intervals
+        (node.method.method, node.t_start_ns, node.duration_ns, depth)
+        for node, depth in intervals
     ] == [("a", 0, 9, 0), ("b", 2, 3, 1)]
 
 
 def test_method_intervals_empty_tree():
-    assert method_intervals(build_call_trees(_trace(""))) == []
+    assert node_intervals(build_call_trees(_trace(""))) == []
 
 
 def test_method_intervals_chain_depths():
-    intervals = method_intervals(
+    intervals = node_intervals(
         build_call_trees(
             _trace(
                 "E;1;0;p;C;a\nE;1;1;p;C;b\nE;1;2;p;C;c\n"
@@ -127,16 +124,16 @@ def test_method_intervals_chain_depths():
             )
         )
     )
-    assert [iv.depth for iv in intervals] == [0, 1, 2]
+    assert [depth for _, depth in intervals] == [0, 1, 2]
 
 
 def test_method_intervals_skip_synthetic_and_start_depth_zero():
-    intervals = method_intervals(
+    intervals = node_intervals(
         build_call_trees(
             _trace("E;1;0;p;C;a\nX;1;3;p;C;a\nE;1;5;p;C;b\nX;1;9;p;C;b\n")
         )
     )
-    assert [(iv.method.method, iv.depth) for iv in intervals] == [("a", 0), ("b", 0)]
+    assert [(node.method.method, depth) for node, depth in intervals] == [("a", 0), ("b", 0)]
 
 
 def _subtree_size(node) -> int:

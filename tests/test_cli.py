@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tracewatt import cli
+from tracewatt import cli, evolution, stats
 
 SPEC_TEXT = """
 [synth]
@@ -97,14 +97,24 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(out)]) == 0
         assert before == {p: p.read_bytes() for p in out.iterdir()}
 
-    def test_jobs_flag_gives_same_output(self, fixture_dir, tmp_path):
-        out1, out4 = tmp_path / "j1", tmp_path / "j4"
-        assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(out1)]) == 0
-        assert cli.main(
-            ["analyze", str(fixture_dir / "1.0"), "--out", str(out4), "--jobs", "4"]
-        ) == 0
-        assert (out1 / "tests.csv").read_bytes() == (out4 / "tests.csv").read_bytes()
-        assert (out1 / "methods.csv").read_bytes() == (out4 / "methods.csv").read_bytes()
+    def test_method_avg_power_is_inclusive_energy_over_duration(self, tmp_path):
+        rev = tmp_path / "1.0"
+        (rev / "traces").mkdir(parents=True)
+        (rev / "power").mkdir()
+        (rev / "traces" / "a.B::t.0.trace").write_text(
+            "#trace v1;a.B::t;0\nE;1;0;a;B;t\nE;1;1000;java.util;X;m\n"
+            "X;1;1000;java.util;X;m\nX;1;2000;a;B;t\n"
+        )
+        (rev / "power" / "a.B::t.0.power").write_text(
+            "#power v1;a.B::t;0;1000.0\n0.0;100.0\n10.0;100.0\n"
+        )
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(rev), "--out", str(out)]) == 0
+        rows = _read_csv(out / "methods.csv")
+        assert [(r["method"], r["duration_ns"]) for r in rows] == [("t", "2000"), ("m", "0")]
+        assert float(rows[0]["avg_power_mw"]) == float(rows[0]["energy_mj_inclusive"]) / (2000 * 1e-9)
+        assert float(rows[0]["avg_power_mw"]) == pytest.approx(100.0, rel=1e-9)
+        assert rows[1]["avg_power_mw"] == "0.0"
 
     def test_empty_revision_dir_exits_2(self, tmp_path):
         empty = tmp_path / "rev"
@@ -124,11 +134,12 @@ class TestAnalyzeCommand:
         victim.write_text("#trace v9;a.B::m;0\n")
         assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "o")]) == 3
 
-    def test_power_not_covering_trace_exits_4(self, fixture_dir, tmp_path):
+    def test_power_not_covering_trace_exits_4(self, fixture_dir, tmp_path, capsys):
         victim = next((fixture_dir / "1.0" / "power").iterdir())
         header = victim.read_text().splitlines()[0]
         victim.write_text(header + "\n0;100.0\n50;100.0\n")
         assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {victim}: ")
 
     def test_clock_offset_config_compensates_shifted_power(self, fixture_dir, tmp_path):
         baseline = tmp_path / "baseline"
@@ -198,6 +209,50 @@ class TestEvolveCommand:
     def test_malformed_env_var_exits_2(self, fixture_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("TRACEWATT_ALPHA", "lots")
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 2
+
+    def test_corrupt_trace_error_names_file(self, fixture_dir, tmp_path, capsys):
+        victim = sorted((fixture_dir / "1.1" / "traces").iterdir())[-1]
+        lines = victim.read_text().splitlines(keepends=True)
+        fields = lines[2].split(";")
+        lines[2] = ";".join(fields[:2] + ["x"] + fields[3:])
+        victim.write_text("".join(lines))
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: line 3: ")
+        assert "Traceback" not in err
+
+    def test_top_k_removing_every_aligned_test_exits_5(self, fixture_dir, tmp_path, capsys):
+        analysis = tmp_path / "analysis"
+        assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(analysis)]) == 0
+        energy: dict[str, list[float]] = {}
+        for row in _read_csv(analysis / "tests.csv"):
+            energy.setdefault(row["test_name"], []).append(float(row["energy_mj"]))
+        top = max(energy, key=lambda name: sum(energy[name]) / len(energy[name]))
+        for path in (fixture_dir / "1.1").rglob(f"{top}.*"):
+            path.unlink()
+        config = tmp_path / "cfg.ini"
+        config.write_text("[analysis]\ntop_k_tests = 1\n")
+        argv = ["evolve", str(fixture_dir), "--out", str(tmp_path / "o"), "--config", str(config)]
+        capsys.readouterr()
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: top-k selection removed every aligned test")
+        assert "Traceback" not in err
+
+    def test_quadrature_not_converging_exits_5(self, fixture_dir, tmp_path, monkeypatch, capsys):
+        def diverging_tukey_hsd(groups, alpha, labels):
+            return stats.ptukey(40.0, 30, 1)
+
+        monkeypatch.setattr(evolution, "tukey_hsd", diverging_tukey_hsd)
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: studentized range quadrature did not stabilize")
+        assert "Traceback" not in err
+
+    def test_jobs_flag_is_unknown_exits_2(self, fixture_dir):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evolve", str(fixture_dir), "--jobs", "2", "--out", str(fixture_dir / "o")])
+        assert exc.value.code == 2
 
     def test_statistical_degeneracy_exits_5(self, tmp_path):
         spec_file = tmp_path / "spec.ini"

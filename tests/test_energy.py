@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from tracewatt.callgraph import MethodInterval, method_intervals
+from tracewatt.callgraph import CallNode, node_intervals
 from tracewatt.energy import (
     AttributionError,
     PowerFormatError,
     PowerProfile,
     PowerSample,
-    TestEnergyRecord,
-    aggregate_samples,
     attribute,
     integrate,
     parse_power,
@@ -55,6 +53,11 @@ class TestParsePower:
     def test_negative_power_rejected(self):
         with pytest.raises(PowerFormatError, match="negative power"):
             parse_power("#power v1;a.B::m;0;20000\n0;-1.0\n")
+
+    @pytest.mark.parametrize("sample_index", ["3_0", "+3", " 3", "3 ", "-1", ""])
+    def test_noncanonical_sample_index_rejected(self, sample_index):
+        with pytest.raises(PowerFormatError, match="sample_index"):
+            parse_power(f"#power v1;a.B::m;{sample_index};1000.0\n0.0;1.0\n")
 
     def test_malformed_line_number(self):
         with pytest.raises(PowerFormatError) as exc:
@@ -141,86 +144,50 @@ class TestAttribute:
     def test_constant_power_parent_child(self):
         profile = _constant(100.0, 20000.0)
         intervals = [
-            MethodInterval(M, 1, 0, 10_000_000, 0),
-            MethodInterval(MethodId("com.app", "C", "child"), 1, 2_000_000, 4_000_000, 1),
+            (CallNode(M, 1, 0, 10_000_000), 0),
+            (CallNode(MethodId("com.app", "C", "child"), 1, 2_000_000, 4_000_000), 1),
         ]
-        records = attribute(intervals, profile)
-        assert records[0].energy_mj_inclusive == pytest.approx(1.0, rel=1e-9)
-        assert records[1].energy_mj_inclusive == pytest.approx(0.4, rel=1e-9)
-        assert records[0].energy_mj_exclusive == pytest.approx(0.6, rel=1e-9)
-        assert records[0].avg_power_mw == pytest.approx(100.0, rel=1e-9)
+        energies = attribute(intervals, profile)
+        assert energies[0][0] == pytest.approx(1.0, rel=1e-9)
+        assert energies[1][0] == pytest.approx(0.4, rel=1e-9)
+        assert energies[0][1] == pytest.approx(0.6, rel=1e-9)
 
     def test_zero_duration_leaf(self):
         profile = _constant(100.0, 1000.0)
-        records = attribute([MethodInterval(M, 1, 5000, 0, 0)], profile)
-        assert records[0].energy_mj_inclusive == 0.0
-        assert records[0].energy_mj_exclusive == 0.0
-        assert records[0].avg_power_mw == 0.0
+        assert attribute([(CallNode(M, 1, 5000, 0), 0)], profile) == [(0.0, 0.0)]
 
     def test_siblings_tiling_parent_leave_zero_exclusive(self):
         profile = _constant(200.0, 2000.0)
-        parent = MethodInterval(M, 1, 0, 1_000_000, 0)
-        left = MethodInterval(M, 1, 0, 500_000, 1)
-        right = MethodInterval(M, 1, 500_000, 500_000, 1)
-        records = attribute([parent, left, right], profile)
-        assert records[0].energy_mj_exclusive == pytest.approx(0.0, abs=1e-12)
+        parent = (CallNode(M, 1, 0, 1_000_000), 0)
+        left = (CallNode(M, 1, 0, 500_000), 1)
+        right = (CallNode(M, 1, 500_000, 500_000), 1)
+        energies = attribute([parent, left, right], profile)
+        assert energies[0][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_interval_outside_profile(self):
         profile = _constant(100.0, 1000.0)
         with pytest.raises(AttributionError, match="outside sampled range"):
-            attribute([MethodInterval(M, 1, 0, 5_000_000, 0)], profile)
+            attribute([(CallNode(M, 1, 0, 5_000_000), 0)], profile)
 
     def test_conservation_on_random_trees(self):
         rng = random.Random(77)
         for _ in range(50):
             tree = random_call_tree(rng, max_nodes=40)
-            intervals = method_intervals(tree)
+            intervals = node_intervals(tree)
             if not intervals:
                 continue
-            end_ns = max(iv.t_start_ns + iv.duration_ns for iv in intervals)
+            end_ns = max(node.t_end_ns for node, _ in intervals)
             profile = _profile(
                 [(t * 10.0, 50.0 + (t % 7) * 13.0) for t in range(end_ns // 10_000 + 2)]
             )
-            records = attribute(intervals, profile)
-            total_exclusive = sum(r.energy_mj_exclusive for r in records)
+            energies = attribute(intervals, profile)
+            total_exclusive = sum(exclusive for _, exclusive in energies)
             roots_inclusive = sum(
-                r.energy_mj_inclusive
-                for r, iv in zip(records, intervals)
-                if iv.depth == 0
+                inclusive
+                for (inclusive, _), (_, depth) in zip(energies, intervals)
+                if depth == 0
             )
             assert total_exclusive == pytest.approx(roots_inclusive, rel=1e-6, abs=1e-12)
-
-
-class TestAggregateSamples:
-    def _record(self, energy, power=10.0, duration=5.0, name="a.B::t", rev="1.0"):
-        return TestEnergyRecord(name, rev, energy, power, duration, 1)
-
-    def test_single_record_identity(self):
-        record = self._record(1.5)
-        out = aggregate_samples([record])
-        assert out.energy_mj == 1.5
-        assert out.n_samples_averaged == 1
-
-    def test_arithmetic_mean(self):
-        out = aggregate_samples([self._record(1.0), self._record(3.0)])
-        assert out.energy_mj == 2.0
-        assert out.n_samples_averaged == 2
-
-    def test_median_option(self):
-        records = [self._record(1.0), self._record(2.0), self._record(30.0)]
-        assert aggregate_samples(records, method="median").energy_mj == 2.0
-
-    def test_mixed_test_names_rejected(self):
-        with pytest.raises(ValueError, match="mixed test names"):
-            aggregate_samples([self._record(1.0), self._record(2.0, name="a.B::u")])
-
-    def test_mixed_revisions_rejected(self):
-        with pytest.raises(ValueError, match="mixed revisions"):
-            aggregate_samples([self._record(1.0), self._record(2.0, rev="2.0")])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_samples([])
 
 
 def test_shift_profile_moves_clock():

@@ -16,6 +16,7 @@ from tracewatt.evolution import (
     select_top_energy_tests,
     version_key,
 )
+from tracewatt.stats import anova
 
 
 def _record(test, sample, energy, power=100.0, uapi=4, api=2, ruapi=None):
@@ -52,7 +53,7 @@ class TestAlignTests:
             align_tests(revs)
 
     def test_needs_two_revisions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AnalysisError):
             align_tests([_dataset("1.0", ["a.B::x"])])
 
 
@@ -216,6 +217,27 @@ class TestCompare:
         revs = self._pair(seed=9, delta=0.0)
         report = compare(revs, observation_unit="per_test_mean")
         assert report.n_observations == 6  # 3 tests x 2 revisions
+
+    def test_per_test_mean_averages_samples(self):
+        def rev(label, energies):
+            return RevisionDataset(label, tuple(
+                _record(test, s, e)
+                for test, values in energies.items()
+                for s, e in enumerate(values)
+            ))
+
+        revs = [
+            rev("1.0", {"a.B::t": [1.0, 3.0], "a.B::u": [5.0, 5.0]}),
+            rev("1.1", {"a.B::t": [2.0, 2.0], "a.B::u": [5.0, 7.0]}),
+        ]
+        report = compare(revs, observation_unit="per_test_mean")
+        assert report.metrics["energy_mj"].anova == anova([[2.0, 5.0], [2.0, 6.0]])
+
+    def test_per_test_mean_of_one_sample_is_that_sample(self):
+        revs = self._pair(seed=12, delta=0.3, samples=1)
+        per_sample = report_to_json_dict(compare(revs))
+        per_test = report_to_json_dict(compare(revs, observation_unit="per_test_mean"))
+        assert per_test["metrics"] == per_sample["metrics"]
 
     def test_median_aggregation_discards_outlier_sample(self):
         def records(outlier):

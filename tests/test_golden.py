@@ -1,0 +1,93 @@
+"""Golden outputs: the SHA-256 of every file that ``analyze`` and
+``evolve`` write for a small seeded fixture must match the digests in
+``golden.sha256``.
+
+The determinism tests compare two runs of the same code; this one pins
+the bytes across code changes, so a refactor that claims unchanged
+outputs is checked against the outputs of the code before it.  When an
+output change is intended, regenerate the digest file with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden.sha256
+"""
+
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from tracewatt import cli
+
+DIGEST_FILE = Path(__file__).with_name("golden.sha256")
+
+SPEC_TEXT = """
+[synth]
+seed = 2024
+tests = 4
+samples_per_test = 3
+rate_hz = 20000
+tree_depth = 3
+branching = 2
+api_density = 0.5
+
+[revision.1.0]
+api_call_multiplier = 1.0
+base_power_mw = 100.0
+api_cost_mw = 60.0
+noise_stddev_mw = 1.0
+
+[revision.1.1]
+api_call_multiplier = 1.0
+base_power_mw = 100.0
+api_cost_mw = 60.0
+noise_stddev_mw = 1.0
+
+[revision.1.2]
+api_call_multiplier = 1.5
+base_power_mw = 100.0
+api_cost_mw = 60.0
+noise_stddev_mw = 1.0
+"""
+
+# top-k and per-test aggregation renormalize rU over a subset of tests
+SUBSET_CONFIG = """
+[analysis]
+top_k_tests = 2
+observation_unit = per_test_mean
+aggregation = median
+"""
+
+
+def golden_digests(work: Path) -> list[str]:
+    """Run synth, analyze and evolve under ``work``; return one
+    ``<sha256>  <path>`` line per output file, sorted by path."""
+    spec = work / "spec.ini"
+    spec.write_text(SPEC_TEXT)
+    config = work / "subset.ini"
+    config.write_text(SUBSET_CONFIG)
+    fixture = work / "fixture"
+    runs = {
+        "analyze": ["analyze", str(fixture / "1.0")],
+        "evolve": ["evolve", str(fixture)],
+        "evolve_subset": ["evolve", str(fixture), "--config", str(config)],
+    }
+    assert cli.main(["synth", str(spec), str(fixture)]) == 0
+    lines = []
+    for name, argv in runs.items():
+        out = work / name
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        for path in sorted(out.iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {name}/{path.name}")
+    return lines
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    lines = golden_digests(tmp_path)
+    assert lines == DIGEST_FILE.read_text().splitlines()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        lines = golden_digests(Path(tmp))
+    print("\n".join(lines))
