@@ -6,13 +6,28 @@ A power file is UTF-8 text with LF line endings:
     <t_us>;<power_mw>
 
 Timestamps are microseconds relative to test start (the same clock base
-as trace timestamps) and must be strictly increasing.  Energy is the
-trapezoidal integral of power over a time window: mW times seconds gives
-millijoules.
+as trace timestamps) and must be strictly increasing.  Timestamps, power
+values and ``nominal_rate_hz`` are decimal numerals matching
+``-?[0-9]+(\\.[0-9]+)?(e[-+][0-9]+)?`` whose value is finite.  That is
+every ``repr`` of a finite float (``1e-05``, ``1.5e+20``, ``-0.0``) and
+plain integers such as ``20000``.  Other spellings ``float()`` accepts
+(``1_0``, `` 5``, ``+.5``, ``5.``, ``1E5``, ``nan``) are rejected.
+
+Energy is the trapezoidal integral of power over a time window: mW times
+seconds gives millijoules.  Cost model: each profile builds one segment
+table, once, when it is first integrated (O(S) for S samples).  Every
+window of that profile, method intervals and the test window alike, then
+costs O(log S) to find its edges by bisection plus one addition per whole
+segment inside it.  The segment areas are added left to right into one
+accumulator, the same float operations in the same order as a walk over
+the window's samples, so every result is bit for bit that walk's.
 """
 
-from bisect import bisect_right
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .callgraph import CallNode
 from .trace import MethodId, _parse_uint
@@ -22,6 +37,11 @@ _HEADER_MAGIC = "#power"
 
 MJ_PER_MW_US = 1e-6
 NEGATIVE_EXCLUSIVE_TOL_MJ = 1e-9
+
+_NUMERAL = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
+_NUMERAL_RE = re.compile(_NUMERAL)
+_SAMPLE_LINE_RE = re.compile(f"({_NUMERAL});({_NUMERAL})")
+_INF = float("inf")
 
 
 class PowerFormatError(ValueError):
@@ -39,10 +59,25 @@ class AttributionError(ValueError):
     inconsistent interval nesting."""
 
 
-@dataclass(frozen=True)
-class PowerSample:
+class PowerSample(NamedTuple):
     t_us: float
     power_mw: float
+
+
+class _SegmentTable(NamedTuple):
+    """Per-profile integration table; segment k runs from ts[k] to ts[k+1].
+
+    ``pe[k]`` is the power at segment k's right end as interpolation
+    computes it there, ``ps[k] + (ps[k+1] - ps[k])``, which need not equal
+    ``ps[k+1]`` in floats.  ``areas[k - 1]`` is the trapezoid of a whole
+    segment k >= 1 entered from segment k - 1, so its left power is
+    ``pe[k - 1]``.
+    """
+
+    ts: list
+    ps: list
+    pe: list
+    areas: list
 
 
 @dataclass(frozen=True)
@@ -52,20 +87,46 @@ class PowerProfile:
     nominal_rate_hz: float
     samples: tuple[PowerSample, ...] = ()
 
+    @cached_property
+    def _segments(self) -> _SegmentTable:
+        ts = [s.t_us for s in self.samples]
+        ps = [s.power_mw for s in self.samples]
+        pe = [p0 + (p1 - p0) for p0, p1 in zip(ps, ps[1:])]
+        areas = [
+            0.5 * (pe0 + pe1) * (t1 - t0)
+            for pe0, pe1, t0, t1 in zip(pe, pe[1:], ts[1:], ts[2:])
+        ]
+        return _SegmentTable(ts, ps, pe, areas)
+
 
 def _parse_float(text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{what} must be a decimal number, got {text!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if _NUMERAL_RE.fullmatch(text) is None:
+        raise ValueError(f"{what} must be a decimal number, got {text!r}")
+    value = float(text)
+    if value in (_INF, -_INF):
         raise ValueError(f"{what} must be finite, got {text!r}")
     return value
 
 
+def _sample_line_error(line: str, prev_t: float) -> str:
+    """Why a sample line that the fast path in parse_power refused is bad."""
+    fields = line.split(";")
+    if len(fields) != 2:
+        return f"expected 2 ;-separated fields, got {len(fields)}"
+    try:
+        t_us = _parse_float(fields[0], "timestamp")
+        power_mw = _parse_float(fields[1], "power")
+    except ValueError as exc:
+        return str(exc)
+    if power_mw < 0:
+        return f"negative power {power_mw}"
+    return f"timestamp {t_us} not after {prev_t}"
+
+
 def parse_power(data: "bytes | str") -> PowerProfile:
-    """Parse power-format text; rejects non-increasing timestamps and
-    negative power with the offending line number."""
+    """Parse power-format text; rejects non-canonical numerals,
+    non-increasing timestamps and negative power with the offending line
+    number."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -99,28 +160,26 @@ def parse_power(data: "bytes | str") -> PowerProfile:
         raise PowerFormatError(str(exc), line=1) from None
 
     samples = []
-    prev_t = None
+    prev_t = -_INF
+    fullmatch = _SAMPLE_LINE_RE.fullmatch
+    # tuple.__new__ builds each PowerSample without the Python-level call
+    # of its generated __new__, a sixth of the per-line parse cost.
+    new_sample = tuple.__new__
     for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("#"):
-            continue
-        fields = line.split(";")
-        if len(fields) != 2:
-            raise PowerFormatError(
-                f"expected 2 ;-separated fields, got {len(fields)}", line=lineno
-            )
-        try:
-            t_us = _parse_float(fields[0], "timestamp")
-            power_mw = _parse_float(fields[1], "power")
-        except ValueError as exc:
-            raise PowerFormatError(str(exc), line=lineno) from None
-        if power_mw < 0:
-            raise PowerFormatError(f"negative power {power_mw}", line=lineno)
-        if prev_t is not None and t_us <= prev_t:
-            raise PowerFormatError(
-                f"timestamp {t_us} not after {prev_t}", line=lineno
-            )
+        match = fullmatch(line)
+        if match is None:
+            if line.startswith("#"):
+                continue
+            raise PowerFormatError(_sample_line_error(line, prev_t), line=lineno)
+        t_text, p_text = match.groups()
+        t_us = float(t_text)
+        power_mw = float(p_text)
+        # One chained test for the common case: finite, increasing
+        # timestamp and finite, non-negative power.
+        if not (prev_t < t_us < _INF and 0.0 <= power_mw < _INF):
+            raise PowerFormatError(_sample_line_error(line, prev_t), line=lineno)
         prev_t = t_us
-        samples.append(PowerSample(t_us, power_mw))
+        samples.append(new_sample(PowerSample, (t_us, power_mw)))
     return PowerProfile(test_name, sample_index, rate_hz, tuple(samples))
 
 
@@ -153,11 +212,19 @@ def shift_profile(profile: PowerProfile, offset_us: float) -> PowerProfile:
     )
 
 
+def _power_at(ts: list, ps: list, t: float, seg: int) -> float:
+    t0, t1 = ts[seg], ts[seg + 1]
+    frac = (t - t0) / (t1 - t0)
+    return ps[seg] + (ps[seg + 1] - ps[seg]) * frac
+
+
 def integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
     """Trapezoidal energy over [a_us, b_us] in millijoules.
 
     Power is linearly interpolated at the window edges; the window must
     lie within the sampled range.  Exact for piecewise-linear power.
+    The two edge pieces are computed here, the whole segments between
+    them come from the profile's segment table.
     """
     if len(profile.samples) < 2:
         raise AttributionError(
@@ -165,31 +232,24 @@ def integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
         )
     if not a_us < b_us:
         raise AttributionError(f"bad window [{a_us}, {b_us}]")
-    ts = [s.t_us for s in profile.samples]
+    ts, ps, pe, areas = profile._segments
     if a_us < ts[0] or b_us > ts[-1]:
         raise AttributionError(
             f"window [{a_us}, {b_us}] outside sampled range [{ts[0]}, {ts[-1]}]"
         )
-    ps = [s.power_mw for s in profile.samples]
-
-    def power_at(t: float, seg: int) -> float:
-        t0, t1 = ts[seg], ts[seg + 1]
-        frac = (t - t0) / (t1 - t0)
-        return ps[seg] + (ps[seg + 1] - ps[seg]) * frac
-
-    seg = min(bisect_right(ts, a_us) - 1, len(ts) - 2)
-    seg = max(seg, 0)
+    # ts[0] <= a_us < b_us <= ts[-1], so first and last are segments and
+    # last is the first segment at or after first that reaches b_us.
+    first = bisect_right(ts, a_us) - 1
+    last = bisect_left(ts, b_us, first + 1) - 1
     total_mw_us = 0.0
-    t_lo = a_us
-    p_lo = power_at(a_us, seg)
-    while True:
-        t_hi = min(ts[seg + 1], b_us)
-        p_hi = power_at(t_hi, seg)
-        total_mw_us += 0.5 * (p_lo + p_hi) * (t_hi - t_lo)
-        if t_hi >= b_us:
-            break
-        seg += 1
-        t_lo, p_lo = t_hi, p_hi
+    t_lo, p_lo = a_us, _power_at(ts, ps, a_us, first)
+    if first < last:
+        total_mw_us += 0.5 * (p_lo + pe[first]) * (ts[first + 1] - t_lo)
+        for area in areas[first : last - 1]:
+            total_mw_us += area
+        t_lo, p_lo = ts[last], pe[last - 1]
+    p_hi = _power_at(ts, ps, b_us, last)
+    total_mw_us += 0.5 * (p_lo + p_hi) * (b_us - t_lo)
     return total_mw_us * MJ_PER_MW_US
 
 

@@ -215,23 +215,40 @@ class _Frame:
     children: list
 
 
-def _build_skeleton(rng: SplitMix64, spec: SynthSpec, depth: int) -> _Frame:
+def _build_skeleton(rng: SplitMix64, spec: SynthSpec) -> _Frame:
     # Internal structure is the full branching-ary tree of the configured
     # depth, identical for every test; only API placement is drawn from the
     # per-test stream.  Keeping structure uniform bounds the cross-test
     # variance so injected revision-level shifts are the dominant effect.
-    n_children = spec.branching if depth < spec.tree_depth else 0
-    api_calls = sum(
-        1 for _ in range(spec.branching) if rng.uniform() < spec.api_density
-    )
-    children = [_build_skeleton(rng, spec, depth + 1) for _ in range(n_children)]
-    return _Frame(depth, api_calls, children)
+    # Frames are created (and draw their API slots) in preorder, with an
+    # explicit stack so that no tree depth hits the recursion limit.
+    def new_frame(depth: int) -> _Frame:
+        api_calls = sum(
+            1 for _ in range(spec.branching) if rng.uniform() < spec.api_density
+        )
+        return _Frame(depth, api_calls, [])
+
+    root = new_frame(0)
+    stack = [root]
+    while stack:
+        frame = stack[-1]
+        n_children = spec.branching if frame.depth < spec.tree_depth else 0
+        if len(frame.children) == n_children:
+            stack.pop()
+            continue
+        child = new_frame(frame.depth + 1)
+        frame.children.append(child)
+        stack.append(child)
+    return root
 
 
 def _frames_preorder(frame: _Frame) -> list[_Frame]:
-    out = [frame]
-    for child in frame.children:
-        out.extend(_frames_preorder(child))
+    out = []
+    stack = [frame]
+    while stack:
+        current = stack.pop()
+        out.append(current)
+        stack.extend(reversed(current.children))
     return out
 
 
@@ -277,33 +294,40 @@ def _materialize(
     api_us = spec.api_call_us
     lines: list[str] = []
     intervals: list[tuple[int, int]] = []
-    state = {"frame_ord": 0, "api_ord": 0}
+    frame_ord = 0
+    api_ord = 0
+    # One entry per open frame: [frame, exit line's name part, cursor,
+    # index of the next child to lay out].  A frame's children are laid
+    # out one after another, each starting one pad after the previous
+    # one's exit; then its API calls; then its own exit.
+    stack: list[list] = []
 
-    def emit(frame: _Frame, start_us: int, package: str, class_name: str, method: str) -> int:
-        lines.append(f"E;1;{start_us * 1000};{package};{class_name};{method}")
-        cursor = start_us + pad
-        for child in frame.children:
-            state["frame_ord"] += 1
-            cursor = (
-                emit(
-                    child, cursor, "com.fixture.lib",
-                    f"Helper{child.depth}", f"m{state['frame_ord']}",
-                )
-                + pad
-            )
+    def enter(frame: _Frame, start_us: int, name: str) -> None:
+        lines.append(f"E;1;{start_us * 1000};{name}")
+        stack.append([frame, name, start_us + pad, 0])
+
+    enter(skeleton, 0, f"com.fixture.suite;GeneratedSuite;{test_method}")
+    while True:
+        top = stack[-1]
+        frame, name, cursor, next_child = top
+        if next_child < len(frame.children):
+            top[3] += 1
+            child = frame.children[next_child]
+            frame_ord += 1
+            enter(child, cursor, f"com.fixture.lib;Helper{child.depth};m{frame_ord}")
+            continue
         for _ in range(counts[id(frame)]):
-            ordinal = state["api_ord"]
-            state["api_ord"] += 1
-            api_pkg = _API_PACKAGES[ordinal % len(_API_PACKAGES)]
-            lines.append(f"E;1;{cursor * 1000};{api_pkg};Api;call{ordinal}")
-            lines.append(f"X;1;{(cursor + api_us) * 1000};{api_pkg};Api;call{ordinal}")
+            api_pkg = _API_PACKAGES[api_ord % len(_API_PACKAGES)]
+            lines.append(f"E;1;{cursor * 1000};{api_pkg};Api;call{api_ord}")
+            lines.append(f"X;1;{(cursor + api_us) * 1000};{api_pkg};Api;call{api_ord}")
             intervals.append((cursor, cursor + api_us))
+            api_ord += 1
             cursor += api_us + pad
-        lines.append(f"X;1;{cursor * 1000};{package};{class_name};{method}")
-        return cursor
-
-    end = emit(skeleton, 0, "com.fixture.suite", "GeneratedSuite", test_method)
-    return _Materialized(lines, intervals, end, state["api_ord"])
+        lines.append(f"X;1;{cursor * 1000};{name}")
+        stack.pop()
+        if not stack:
+            return _Materialized(lines, intervals, cursor, api_ord)
+        stack[-1][2] = cursor + pad
 
 
 def _render_power(
@@ -347,7 +371,7 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
     root.mkdir(parents=True, exist_ok=True)
 
     skeletons = [
-        _build_skeleton(_stream(spec.seed, "tree", i), spec, 0)
+        _build_skeleton(_stream(spec.seed, "tree", i), spec)
         for i in range(spec.tests)
     ]
 

@@ -74,6 +74,22 @@ class TestSynthCommand:
     def test_missing_spec_exits_2(self, tmp_path):
         assert cli.main(["synth", str(tmp_path / "nope.ini"), str(tmp_path / "fx")]) == 2
 
+    def test_deep_chain_synthesizes_and_analyzes(self, tmp_path):
+        # A call chain deeper than the interpreter's recursion limit (1000).
+        spec_file = tmp_path / "spec.ini"
+        spec_file.write_text(
+            "[synth]\nseed = 3\ntests = 1\nsamples_per_test = 1\n"
+            "rate_hz = 10000\ntree_depth = 1200\nbranching = 1\n"
+            "api_density = 0.5\napi_call_us = 100\nframe_pad_us = 100\n\n"
+            "[revision.a]\n"
+        )
+        fixture = tmp_path / "fx"
+        assert cli.main(["synth", str(spec_file), str(fixture)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(fixture / "a"), "--out", str(out)]) == 0
+        depths = [int(row["depth"]) for row in _read_csv(out / "methods.csv")]
+        assert max(depths) >= 1200
+
 
 class TestAnalyzeCommand:
     def test_record_counts_match_manifest(self, fixture_dir, tmp_path):

@@ -1,7 +1,9 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
+from tracewatt import energy
 from tracewatt.callgraph import CallNode, node_intervals
 from tracewatt.energy import (
     AttributionError,
@@ -32,6 +34,42 @@ def _constant(power_mw, t_end_us, step=50.0):
     return _profile([(i * step, power_mw) for i in range(n)])
 
 
+def _walk_integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
+    """Reference integral: walks the window's samples segment by segment,
+    rebuilding the sample lists on every call.  integrate must return
+    exactly this float."""
+    ts = [s.t_us for s in profile.samples]
+    ps = [s.power_mw for s in profile.samples]
+
+    def power_at(t: float, seg: int) -> float:
+        t0, t1 = ts[seg], ts[seg + 1]
+        frac = (t - t0) / (t1 - t0)
+        return ps[seg] + (ps[seg + 1] - ps[seg]) * frac
+
+    seg = max(min(bisect_right(ts, a_us) - 1, len(ts) - 2), 0)
+    total_mw_us = 0.0
+    t_lo = a_us
+    p_lo = power_at(a_us, seg)
+    while True:
+        t_hi = min(ts[seg + 1], b_us)
+        p_hi = power_at(t_hi, seg)
+        total_mw_us += 0.5 * (p_lo + p_hi) * (t_hi - t_lo)
+        if t_hi >= b_us:
+            break
+        seg += 1
+        t_lo, p_lo = t_hi, p_hi
+    return total_mw_us * energy.MJ_PER_MW_US
+
+
+def _random_profile(rng: random.Random, n_max: int = 60) -> PowerProfile:
+    samples = []
+    t = rng.uniform(-50.0, 50.0)
+    for _ in range(rng.randrange(2, n_max)):
+        samples.append((t, rng.random() * 300))
+        t += rng.random() * 80 + 1e-3
+    return _profile(samples)
+
+
 class TestParsePower:
     def test_two_samples(self):
         profile = parse_power("#power v1;a.B::m;2;20000\n0;100.0\n50;100.0\n")
@@ -58,6 +96,28 @@ class TestParsePower:
     def test_noncanonical_sample_index_rejected(self, sample_index):
         with pytest.raises(PowerFormatError, match="sample_index"):
             parse_power(f"#power v1;a.B::m;{sample_index};1000.0\n0.0;1.0\n")
+
+    @pytest.mark.parametrize(
+        "numeral", ["1_0", " 5", "5 ", "+.5", ".5", "5.", "1E5", "nan", "inf", "0x10", "1e+999"]
+    )
+    @pytest.mark.parametrize("field", ["timestamp", "power", "nominal_rate_hz"])
+    def test_noncanonical_numeral_rejected(self, field, numeral):
+        text, line = {
+            "timestamp": (f"#power v1;a.B::m;0;20000\n0;1.0\n{numeral};1.0\n", 3),
+            "power": (f"#power v1;a.B::m;0;20000\n0;1.0\n1;{numeral}\n", 3),
+            "nominal_rate_hz": (f"#power v1;a.B::m;0;{numeral}\n0;1.0\n1;1.0\n", 1),
+        }[field]
+        with pytest.raises(PowerFormatError, match=f"^line {line}: {field} must be") as exc:
+            parse_power(text)
+        assert exc.value.line == line
+
+    def test_float_reprs_accepted_and_round_trip(self):
+        text = "#power v1;a.B::m;0;1e+16\n-0.0;1e-05\n1e-05;0.0\n1.5e+20;-0.0\n"
+        assert write_power(parse_power(text)) == text
+        assert parse_power("#power v1;a.B::m;0;20000\n0;7\n50;100.0\n").samples == (
+            PowerSample(0.0, 7.0),
+            PowerSample(50.0, 100.0),
+        )
 
     def test_malformed_line_number(self):
         with pytest.raises(PowerFormatError) as exc:
@@ -140,6 +200,30 @@ class TestIntegrate:
             assert integrate(profile, a, b) == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
+    def test_bit_identical_to_sample_walk(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            profile = _random_profile(rng)
+            ts = [s.t_us for s in profile.samples]
+            k = rng.randrange(len(ts) - 1)
+            mid = rng.uniform(ts[k], ts[k + 1])
+            windows = [
+                (ts[0], ts[-1]),  # full sampled range
+                (ts[k], ts[k + 1]),  # exactly one segment
+                (ts[k], mid),  # starts on a sample, inside one segment
+                (mid, ts[k + 1]),  # ends on a sample, inside one segment
+                tuple(sorted(rng.uniform(ts[k], ts[k + 1]) for _ in range(2))),
+                (ts[rng.randrange(len(ts) - 1)], rng.uniform(ts[0], ts[-1])),
+                (rng.uniform(ts[0], ts[-1]), ts[rng.randrange(1, len(ts))]),
+                tuple(sorted(rng.uniform(ts[0], ts[-1]) for _ in range(2))),
+            ]
+            if k + 2 < len(ts):  # spans exactly the boundary at ts[k + 1]
+                windows.append((mid, rng.uniform(ts[k + 1], ts[k + 2])))
+            for a, b in windows:
+                if a < b:
+                    assert integrate(profile, a, b) == _walk_integrate(profile, a, b)
+
+
 class TestAttribute:
     def test_constant_power_parent_child(self):
         profile = _constant(100.0, 20000.0)
@@ -188,6 +272,28 @@ class TestAttribute:
                 if depth == 0
             )
             assert total_exclusive == pytest.approx(roots_inclusive, rel=1e-6, abs=1e-12)
+
+    def test_bit_identical_to_sample_walk(self, monkeypatch):
+        rng = random.Random(78)
+        cases = []
+        for _ in range(40):
+            intervals = node_intervals(random_call_tree(rng, max_nodes=60))
+            if not intervals:
+                continue
+            end_us = max(node.t_end_ns for node, _ in intervals) / 1000.0
+            samples = []
+            t = -rng.random() * 0.01
+            while t <= end_us:
+                samples.append((t, rng.random() * 300))
+                t += rng.random() * 0.02 + 1e-4
+            samples.append((t, rng.random() * 300))
+            cases.append((intervals, _profile(samples)))
+        expected = []
+        with monkeypatch.context() as patch:
+            patch.setattr(energy, "integrate", _walk_integrate)
+            for intervals, profile in cases:
+                expected.append(attribute(intervals, profile))
+        assert [attribute(i, p) for i, p in cases] == expected
 
 
 def test_shift_profile_moves_clock():
