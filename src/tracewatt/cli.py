@@ -29,11 +29,13 @@ from pathlib import Path
 
 from . import evolution, synth
 from .config import AnalysisConfig, ConfigError, parse_config
-from .energy import AttributionError, PowerFormatError
-from .evolution import AnalysisError, ComparisonReport
+from .energy import AttributionError
+from .evolution import (
+    AnalysisError, ComparisonReport, ExecutionRecord, ProxyScore, RevisionSummary,
+)
 from .ingest import LayoutError, RevisionAnalysis, analyze_revision
-from .stats import ConvergenceError
-from .trace import TraceFormatError
+from .stats import ConvergenceError, TukeyPair
+from .trace import LineFormatError
 
 EXIT_OK = 0
 EXIT_LAYOUT = 2
@@ -83,9 +85,12 @@ def _load_analysis_config(args) -> AnalysisConfig:
     return config
 
 
+def _columns(record_type: type) -> list[str]:
+    return [f.name for f in dataclasses.fields(record_type)]
+
+
 def _write_analysis(analysis: RevisionAnalysis, out_dir: Path) -> None:
     method_rows = []
-    test_rows = []
     for row in analysis.method_rows:
         method_rows.append(
             [
@@ -95,14 +100,6 @@ def _write_analysis(analysis: RevisionAnalysis, out_dir: Path) -> None:
                 row.api_label, row.u_value,
                 row.energy_mj_inclusive, row.energy_mj_exclusive,
                 row.avg_power_mw,
-            ]
-        )
-    for record in analysis.dataset.records:
-        test_rows.append(
-            [
-                record.test_name, record.sample_index, record.energy_mj,
-                record.avg_power_mw, record.duration_ms, record.root_uapi,
-                record.api_interactions, record.ruapi,
             ]
         )
     _write_csv(
@@ -117,11 +114,8 @@ def _write_analysis(analysis: RevisionAnalysis, out_dir: Path) -> None:
     )
     _write_csv(
         out_dir / "tests.csv",
-        [
-            "test_name", "sample_index", "energy_mj", "avg_power_mw",
-            "duration_ms", "root_uapi", "api_interactions", "ruapi",
-        ],
-        test_rows,
+        _columns(ExecutionRecord),
+        [dataclasses.astuple(record) for record in analysis.dataset.records],
     )
 
 
@@ -133,19 +127,13 @@ def _write_report_files(report: ComparisonReport, out_dir: Path) -> None:
     for metric, comparison in report.metrics.items():
         _write_csv(
             out_dir / f"pairwise_{metric}.csv",
-            ["group_a", "group_b", "mean_diff", "q", "p_adj", "significant"],
-            [
-                [p.group_a, p.group_b, p.mean_diff, p.q, p.p_adj, p.significant]
-                for p in comparison.pairs
-            ],
+            _columns(TukeyPair),
+            [dataclasses.astuple(p) for p in comparison.pairs],
         )
     _write_csv(
         out_dir / "proxy_scores.csv",
-        ["target", "tp", "fp", "fn", "tn", "accuracy", "precision", "recall", "f1"],
-        [
-            [t, s.tp, s.fp, s.fn, s.tn, s.accuracy, s.precision, s.recall, s.f1]
-            for t, s in report.proxy.items()
-        ],
+        ["target", *_columns(ProxyScore)],
+        [[t, *dataclasses.astuple(s)] for t, s in report.proxy.items()],
     )
     _write_summaries_csv(report, out_dir)
 
@@ -153,11 +141,8 @@ def _write_report_files(report: ComparisonReport, out_dir: Path) -> None:
 def _write_summaries_csv(report: ComparisonReport, out_dir: Path) -> None:
     _write_csv(
         out_dir / SUMMARIES_CSV,
-        ["revision", "mean_energy_mj", "mean_power_mw", "sum_ruapi"],
-        [
-            [s.revision, s.mean_energy_mj, s.mean_power_mw, s.sum_ruapi]
-            for s in report.summaries
-        ],
+        _columns(RevisionSummary),
+        [dataclasses.astuple(s) for s in report.summaries],
     )
 
 
@@ -339,7 +324,7 @@ def main(argv=None) -> int:
     try:
         _apply_env(args)
         return args.func(args)
-    except (TraceFormatError, PowerFormatError) as exc:
+    except LineFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except AttributionError as exc:

@@ -16,10 +16,16 @@
 Only ``=`` delimits keys from values (test names contain ``::``), ``#``
 starts a comment, and key case is preserved.  Emission is canonical:
 parse -> emit -> parse is the identity and emit is byte-stable.
+
+The synth spec format shares this dialect through ``read_ini`` and
+``section_values``: unknown keys and non-finite numbers are rejected.
 """
 
 import configparser
+import dataclasses
+import math
 from dataclasses import dataclass, field
+from typing import Mapping, Optional, Union, get_args, get_origin
 
 from .apimetric import ApiRule
 
@@ -44,7 +50,7 @@ class AnalysisConfig:
     alpha: float = 0.05
     aggregation: str = "mean"
     observation_unit: str = "per_sample"
-    top_k_tests: "int | None" = None
+    top_k_tests: Optional[int] = None
     power_clock_offset_us: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -63,7 +69,8 @@ class AnalysisConfig:
             raise ConfigError("api_rules must not be empty")
 
 
-def parse_config(text: str) -> AnalysisConfig:
+def read_ini(text: str) -> dict[str, dict[str, str]]:
+    """The sections of INI text in file order, each a key -> raw value dict."""
     parser = configparser.RawConfigParser(
         delimiters=("=",), comment_prefixes=("#",), strict=True
     )
@@ -71,53 +78,61 @@ def parse_config(text: str) -> AnalysisConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"bad config: {exc}") from None
+        raise ConfigError(f"bad INI text: {exc}") from None
+    return {name: dict(parser[name]) for name in parser.sections()}
 
-    known = {"analysis", "api_rules", "power_clock_offset_us"}
-    unknown = set(parser.sections()) - known
+
+def _convert_value(section: str, key: str, raw: str, kind: type):
+    """``raw`` as ``kind``: an int, a str or a finite float."""
+    try:
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from None
+    return value
+
+
+def section_values(cls: type, section: str, items: Mapping[str, str], **fixed) -> dict:
+    """Keyword arguments for dataclass ``cls`` from one INI section.
+
+    The keys are the int, float and str fields of ``cls`` (or Optional
+    ones) not given in ``fixed``; a missing key keeps the field's default.
+    """
+    kinds = {}
+    for f in dataclasses.fields(cls):
+        kind = get_args(f.type)[0] if get_origin(f.type) is Union else f.type
+        if kind in (int, float, str) and f.name not in fixed:
+            kinds[f.name] = kind
+            if f.default is dataclasses.MISSING and f.name not in items:
+                raise ConfigError(f"[{section}] is missing {f.name}")
+    unknown = set(items) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")
+    for key, raw in items.items():
+        fixed[key] = _convert_value(section, key, raw, kinds[key])
+    return fixed
+
+
+def parse_config(text: str) -> AnalysisConfig:
+    sections = read_ini(text)
+    unknown = set(sections) - {"analysis", "api_rules", "power_clock_offset_us"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    kwargs = {}
-    if "analysis" in parser:
-        section = parser["analysis"]
-        allowed = {"alpha", "aggregation", "observation_unit", "top_k_tests"}
-        extra = set(section) - allowed
-        if extra:
-            raise ConfigError(f"unknown [analysis] keys: {sorted(extra)}")
-        if "alpha" in section:
-            try:
-                kwargs["alpha"] = float(section["alpha"])
-            except ValueError:
-                raise ConfigError(f"alpha = {section['alpha']!r} is not a number") from None
-        if "aggregation" in section:
-            kwargs["aggregation"] = section["aggregation"]
-        if "observation_unit" in section:
-            kwargs["observation_unit"] = section["observation_unit"]
-        if "top_k_tests" in section:
-            raw = section["top_k_tests"]
-            try:
-                kwargs["top_k_tests"] = int(raw)
-            except ValueError:
-                raise ConfigError(f"top_k_tests = {raw!r} is not an integer") from None
-    if "api_rules" in parser:
-        rules = []
-        for prefix, label in parser["api_rules"].items():
-            try:
-                rules.append(ApiRule(prefix, label))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        kwargs["api_rules"] = tuple(rules)
-    if "power_clock_offset_us" in parser:
-        offsets = {}
-        for test_name, raw in parser["power_clock_offset_us"].items():
-            try:
-                offsets[test_name] = float(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"power_clock_offset_us {test_name} = {raw!r} is not a number"
-                ) from None
-        kwargs["power_clock_offset_us"] = offsets
+    kwargs = section_values(AnalysisConfig, "analysis", sections.get("analysis", {}))
+    if "api_rules" in sections:
+        try:
+            kwargs["api_rules"] = tuple(
+                ApiRule(prefix, label) for prefix, label in sections["api_rules"].items()
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    kwargs["power_clock_offset_us"] = {
+        test_name: _convert_value("power_clock_offset_us", test_name, raw, float)
+        for test_name, raw in sections.get("power_clock_offset_us", {}).items()
+    }
     return AnalysisConfig(**kwargs)
 
 

@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .callgraph import CallNode
-from .trace import MethodId, _parse_uint
+from .trace import LineFormatError, _read_line_file
 
 POWER_VERSION = "v1"
 _HEADER_MAGIC = "#power"
@@ -44,14 +44,8 @@ _SAMPLE_LINE_RE = re.compile(f"({_NUMERAL});({_NUMERAL})")
 _INF = float("inf")
 
 
-class PowerFormatError(ValueError):
+class PowerFormatError(LineFormatError):
     """A power file violates the format or its invariants."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class AttributionError(ValueError):
@@ -127,33 +121,11 @@ def parse_power(data: "bytes | str") -> PowerProfile:
     """Parse power-format text; rejects non-canonical numerals,
     non-increasing timestamps and negative power with the offending line
     number."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise PowerFormatError(f"not valid UTF-8: {exc}") from None
-    else:
-        text = data
-
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise PowerFormatError("empty input, expected a header line", line=1)
-
-    header = lines[0].split(";")
-    magic_version = header[0].split(" ")
-    if len(magic_version) != 2 or magic_version[0] != _HEADER_MAGIC:
-        raise PowerFormatError(f"bad header {lines[0]!r}", line=1)
-    if magic_version[1] != POWER_VERSION:
-        raise PowerFormatError(f"unknown format version {magic_version[1]!r}", line=1)
-    if len(header) != 4:
-        raise PowerFormatError("header needs 4 ;-separated fields", line=1)
+    test_name, sample_index, (rate_text,), lines = _read_line_file(
+        data, _HEADER_MAGIC, POWER_VERSION, 4, PowerFormatError
+    )
     try:
-        test_name = header[1]
-        MethodId.from_canonical(test_name)
-        sample_index = _parse_uint(header[2], "sample_index")
-        rate_hz = _parse_float(header[3], "nominal_rate_hz")
+        rate_hz = _parse_float(rate_text, "nominal_rate_hz")
         if rate_hz <= 0:
             raise ValueError(f"nominal_rate_hz must be > 0, got {rate_hz}")
     except ValueError as exc:
@@ -165,7 +137,7 @@ def parse_power(data: "bytes | str") -> PowerProfile:
     # tuple.__new__ builds each PowerSample without the Python-level call
     # of its generated __new__, a sixth of the per-line parse cost.
     new_sample = tuple.__new__
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         match = fullmatch(line)
         if match is None:
             if line.startswith("#"):

@@ -13,7 +13,7 @@ import dataclasses
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence, get_args, get_origin
 
 from .stats import AnovaResult, TukeyPair, anova, tukey_hsd
 
@@ -134,15 +134,10 @@ def align_tests(revisions: Sequence[RevisionDataset]) -> list[str]:
     return sorted(common)
 
 
-def select_top_energy_tests(
-    revision: RevisionDataset, k: int
-) -> tuple[list[str], bool]:
+def select_top_energy_tests(revision: RevisionDataset, k: int) -> list[str]:
     """The k most energy-demanding tests of a revision, by mean energy
-    over its sample runs; ties break by test name.
-
-    Returns (names, capped): capped is True when fewer than k tests were
-    available and all of them were returned.
-    """
+    over its sample runs; ties break by test name.  Fewer than k tests
+    give all of them."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     by_test: dict[str, list[float]] = {}
@@ -151,8 +146,7 @@ def select_top_energy_tests(
     ranked = sorted(
         by_test, key=lambda name: (-(sum(by_test[name]) / len(by_test[name])), name)
     )
-    capped = k > len(ranked)
-    return ranked[:k], capped
+    return ranked[:k]
 
 
 def proxy_eval(
@@ -276,7 +270,7 @@ def compare(
     analysis_tests = aligned
     if top_k_tests is not None:
         reference = min(revisions, key=lambda r: version_key(r.revision))
-        top, _ = select_top_energy_tests(reference, top_k_tests)
+        top = select_top_energy_tests(reference, top_k_tests)
         analysis_tests = [t for t in top if t in set(aligned)]
         analysis_tests.sort()
         if not analysis_tests:
@@ -326,121 +320,60 @@ def compare(
     )
 
 
-def report_to_json_dict(report: ComparisonReport) -> dict:
-    """Plain-dict form of a report, stable for JSON serialization."""
+# Fields whose value may be infinite; JSON has no infinity, so report.json
+# writes it as the string "inf".
+_INF_FIELDS = ("F", "q")
 
-    def anova_dict(a: AnovaResult) -> dict:
-        return {
-            "F": a.F if not math.isinf(a.F) else "inf",
-            "p": a.p,
-            "df_between": a.df_between,
-            "df_within": a.df_within,
-            "ms_between": a.ms_between,
-            "ms_within": a.ms_within,
-            "degenerate": a.degenerate,
-        }
 
-    def pair_dict(p: TukeyPair) -> dict:
-        return {
-            "group_a": p.group_a,
-            "group_b": p.group_b,
-            "mean_diff": p.mean_diff,
-            "q": p.q if not math.isinf(p.q) else "inf",
-            "p_adj": p.p_adj,
-            "significant": p.significant,
-        }
-
-    def score_dict(s: ProxyScore) -> dict:
-        return {
-            "tp": s.tp, "fp": s.fp, "fn": s.fn, "tn": s.tn,
-            "accuracy": s.accuracy, "precision": s.precision,
-            "recall": s.recall, "f1": s.f1,
-        }
-
+def _json_fields(items: list) -> dict:
     return {
-        "alpha": report.alpha,
-        "observation_unit": report.observation_unit,
-        "revisions": report.revisions,
-        "aligned_tests": report.aligned_tests,
-        "analysis_tests": report.analysis_tests,
-        "excluded_tests": report.excluded_tests,
-        "n_observations": report.n_observations,
-        "metrics": {
-            name: {
-                "anova": anova_dict(m.anova),
-                "pairs": [pair_dict(p) for p in m.pairs],
-            }
-            for name, m in report.metrics.items()
-        },
-        "proxy": {name: score_dict(s) for name, s in report.proxy.items()},
-        "summaries": [
-            {
-                "revision": s.revision,
-                "mean_energy_mj": s.mean_energy_mj,
-                "mean_power_mw": s.mean_power_mw,
-                "sum_ruapi": s.sum_ruapi,
-            }
-            for s in report.summaries
-        ],
+        name: "inf" if name in _INF_FIELDS and math.isinf(value) else value
+        for name, value in items
     }
+
+
+def report_to_json_dict(report: ComparisonReport) -> dict:
+    """Plain-dict form of a report, stable for JSON serialization: every
+    dataclass becomes a dict of its fields."""
+    return dataclasses.asdict(report, dict_factory=_json_fields)
+
+
+def _from_json(kind, data):
+    """Rebuild a value of type ``kind`` from its report_to_json_dict form."""
+    if dataclasses.is_dataclass(kind):
+        field_types = {f.name: f.type for f in dataclasses.fields(kind)}
+        if not isinstance(data, dict) or data.keys() != field_types.keys():
+            raise TypeError(f"{kind.__name__} needs keys {sorted(field_types)}")
+        return kind(
+            **{
+                name: math.inf
+                if name in _INF_FIELDS and value == "inf"
+                else _from_json(field_types[name], value)
+                for name, value in data.items()
+            }
+        )
+    origin = get_origin(kind)
+    if origin not in (list, dict):
+        return data
+    if not isinstance(data, origin):
+        raise TypeError(f"expected a JSON {origin.__name__}, got {type(data).__name__}")
+    item = get_args(kind)[-1]
+    if origin is list:
+        return [_from_json(item, x) for x in data]
+    return {key: _from_json(item, value) for key, value in data.items()}
 
 
 def report_from_json_dict(data: dict) -> ComparisonReport:
-    """Inverse of report_to_json_dict."""
+    """Inverse of report_to_json_dict; metrics and proxy targets come back
+    in their canonical order."""
+    report = _from_json(ComparisonReport, data)
 
-    def to_f(x):
-        return math.inf if x == "inf" else x
+    def canonical(mapping: dict, order: tuple) -> dict:
+        names = sorted(
+            mapping, key=lambda n: (order.index(n) if n in order else len(order), n)
+        )
+        return {name: mapping[name] for name in names}
 
-    def canonical(names, order):
-        return sorted(names, key=lambda n: (order.index(n) if n in order else len(order), n))
-
-    metrics = {
-        name: MetricComparison(
-            AnovaResult(
-                to_f(m["anova"]["F"]),
-                m["anova"]["p"],
-                m["anova"]["df_between"],
-                m["anova"]["df_within"],
-                m["anova"]["ms_between"],
-                m["anova"]["ms_within"],
-                m["anova"]["degenerate"],
-            ),
-            [
-                TukeyPair(
-                    p["group_a"], p["group_b"], p["mean_diff"],
-                    to_f(p["q"]), p["p_adj"], p["significant"],
-                )
-                for p in m["pairs"]
-            ],
-        )
-        for name, m in (
-            (n, data["metrics"][n]) for n in canonical(data["metrics"], METRICS)
-        )
-    }
-    proxy = {
-        name: ProxyScore(
-            s["tp"], s["fp"], s["fn"], s["tn"],
-            s["accuracy"], s["precision"], s["recall"], s["f1"],
-        )
-        for name, s in (
-            (n, data["proxy"][n]) for n in canonical(data["proxy"], PROXY_TARGETS)
-        )
-    }
-    summaries = [
-        RevisionSummary(
-            s["revision"], s["mean_energy_mj"], s["mean_power_mw"], s["sum_ruapi"]
-        )
-        for s in data["summaries"]
-    ]
-    return ComparisonReport(
-        alpha=data["alpha"],
-        observation_unit=data["observation_unit"],
-        revisions=list(data["revisions"]),
-        aligned_tests=list(data["aligned_tests"]),
-        analysis_tests=list(data["analysis_tests"]),
-        excluded_tests={k: list(v) for k, v in data["excluded_tests"].items()},
-        n_observations=data["n_observations"],
-        metrics=metrics,
-        proxy=proxy,
-        summaries=summaries,
-    )
+    report.metrics = canonical(report.metrics, METRICS)
+    report.proxy = canonical(report.proxy, PROXY_TARGETS)
+    return report

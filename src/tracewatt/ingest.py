@@ -16,7 +16,7 @@ from .callgraph import build_call_trees, node_intervals
 from .config import AnalysisConfig
 from .energy import AttributionError, PowerFormatError, attribute, integrate, parse_power, shift_profile
 from .evolution import ExecutionRecord, RevisionDataset, normalize_ruapi
-from .trace import MethodId, TraceFormatError, parse_trace
+from .trace import MethodId, TraceFormatError, _parse_uint, parse_trace
 
 
 class LayoutError(ValueError):
@@ -67,15 +67,16 @@ def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
             if not entry.is_file():
                 continue
             parts = entry.name.rsplit(".", 2)
-            if len(parts) != 3 or parts[2] != suffix or not parts[1].isdigit():
+            if len(parts) != 3 or parts[2] != suffix:
                 raise LayoutError(
                     f"{entry}: expected <test_name>.<sample_index>.{suffix}"
                 )
             try:
                 MethodId.from_canonical(parts[0])
+                sample = _parse_uint(parts[1], "sample_index")
             except ValueError as exc:
                 raise LayoutError(f"{entry}: {exc}") from None
-            found[(parts[0], int(parts[1]))] = entry
+            found[(parts[0], sample)] = entry
         return found
 
     traces = scan(traces_dir, "trace")
@@ -119,16 +120,12 @@ def analyze_execution(
         profile = parse_power(power_path.read_bytes())
     except PowerFormatError as exc:
         raise PowerFormatError(f"{power_path}: {exc}") from None
-    if trace.test_name != test_name or trace.sample_index != sample_index:
-        raise LayoutError(
-            f"{trace_path}: header names {trace.test_name} sample "
-            f"{trace.sample_index}, expected {test_name} sample {sample_index}"
-        )
-    if profile.test_name != test_name or profile.sample_index != sample_index:
-        raise LayoutError(
-            f"{power_path}: header names {profile.test_name} sample "
-            f"{profile.sample_index}, expected {test_name} sample {sample_index}"
-        )
+    for path, parsed in ((trace_path, trace), (power_path, profile)):
+        if (parsed.test_name, parsed.sample_index) != (test_name, sample_index):
+            raise LayoutError(
+                f"{path}: header names {parsed.test_name} sample "
+                f"{parsed.sample_index}, expected {test_name} sample {sample_index}"
+            )
     offset = config.power_clock_offset_us.get(test_name, 0.0)
     profile = shift_profile(profile, offset)
 

@@ -158,9 +158,10 @@ def f_upper_tail(f_stat: float, df1: int, df2: int) -> float:
     return regularized_incomplete_beta(0.5 * df2, 0.5 * df1, x)
 
 
-def _range_cdf_nodes(order: int, panels: int):
-    """Precompute (z, weight*phi(z), Phi(z)) for the standard-normal range
-    integral over [-Z_LIM, Z_LIM]."""
+@lru_cache(maxsize=8)
+def _range_cdf_nodes(order: int, panels: int) -> tuple:
+    """(z, weight*phi(z), Phi(z)) quadrature nodes for the standard-normal
+    range integral over [-Z_LIM, Z_LIM]."""
     xs, ws = _gauss_legendre(order)
     out = []
     h = 2.0 * _Z_LIM / panels
@@ -172,12 +173,7 @@ def _range_cdf_nodes(order: int, panels: int):
             out.append(
                 (z, w * half * _INV_SQRT_2PI * math.exp(-0.5 * z * z), normal_cdf(z))
             )
-    return out
-
-
-@lru_cache(maxsize=8)
-def _range_cdf_nodes_cached(order: int, panels: int):
-    return tuple(_range_cdf_nodes(order, panels))
+    return tuple(out)
 
 
 def _range_cdf(w: float, k: int, order: int, panels: int) -> float:
@@ -187,7 +183,7 @@ def _range_cdf(w: float, k: int, order: int, panels: int) -> float:
     km1 = k - 1
     erfc = math.erfc
     total = 0.0
-    for z, fw, cdf in _range_cdf_nodes_cached(order, panels):
+    for z, fw, cdf in _range_cdf_nodes(order, panels):
         d = cdf - 0.5 * erfc((w - z) / _SQRT2)
         if d > 0.0:
             total += fw * d**km1

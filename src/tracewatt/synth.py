@@ -20,7 +20,6 @@ intervals start and end exactly on sample points; the trapezoidal
 integral of a noise-free stream then equals the analytic step integral.
 """
 
-import configparser
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from pathlib import Path
 
 from .apimetric import ApiClassifier, ApiRule, uapi
 from .callgraph import build_call_trees
+from .config import ConfigError, read_ini, section_values
 from .energy import PowerFormatError, parse_power
 from .trace import TraceFormatError, parse_trace
 
@@ -84,10 +84,10 @@ def _stream(seed: int, *coordinates) -> SplitMix64:
 @dataclass(frozen=True)
 class RevisionSpec:
     label: str
-    api_call_multiplier: float
-    base_power_mw: float
-    api_cost_mw: float
-    noise_stddev_mw: float
+    api_call_multiplier: float = 1.0
+    base_power_mw: float = 100.0
+    api_cost_mw: float = 50.0
+    noise_stddev_mw: float = 0.0
 
     def __post_init__(self):
         if not self.label or "/" in self.label or any(c.isspace() for c in self.label):
@@ -147,63 +147,20 @@ class SynthSpec:
 
 def load_spec(text: str) -> SynthSpec:
     """Parse the synth spec file format (INI-style, see README)."""
-    parser = configparser.RawConfigParser(
-        delimiters=("=",), comment_prefixes=("#",), strict=True
-    )
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError(f"bad synth spec: {exc}") from None
-    if "synth" not in parser:
-        raise ValueError("synth spec needs a [synth] section")
-
-    def get(section, key, convert, default=None):
-        if key not in parser[section]:
-            if default is None:
-                raise ValueError(f"[{section}] is missing {key}")
-            return default
-        raw = parser[section][key]
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ValueError(f"[{section}] {key} = {raw!r} is not valid") from None
-
+    sections = read_ini(text)
+    if "synth" not in sections:
+        raise ConfigError("synth spec needs a [synth] section")
     revisions = []
-    for section in parser.sections():
+    for section, items in sections.items():
         if section == "synth":
             continue
         if not section.startswith("revision."):
-            raise ValueError(f"unknown section [{section}]")
+            raise ConfigError(f"unknown section [{section}]")
         label = section[len("revision.") :]
-        revisions.append(
-            RevisionSpec(
-                label,
-                get(section, "api_call_multiplier", float, 1.0),
-                get(section, "base_power_mw", float, 100.0),
-                get(section, "api_cost_mw", float, 50.0),
-                get(section, "noise_stddev_mw", float, 0.0),
-            )
-        )
-    allowed = {
-        "seed", "tests", "samples_per_test", "rate_hz", "tree_depth",
-        "branching", "api_density", "api_call_us", "frame_pad_us",
-    }
-    unknown = set(parser["synth"]) - allowed
-    if unknown:
-        raise ValueError(f"unknown [synth] keys: {sorted(unknown)}")
-    return SynthSpec(
-        seed=get("synth", "seed", int),
-        revisions=tuple(revisions),
-        tests=get("synth", "tests", int, 10),
-        samples_per_test=get("synth", "samples_per_test", int, 5),
-        rate_hz=get("synth", "rate_hz", int, 20000),
-        tree_depth=get("synth", "tree_depth", int, 3),
-        branching=get("synth", "branching", int, 2),
-        api_density=get("synth", "api_density", float, 0.35),
-        api_call_us=get("synth", "api_call_us", int, 400),
-        frame_pad_us=get("synth", "frame_pad_us", int, 100),
-    )
+        values = section_values(RevisionSpec, section, items, label=label)
+        revisions.append(RevisionSpec(**values))
+    values = section_values(SynthSpec, "synth", sections["synth"], revisions=tuple(revisions))
+    return SynthSpec(**values)
 
 
 @dataclass

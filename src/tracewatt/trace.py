@@ -7,27 +7,35 @@ A trace file is UTF-8 text with LF line endings:
     X;<thread>;<t_ns>;<package>;<class>;<method>
 
 ``E`` marks a method entry, ``X`` the matching exit.  Timestamps are
-nanoseconds relative to test start.  Lines starting with ``#`` after the
-header are comments.  Fields are ``;``-separated and identifiers may not
+nanoseconds relative to test start.  Threads, timestamps and the sample
+index are unsigned decimal integers ``0|[1-9][0-9]*``, so parse-then-write
+keeps their bytes.  Lines starting with ``#`` after the header are
+comments.  Fields are ``;``-separated and identifiers may not
 contain ``;``, ``:`` or whitespace, so no escaping is needed.
 """
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
 TRACE_VERSION = "v1"
 _HEADER_MAGIC = "#trace"
-_DIGITS = frozenset("0123456789")
+_UINT_RE = re.compile("0|[1-9][0-9]*")
 
 
-class TraceFormatError(ValueError):
-    """A trace file or trace value violates the format or its invariants."""
+class LineFormatError(ValueError):
+    """A line-oriented file violates its format; ``line`` is 1-based."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class TraceFormatError(LineFormatError):
+    """A trace file or trace value violates the format or its invariants."""
 
 
 def _check_identifier(value: str, what: str, allow_dots: bool) -> None:
@@ -75,6 +83,9 @@ class EventKind(Enum):
     EXIT = "X"
 
 
+_EVENT_KINDS = {kind.value: kind for kind in EventKind}
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     kind: EventKind
@@ -113,24 +124,29 @@ class TestTrace:
 
 
 def _parse_uint(text: str, what: str) -> int:
-    if not text or not all(c in _DIGITS for c in text):
-        raise ValueError(f"{what} must be a non-negative decimal integer, got {text!r}")
+    if _UINT_RE.fullmatch(text) is None:
+        raise ValueError(
+            f"{what} must be an unsigned decimal integer without leading zeros, "
+            f"got {text!r}"
+        )
     return int(text)
 
 
-def parse_trace(data: "bytes | str") -> TestTrace:
-    """Parse trace-format text into a TestTrace, enforcing all invariants.
-
-    Raises TraceFormatError (with the offending line number) on malformed
-    lines, unknown format versions, per-thread timestamp regressions and
-    unbalanced or mismatched Enter/Exit nesting.  Never raises anything
-    else on arbitrary input bytes.
+def _read_line_file(
+    data: "bytes | str", magic: str, version: str, n_fields: int,
+    error: "type[LineFormatError]",
+) -> tuple[str, int, list[str], list[str]]:
+    """Decode a ``<magic> <version>;<test_name>;<sample_index>[;...]`` file:
+    check UTF-8 and the header, raising ``error`` with the line number.
+    Returns the test name, the sample index, the header's remaining fields
+    and the lines after the header.
     """
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"not valid UTF-8: {exc}") from None
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"not valid UTF-8: {exc}", line=line) from None
     else:
         text = data
 
@@ -138,81 +154,107 @@ def parse_trace(data: "bytes | str") -> TestTrace:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise TraceFormatError("empty input, expected a header line", line=1)
+        raise error("empty input, expected a header line", line=1)
 
     header = lines[0].split(";")
     magic_version = header[0].split(" ")
-    if len(magic_version) != 2 or magic_version[0] != _HEADER_MAGIC:
-        raise TraceFormatError(f"bad header {lines[0]!r}", line=1)
-    if magic_version[1] != TRACE_VERSION:
-        raise TraceFormatError(f"unknown format version {magic_version[1]!r}", line=1)
-    if len(header) != 3:
-        raise TraceFormatError("header needs 3 ;-separated fields", line=1)
+    if len(magic_version) != 2 or magic_version[0] != magic:
+        raise error(f"bad header {lines[0]!r}", line=1)
+    if magic_version[1] != version:
+        raise error(f"unknown format version {magic_version[1]!r}", line=1)
+    if len(header) != n_fields:
+        raise error(f"header needs {n_fields} ;-separated fields", line=1)
     try:
         test_name = header[1]
         MethodId.from_canonical(test_name)
         sample_index = _parse_uint(header[2], "sample_index")
     except ValueError as exc:
-        raise TraceFormatError(str(exc), line=1) from None
+        raise error(str(exc), line=1) from None
+    return test_name, sample_index, header[3:], lines[1:]
 
-    events = []
+
+def _sequence_violations(events: Iterable[TraceEvent]) -> Iterator[tuple[int, str]]:
+    """Yield (event index, message) for each violation of the sequence
+    rules: per thread, timestamps never decrease and Enter/Exit events
+    nest.  Lazy, so a violation comes before any later event is read.
+    Frames never exited come last, at their Enter, innermost first.
+    """
     last_t: dict[int, int] = {}
     stacks: dict[int, list[tuple[MethodId, int]]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("#"):
-            continue
-        fields = line.split(";")
-        if len(fields) != 6:
-            raise TraceFormatError(
-                f"expected 6 ;-separated fields, got {len(fields)}", line=lineno
-            )
-        kind_code, thread_s, t_s, package, class_name, method_name = fields
-        if kind_code == "E":
-            kind = EventKind.ENTER
-        elif kind_code == "X":
-            kind = EventKind.EXIT
-        else:
-            raise TraceFormatError(f"unknown event kind {kind_code!r}", line=lineno)
-        try:
-            thread = _parse_uint(thread_s, "thread")
-            t_ns = _parse_uint(t_s, "timestamp")
-            method = MethodId(package, class_name, method_name)
-        except ValueError as exc:
-            raise TraceFormatError(str(exc), line=lineno) from None
-
+    enter = EventKind.ENTER
+    for idx, ev in enumerate(events):
+        thread = ev.thread
+        t_ns = ev.t_ns
         prev = last_t.get(thread)
         if prev is not None and t_ns < prev:
-            raise TraceFormatError(
-                f"timestamp {t_ns} before {prev} on thread {thread}", line=lineno
-            )
+            yield idx, f"timestamp {t_ns} before {prev} on thread {thread}"
         last_t[thread] = t_ns
 
-        stack = stacks.setdefault(thread, [])
-        if kind is EventKind.ENTER:
-            stack.append((method, lineno))
-        else:
-            if not stack:
-                raise TraceFormatError(
-                    f"exit of {method.canonical()} with no open frame on thread {thread}",
-                    line=lineno,
-                )
-            open_method, _ = stack.pop()
-            if open_method != method:
-                raise TraceFormatError(
-                    f"exit of {method.canonical()} does not match open frame "
-                    f"{open_method.canonical()} on thread {thread}",
-                    line=lineno,
-                )
-        events.append(TraceEvent(kind, method, thread, t_ns))
-
-    for thread, stack in stacks.items():
-        if stack:
-            method, lineno = stack[-1]
-            raise TraceFormatError(
-                f"unbalanced trace: {method.canonical()} entered on thread {thread} "
-                f"is never exited",
-                line=lineno,
+        stack = stacks.get(thread)
+        if stack is None:
+            stack = stacks[thread] = []
+        if ev.kind is enter:
+            stack.append((ev.method, idx))
+        elif not stack:
+            yield idx, (
+                f"exit of {ev.method.canonical()} with no open frame on thread {thread}"
             )
+        else:
+            open_method, _ = stack.pop()
+            if open_method != ev.method:
+                yield idx, (
+                    f"exit of {ev.method.canonical()} does not match open frame "
+                    f"{open_method.canonical()} on thread {thread}"
+                )
+    for thread, stack in stacks.items():
+        for method, idx in reversed(stack):
+            yield idx, (
+                f"unbalanced trace: {method.canonical()} entered on thread {thread} "
+                f"is never exited"
+            )
+
+
+def parse_trace(data: "bytes | str") -> TestTrace:
+    """Parse trace-format text into a TestTrace, enforcing all invariants.
+
+    Raises TraceFormatError (with the offending line number) on malformed
+    lines, unknown format versions, per-thread timestamp regressions and
+    unbalanced or mismatched Enter/Exit nesting; the first bad line wins.
+    Never raises anything else on arbitrary input bytes.
+    """
+    test_name, sample_index, _, lines = _read_line_file(
+        data, _HEADER_MAGIC, TRACE_VERSION, 3, TraceFormatError
+    )
+    events = []
+
+    def scan() -> Iterator[TraceEvent]:
+        for lineno, line in enumerate(lines, start=2):
+            if line.startswith("#"):
+                continue
+            fields = line.split(";")
+            if len(fields) != 6:
+                raise TraceFormatError(
+                    f"expected 6 ;-separated fields, got {len(fields)}", line=lineno
+                )
+            kind_code, thread_s, t_s, package, class_name, method_name = fields
+            kind = _EVENT_KINDS.get(kind_code)
+            if kind is None:
+                raise TraceFormatError(f"unknown event kind {kind_code!r}", line=lineno)
+            try:
+                thread = _parse_uint(thread_s, "thread")
+                t_ns = _parse_uint(t_s, "timestamp")
+                method = MethodId(package, class_name, method_name)
+            except ValueError as exc:
+                raise TraceFormatError(str(exc), line=lineno) from None
+            event = TraceEvent(kind, method, thread, t_ns)
+            events.append(event)
+            yield event
+
+    for idx, message in _sequence_violations(scan()):
+        event_lines = [
+            n for n, line in enumerate(lines, start=2) if not line.startswith("#")
+        ]
+        raise TraceFormatError(message, line=event_lines[idx])
     return TestTrace(test_name, sample_index, tuple(events))
 
 
@@ -240,36 +282,6 @@ def validate_trace(trace: TestTrace) -> list[str]:
     Violations are data, not errors: the input is never mutated and this
     never raises.  Each message cites the 0-based event index.
     """
-    violations = []
-    last_t: dict[int, int] = {}
-    stacks: dict[int, list[MethodId]] = {}
-    for idx, ev in enumerate(trace.events):
-        prev = last_t.get(ev.thread)
-        if prev is not None and ev.t_ns < prev:
-            violations.append(
-                f"event {idx}: timestamp {ev.t_ns} before {prev} on thread {ev.thread}"
-            )
-        last_t[ev.thread] = ev.t_ns
-
-        stack = stacks.setdefault(ev.thread, [])
-        if ev.kind is EventKind.ENTER:
-            stack.append(ev.method)
-        elif not stack:
-            violations.append(
-                f"event {idx}: exit of {ev.method.canonical()} with no open frame "
-                f"on thread {ev.thread}"
-            )
-        else:
-            open_method = stack.pop()
-            if open_method != ev.method:
-                violations.append(
-                    f"event {idx}: exit of {ev.method.canonical()} does not match "
-                    f"open frame {open_method.canonical()} on thread {ev.thread}"
-                )
-    for thread, stack in stacks.items():
-        for method in stack:
-            violations.append(
-                f"end of trace: {method.canonical()} entered on thread {thread} "
-                f"is never exited"
-            )
-    return violations
+    return [
+        f"event {idx}: {message}" for idx, message in _sequence_violations(trace.events)
+    ]

@@ -157,6 +157,35 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err.startswith(f"error: {victim}: ")
 
+    @pytest.mark.parametrize("sample", ["01", "\u00b2"])
+    def test_non_canonical_sample_index_in_file_name_exits_2(self, tmp_path, capsys, sample):
+        rev = tmp_path / "1.0"
+        (rev / "traces").mkdir(parents=True)
+        (rev / "power").mkdir()
+        trace = rev / "traces" / f"a.B::t.{sample}.trace"
+        trace.write_text("#trace v1;a.B::t;1\nE;1;0;a;B;t\nX;1;2000;a;B;t\n")
+        (rev / "power" / f"a.B::t.{sample}.power").write_text(
+            "#power v1;a.B::t;1;1000.0\n0.0;100.0\n10.0;100.0\n"
+        )
+        assert cli.main(["analyze", str(rev), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: sample_index must be")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+    def test_non_finite_clock_offset_exits_2(self, fixture_dir, tmp_path, capsys, offset):
+        test_name = "com.fixture.suite.GeneratedSuite::test001"
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[power_clock_offset_us]\n{test_name} = {offset}\n")
+        argv = ["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "o"),
+                "--config", str(config)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: [power_clock_offset_us] {test_name} = '{offset}' "
+            f"is not a finite number\n"
+        )
+
     def test_clock_offset_config_compensates_shifted_power(self, fixture_dir, tmp_path):
         baseline = tmp_path / "baseline"
         assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(baseline)]) == 0
@@ -300,26 +329,51 @@ class TestReportCommand:
         assert "revisions: 2" in capsys.readouterr().out
 
     def test_single_revision_report_notes_no_comparisons(self, tmp_path, capsys):
-        payload = {
-            "alpha": 0.05,
-            "observation_unit": "per_sample",
-            "revisions": ["1.0"],
-            "aligned_tests": ["a.B::t"],
-            "analysis_tests": ["a.B::t"],
-            "excluded_tests": {"1.0": []},
-            "n_observations": 4,
-            "metrics": {},
-            "proxy": {},
-            "summaries": [
-                {"revision": "1.0", "mean_energy_mj": 1.0,
-                 "mean_power_mw": 10.0, "sum_ruapi": 0.5}
-            ],
-        }
+        payload = _single_revision_payload()
         (tmp_path / "report.json").write_text(json.dumps(payload))
         assert cli.main(["report", str(tmp_path)]) == 0
         rows = _read_csv(tmp_path / "revision_summaries.csv")
         assert len(rows) == 1
         assert "no comparisons" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda p: [p],
+            lambda p: "report",
+            lambda p: 3,
+            lambda p: {k: v for k, v in p.items() if k != "alpha"},
+            lambda p: {**p, "bogus": 1},
+            lambda p: {**p, "summaries": {"1.0": p["summaries"][0]}},
+            lambda p: {**p, "summaries": [{**p["summaries"][0], "extra": 0}]},
+        ],
+        ids=["list", "string", "number", "missing-key", "extra-key",
+             "object-for-array", "extra-nested-key"],
+    )
+    def test_malformed_payload_exits_3(self, tmp_path, capsys, mangle):
+        (tmp_path / "report.json").write_text(json.dumps(mangle(_single_revision_payload())))
+        assert cli.main(["report", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt report file ")
+        assert "Traceback" not in err
+
+
+def _single_revision_payload() -> dict:
+    return {
+        "alpha": 0.05,
+        "observation_unit": "per_sample",
+        "revisions": ["1.0"],
+        "aligned_tests": ["a.B::t"],
+        "analysis_tests": ["a.B::t"],
+        "excluded_tests": {"1.0": []},
+        "n_observations": 4,
+        "metrics": {},
+        "proxy": {},
+        "summaries": [
+            {"revision": "1.0", "mean_energy_mj": 1.0,
+             "mean_power_mw": 10.0, "sum_ruapi": 0.5}
+        ],
+    }
 
 
 def test_usage_error_exits_2():

@@ -88,3 +88,21 @@ def test_test_name_keys_preserve_case_and_colons():
         "[power_clock_offset_us]\ncom.Example.FooTest::testBar = -12.5\n"
     )
     assert config.power_clock_offset_us == {"com.Example.FooTest::testBar": -12.5}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_rejected(value):
+    with pytest.raises(ConfigError, match="is not a finite number"):
+        parse_config(f"[analysis]\nalpha = {value}\n")
+    with pytest.raises(ConfigError, match=r"\[power_clock_offset_us\] a.B::t = "):
+        parse_config(f"[power_clock_offset_us]\na.B::t = {value}\n")
+
+
+def test_non_integer_top_k_rejected():
+    with pytest.raises(ConfigError, match=r"\[analysis\] top_k_tests = '2.5' is not an integer"):
+        parse_config("[analysis]\ntop_k_tests = 2.5\n")
+
+
+def test_malformed_ini_rejected():
+    with pytest.raises(ConfigError, match="bad INI text"):
+        parse_config("[analysis]\nalpha = 0.1\nalpha = 0.2\n")

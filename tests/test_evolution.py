@@ -1,11 +1,16 @@
 import json
+import math
 import random
 
 import pytest
 
 from tracewatt.evolution import (
     AnalysisError,
+    ComparisonReport,
     ExecutionRecord,
+    MetricComparison,
+    ProxyScore,
+    RevisionSummary,
     RevisionDataset,
     align_tests,
     compare,
@@ -16,7 +21,7 @@ from tracewatt.evolution import (
     select_top_energy_tests,
     version_key,
 )
-from tracewatt.stats import anova
+from tracewatt.stats import AnovaResult, TukeyPair, anova
 
 
 def _record(test, sample, energy, power=100.0, uapi=4, api=2, ruapi=None):
@@ -60,20 +65,17 @@ class TestAlignTests:
 class TestSelectTopEnergyTests:
     def test_picks_highest_mean_energy(self):
         rev = _dataset("1.0", ["a.B::a", "a.B::b"], energy_by_test={"a.B::a": 5.0, "a.B::b": 3.0})
-        names, capped = select_top_energy_tests(rev, 1)
-        assert names == ["a.B::a"]
-        assert not capped
+        assert select_top_energy_tests(rev, 1) == ["a.B::a"]
 
     def test_tie_breaks_by_name(self):
         rev = _dataset("1.0", ["a.B::b", "a.B::a"], energy_by_test={"a.B::a": 5.0, "a.B::b": 5.0})
-        names, _ = select_top_energy_tests(rev, 1)
-        assert names == ["a.B::a"]
+        assert select_top_energy_tests(rev, 1) == ["a.B::a"]
 
-    def test_k_larger_than_available_returns_all_with_flag(self):
+    def test_k_larger_than_available_returns_all(self):
         rev = _dataset("1.0", ["a.B::a", "a.B::b"])
-        names, capped = select_top_energy_tests(rev, 100)
+        names = select_top_energy_tests(rev, 100)
+        assert len(names) == 2
         assert sorted(names) == ["a.B::a", "a.B::b"]
-        assert capped
 
     def test_k_validated(self):
         with pytest.raises(ValueError):
@@ -274,6 +276,41 @@ class TestCompare:
         payload = json.loads(json.dumps(report_to_json_dict(report), sort_keys=True))
         restored = report_from_json_dict(payload)
         assert report_to_json_dict(restored) == report_to_json_dict(report)
+
+
+def test_report_json_round_trip_keeps_inf_labels_and_infinite_statistics():
+    report = ComparisonReport(
+        alpha=0.05,
+        observation_unit="per_sample",
+        revisions=["1.0", "inf"],
+        aligned_tests=["a.B::t"],
+        analysis_tests=["a.B::t"],
+        excluded_tests={"1.0": [], "inf": ["a.B::u"]},
+        n_observations=4,
+        metrics={
+            metric: MetricComparison(
+                AnovaResult(math.inf, 0.0, 1, 2, 3.0, 0.0, True),
+                [TukeyPair("1.0", "inf", 2.0, math.inf, 0.0, True)],
+            )
+            for metric in ("energy_mj", "avg_power_mw", "ruapi")
+        },
+        proxy={
+            target: ProxyScore(1, 0, 0, 0, 1.0, 1.0, 1.0, 1.0)
+            for target in ("energy_mj", "avg_power_mw")
+        },
+        summaries=[
+            RevisionSummary("1.0", 1.0, 10.0, 0.5),
+            RevisionSummary("inf", 2.0, 20.0, 0.25),
+        ],
+    )
+    payload = json.loads(json.dumps(report_to_json_dict(report), sort_keys=True))
+    pair = payload["metrics"]["ruapi"]["pairs"][0]
+    assert payload["metrics"]["ruapi"]["anova"]["F"] == "inf"
+    assert (pair["group_b"], pair["q"]) == ("inf", "inf")
+    restored = report_from_json_dict(payload)
+    assert restored == report
+    assert list(restored.metrics) == list(report.metrics)
+    assert restored.revisions == ["1.0", "inf"]
 
 
 def test_duplicate_records_rejected():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tracewatt.config import ConfigError
 from tracewatt.energy import integrate, parse_power
 from tracewatt.synth import (
     RevisionSpec,
@@ -79,6 +80,25 @@ class TestLoadSpec:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             load_spec(SPEC_TEXT.replace("tests = 3", "tests = 3\nbogus = 1"))
+
+    def test_unknown_revision_key_rejected(self):
+        typo = SPEC_TEXT.replace("api_cost_mw = 50.0", "api_cost = 5", 1)
+        with pytest.raises(ConfigError, match=r"unknown \[revision.1.0\] keys: \['api_cost'\]"):
+            load_spec(typo)
+
+    def test_label_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            load_spec("[synth]\nseed = 1\n\n[revision.a]\nlabel = b\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ConfigError, match="is not a finite number"):
+            load_spec(SPEC_TEXT.replace("base_power_mw = 100.0", f"base_power_mw = {value}", 1))
+
+    def test_revision_defaults_live_on_the_dataclass(self):
+        spec = load_spec("[synth]\nseed = 1\n\n[revision.a]\n")
+        assert spec.revisions == (RevisionSpec("a"),)
+        assert spec == SynthSpec(seed=1, revisions=(RevisionSpec("a"),))
 
     def test_rate_must_give_integer_period(self):
         with pytest.raises(ValueError, match="rate_hz"):

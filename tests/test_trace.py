@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_trace
+from tracewatt.energy import PowerFormatError, parse_power
 from tracewatt.trace import (
     EventKind,
     MethodId,
@@ -100,6 +101,131 @@ def test_nonnegative_integer_fields_strict():
     for bad in ("E;-1;0;p;C;m", "E;1;+3;p;C;m", "E;1;1_0;p;C;m", "E;x;0;p;C;m"):
         with pytest.raises(TraceFormatError):
             parse_trace(f"#trace v1;a.B::m;0\n{bad}\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_trace, "#trace v1;a.B::m;0\nE;01;0;p;C;m\nX;01;5;p;C;m\n", 2),
+        (parse_trace, "#trace v1;a.B::m;0\nE;00;0;p;C;m\nX;00;5;p;C;m\n", 2),
+        (parse_trace, "#trace v1;a.B::m;0\nE;1;00;p;C;m\nX;1;5;p;C;m\n", 2),
+        (parse_trace, "#trace v1;a.B::m;0\nE;1;0;p;C;m\nX;1;05;p;C;m\n", 3),
+        (parse_trace, "#trace v1;a.B::m;01\n", 1),
+        (parse_power, "#power v1;a.B::m;01;1000.0\n0.0;1.0\n", 1),
+        (parse_power, "#power v1;a.B::m;00;1000.0\n0.0;1.0\n", 1),
+    ],
+    ids=[
+        "thread-01", "thread-00", "timestamp-00", "timestamp-05",
+        "trace-sample-01", "power-sample-01", "power-sample-00",
+    ],
+)
+def test_unsigned_numerals_must_be_canonical(parse, text, line):
+    # Only 0|[1-9][0-9]*: a leading zero would not survive parse-then-write.
+    with pytest.raises((TraceFormatError, PowerFormatError)) as exc:
+        parse(text)
+    assert exc.value.line == line
+    assert "without leading zeros" in str(exc.value)
+
+
+def test_canonical_numerals_round_trip_byte_for_byte():
+    text = "#trace v1;a.B::m;10\nE;0;0;p;C;m\nE;10;7;p;C;n\nX;10;90;p;C;n\nX;0;100;p;C;m\n"
+    assert write_trace(parse_trace(text)) == text
+
+
+FRAMING_DEFECTS = [
+    # (trace input, power input, message after "line 1: ")
+    (
+        b"\xff\n",
+        b"\xff\n",
+        "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte",
+    ),
+    (b"", b"", "empty input, expected a header line"),
+    (b"#energy v1;a.B::m;0\n", b"#energy v1;a.B::m;0\n", "bad header '#energy v1;a.B::m;0'"),
+    (b"#trace v2;a.B::m;0\n", b"#power v2;a.B::m;0;1.0\n", "unknown format version 'v2'"),
+    (b"#trace v1;a.B::m\n", b"#power v1;a.B::m;0\n", "header needs {n} ;-separated fields"),
+    (b"#trace v1;Foo;0\n", b"#power v1;Foo;0;1.0\n", "method name 'Foo' lacks '::'"),
+    (
+        b"#trace v1;a.B::m;x\n",
+        b"#power v1;a.B::m;x;1.0\n",
+        "sample_index must be an unsigned decimal integer without leading zeros, got 'x'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "trace_data, power_data, message",
+    FRAMING_DEFECTS,
+    ids=["non-utf8", "empty", "bad-magic", "unknown-version", "field-count",
+         "bad-test-name", "bad-sample-index"],
+)
+def test_trace_and_power_headers_share_one_framing(trace_data, power_data, message):
+    with pytest.raises(TraceFormatError) as trace_exc:
+        parse_trace(trace_data)
+    with pytest.raises(PowerFormatError) as power_exc:
+        parse_power(power_data)
+    assert trace_exc.value.line == power_exc.value.line == 1
+    assert str(trace_exc.value) == "line 1: " + message.format(n=3)
+    assert str(power_exc.value) == "line 1: " + message.format(n=4)
+
+
+def test_non_utf8_byte_is_reported_at_its_line():
+    with pytest.raises(TraceFormatError) as trace_exc:
+        parse_trace(b"#trace v1;a.B::m;0\nE;1;0;p;C;m\nX;1;\xff;p;C;m\n")
+    with pytest.raises(PowerFormatError) as power_exc:
+        parse_power(b"#power v1;a.B::m;0;1.0\n0.0;1.0\n\xff\n")
+    assert trace_exc.value.line == power_exc.value.line == 3
+    assert "not valid UTF-8" in str(trace_exc.value)
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("E;1;5;p;C;m\nX;1;3;p;C;m\n", 3, "timestamp 3 before 5 on thread 1"),
+        ("# c\nX;1;5;p;C;m\n", 3, "exit of p.C::m with no open frame on thread 1"),
+        (
+            "E;1;0;p;C;m\n# c\nX;1;2;p;C;other\n",
+            4,
+            "exit of p.C::other does not match open frame p.C::m on thread 1",
+        ),
+        (
+            "E;1;0;p;C;a\nE;1;1;p;C;b\nE;2;0;p;C;c\nX;2;1;p;C;c\n",
+            3,
+            "unbalanced trace: p.C::b entered on thread 1 is never exited",
+        ),
+        (
+            "E;1;5;p;C;m\nX;1;3;p;C;m\nE;1;bad;p;C;m\n",
+            3,
+            "timestamp 3 before 5 on thread 1",
+        ),
+        (
+            "E;1;5;p;C;m\nE;1;bad;p;C;m\nX;1;3;p;C;m\n",
+            3,
+            "timestamp must be an unsigned decimal integer without leading zeros, "
+            "got 'bad'",
+        ),
+    ],
+    ids=["timestamp-regression", "exit-without-frame", "mismatched-exit",
+         "nested-frame-never-exited", "sequence-before-syntax", "syntax-before-sequence"],
+)
+def test_first_bad_line_is_reported(body, line, message):
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace("#trace v1;a.B::m;0\n" + body)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_validate_reports_open_frames_innermost_first_at_their_enter():
+    a, b = MethodId("p", "C", "a"), MethodId("p", "C", "b")
+    trace = TestTrace(
+        "a.B::m",
+        0,
+        (TraceEvent(EventKind.ENTER, a, 1, 0), TraceEvent(EventKind.ENTER, b, 1, 1)),
+    )
+    assert validate_trace(trace) == [
+        "event 1: unbalanced trace: p.C::b entered on thread 1 is never exited",
+        "event 0: unbalanced trace: p.C::a entered on thread 1 is never exited",
+    ]
 
 
 def test_write_zero_events_is_header_only():
