@@ -67,7 +67,7 @@ class ApiClassifier:
 
 @dataclass
 class UapiProfile:
-    """Per-tree utilization results for one (test, sample) execution.
+    """Per-tree utilization results for one execution.
 
     ``node_values`` maps every traversed node (API subtrees are pruned, so
     frames inside an API call are absent) to its U value.  ``root_uapi``
@@ -75,12 +75,9 @@ class UapiProfile:
     no API interaction.
     """
 
-    test_name: str
-    sample_index: int
     root_uapi: int
     node_values: dict[CallNode, int] = field(default_factory=dict)
     total_api_interactions: int = 0
-    api_distribution: dict[str, int] = field(default_factory=dict)
 
 
 def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
@@ -94,7 +91,6 @@ def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
     interactions themselves.
     """
     node_values: dict[CallNode, int] = {}
-    distribution: dict[str, int] = {}
     total_api = 0
 
     # Iterative post-order so deeply recursive traces cannot overflow the
@@ -104,11 +100,9 @@ def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
         while stack:
             node, expanded = stack.pop()
             if not expanded:
-                label = None if node.synthetic else classifier.classify(node.method)
-                if label is not None:
+                if not node.synthetic and classifier.classify(node.method) is not None:
                     node_values[node] = 1
                     total_api += 1
-                    distribution[label] = distribution.get(label, 0) + 1
                     continue
                 stack.append((node, True))
                 stack.extend((child, False) for child in node.children)
@@ -121,11 +115,4 @@ def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
                 else:
                     node_values[node] = 1 + child_sum
     root_value = sum(node_values[root] for root in tree.roots)
-    return UapiProfile(
-        tree.test_name,
-        tree.sample_index,
-        root_value,
-        node_values,
-        total_api,
-        distribution,
-    )
+    return UapiProfile(root_value, node_values, total_api)

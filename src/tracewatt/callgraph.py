@@ -96,7 +96,7 @@ def node_intervals(tree: CallTree) -> list[tuple[CallNode, int]]:
 
     Depth counts real nesting from the top-level frame (depth 0); synthetic
     wrapper roots are omitted and add no depth.  Ties on t_start_ns keep
-    parent-before-child (pre-order) ordering, which attribution relies on.
+    parent-before-child (pre-order) ordering.
     """
     out: list[tuple[CallNode, int]] = []
     stack = [(node, 0) for node in reversed(tree.roots)]

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union, get_args, get_origin
 
 from .apimetric import ApiRule
+from .trace import MethodId
 
 DEFAULT_API_RULES = (
     ApiRule("android.", "android"),
@@ -67,6 +68,13 @@ class AnalysisConfig:
             raise ConfigError("duplicate api_rules prefixes")
         if not self.api_rules:
             raise ConfigError("api_rules must not be empty")
+        for test_name in self.power_clock_offset_us:
+            try:
+                MethodId.from_canonical(test_name)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"[power_clock_offset_us] key {test_name!r} is not a test name: {exc}"
+                ) from None
 
 
 def read_ini(text: str) -> dict[str, dict[str, str]]:

@@ -27,7 +27,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .callgraph import CallNode
 from .trace import LineFormatError, _read_line_file
@@ -49,8 +49,8 @@ class PowerFormatError(LineFormatError):
 
 
 class AttributionError(ValueError):
-    """Energy cannot be attributed: window outside the sampled range or
-    inconsistent interval nesting."""
+    """Energy cannot be attributed: window outside the sampled range, or
+    children whose energy exceeds their parent's."""
 
 
 class PowerSample(NamedTuple):
@@ -157,10 +157,6 @@ def parse_power(data: "bytes | str") -> PowerProfile:
 
 def write_power(profile: PowerProfile) -> str:
     """Render to canonical power-format text; parse_power round-trips it."""
-    out = [
-        f"{_HEADER_MAGIC} {POWER_VERSION};{profile.test_name};"
-        f"{profile.sample_index};{profile.nominal_rate_hz!r}"
-    ]
     prev_t = None
     for s in profile.samples:
         if s.power_mw < 0:
@@ -168,7 +164,20 @@ def write_power(profile: PowerProfile) -> str:
         if prev_t is not None and s.t_us <= prev_t:
             raise PowerFormatError(f"timestamp {s.t_us} not after {prev_t}")
         prev_t = s.t_us
-        out.append(f"{s.t_us!r};{s.power_mw!r}")
+    return _render_power(
+        profile.test_name, profile.sample_index, profile.nominal_rate_hz, profile.samples
+    )
+
+
+def _render_power(
+    test_name: str, sample_index: int, nominal_rate_hz: float,
+    samples: "Iterable[tuple[float, float]]",
+) -> str:
+    """Power-format text: the header, then one line per ``(t_us,
+    power_mw)`` sample.  Checks nothing; callers pass increasing
+    timestamps and non-negative power."""
+    out = [f"{_HEADER_MAGIC} {POWER_VERSION};{test_name};{sample_index};{nominal_rate_hz!r}"]
+    out.extend(f"{t_us!r};{power_mw!r}" for t_us, power_mw in samples)
     return "\n".join(out) + "\n"
 
 
@@ -231,40 +240,34 @@ def attribute(
     """Attribute energy to call occurrences: one (inclusive, exclusive)
     pair in millijoules per (node, depth) interval, in input order.
 
-    Expects intervals as produced by node_intervals: time-ordered with
-    parents before their children.  Inclusive energy integrates the
-    node's own window; exclusive subtracts the direct children, so
-    exclusive sums are free of nested double-counting.
+    Inclusive energy integrates the node's own window; exclusive subtracts
+    the inclusive energy of the node's children, so exclusive sums are
+    free of nested double-counting.  Every child of a listed node must be
+    listed too, as node_intervals does; the order and the depths are not
+    read.
     """
-    inclusive = []
+    inclusive: dict[CallNode, float] = {}
     for node, _ in intervals:
         if node.duration_ns == 0:
-            inclusive.append(0.0)
+            inclusive[node] = 0.0
             continue
         a_us = node.t_start_ns / 1000.0
         b_us = (node.t_start_ns + node.duration_ns) / 1000.0
         try:
-            inclusive.append(integrate(profile, a_us, b_us))
+            inclusive[node] = integrate(profile, a_us, b_us)
         except AttributionError as exc:
             raise AttributionError(f"{node.method.canonical()}: {exc}") from None
 
-    child_sums = [0.0] * len(intervals)
-    open_stack: dict[int, list[tuple[int, int]]] = {}  # thread -> [(depth, index)]
-    for idx, (node, depth) in enumerate(intervals):
-        stack = open_stack.setdefault(node.thread, [])
-        while stack and stack[-1][0] >= depth:
-            stack.pop()
-        if stack and stack[-1][0] == depth - 1:
-            child_sums[stack[-1][1]] += inclusive[idx]
-        stack.append((depth, idx))
-
     energies = []
-    for idx, (node, _) in enumerate(intervals):
-        exclusive = inclusive[idx] - child_sums[idx]
+    for node, _ in intervals:
+        child_sum = 0.0
+        for child in node.children:
+            child_sum += inclusive[child]
+        exclusive = inclusive[node] - child_sum
         if exclusive < -NEGATIVE_EXCLUSIVE_TOL_MJ:
             raise AttributionError(
-                f"{node.method.canonical()}: children energy {child_sums[idx]} exceeds "
-                f"inclusive energy {inclusive[idx]}"
+                f"{node.method.canonical()}: children energy {child_sum} exceeds "
+                f"inclusive energy {inclusive[node]}"
             )
-        energies.append((inclusive[idx], max(exclusive, 0.0)))
+        energies.append((inclusive[node], max(exclusive, 0.0)))
     return energies

@@ -13,7 +13,9 @@ import dataclasses
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Optional, Sequence, get_args, get_origin
+from typing import (
+    Collection, Iterable, Mapping, Optional, Sequence, Union, get_args, get_origin,
+)
 
 from .stats import AnovaResult, TukeyPair, anova, tukey_hsd
 
@@ -220,18 +222,13 @@ def _observations(
     raise ValueError(f"unknown observation unit {observation_unit!r}")
 
 
-def revision_summaries(
-    revisions: Sequence[RevisionDataset], analysis_tests: Optional[Sequence[str]] = None
-) -> list[RevisionSummary]:
+def revision_summaries(revisions: Sequence[RevisionDataset]) -> list[RevisionSummary]:
     """Per-revision means of energy/power plus the per-revision rU sum
     (sum over tests of the test's mean rU across samples), ordered by
     version label."""
-    selected = None if analysis_tests is None else set(analysis_tests)
     out = []
     for rev in sorted(revisions, key=lambda r: version_key(r.revision)):
-        records = [
-            r for r in rev.records if selected is None or r.test_name in selected
-        ]
+        records = rev.records
         if not records:
             raise ValueError(f"revision {rev.revision} has no analyzed records")
         energy = sum(r.energy_mj for r in records) / len(records)
@@ -316,7 +313,7 @@ def compare(
         n_observations=n_observations,
         metrics=metrics,
         proxy=proxy,
-        summaries=revision_summaries(datasets, analysis_tests),
+        summaries=revision_summaries(datasets),
     )
 
 
@@ -338,22 +335,39 @@ def report_to_json_dict(report: ComparisonReport) -> dict:
     return dataclasses.asdict(report, dict_factory=_json_fields)
 
 
+# The JSON value types each scalar annotation accepts: a bool is no int.
+_JSON_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 def _from_json(kind, data):
-    """Rebuild a value of type ``kind`` from its report_to_json_dict form."""
+    """Rebuild a value of type ``kind`` from its report_to_json_dict form;
+    raises TypeError naming the field of any value of the wrong JSON type.
+    ``null`` is taken only for an Optional field, ``"inf"`` only in F and q.
+    """
     if dataclasses.is_dataclass(kind):
         field_types = {f.name: f.type for f in dataclasses.fields(kind)}
         if not isinstance(data, dict) or data.keys() != field_types.keys():
             raise TypeError(f"{kind.__name__} needs keys {sorted(field_types)}")
-        return kind(
-            **{
-                name: math.inf
-                if name in _INF_FIELDS and value == "inf"
-                else _from_json(field_types[name], value)
-                for name, value in data.items()
-            }
-        )
+        values = {}
+        for name, value in data.items():
+            try:
+                values[name] = (
+                    math.inf
+                    if name in _INF_FIELDS and value == "inf"
+                    else _from_json(field_types[name], value)
+                )
+            except TypeError as exc:
+                raise TypeError(f"{name}: {exc}") from None
+        return kind(**values)
     origin = get_origin(kind)
-    if origin not in (list, dict):
+    if origin is Union:  # Optional[X]
+        if data is None:
+            return None
+        kind = get_args(kind)[0]
+        origin = get_origin(kind)
+    if origin is None:
+        if type(data) not in _JSON_SCALARS[kind]:
+            raise TypeError(f"expected a JSON {kind.__name__}, got {type(data).__name__}")
         return data
     if not isinstance(data, origin):
         raise TypeError(f"expected a JSON {origin.__name__}, got {type(data).__name__}")

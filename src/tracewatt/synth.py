@@ -24,12 +24,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .apimetric import ApiClassifier, ApiRule, uapi
 from .callgraph import build_call_trees
 from .config import ConfigError, read_ini, section_values
-from .energy import PowerFormatError, parse_power
-from .trace import TraceFormatError, parse_trace
+from .energy import PowerFormatError, _render_power, parse_power
+from .trace import TraceFormatError, _render_trace, parse_trace
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "tracewatt-synth-manifest v1"
@@ -163,70 +164,46 @@ def load_spec(text: str) -> SynthSpec:
     return SynthSpec(**values)
 
 
-@dataclass
-class _Frame:
-    """Skeleton node: structure is shared by all revisions of one test."""
+def _build_skeleton(rng: SplitMix64, spec: SynthSpec) -> list[tuple[int, int]]:
+    """The (depth, base API calls) of each frame of one test, in preorder.
 
-    depth: int
-    base_api_calls: int
-    children: list
-
-
-def _build_skeleton(rng: SplitMix64, spec: SynthSpec) -> _Frame:
-    # Internal structure is the full branching-ary tree of the configured
-    # depth, identical for every test; only API placement is drawn from the
-    # per-test stream.  Keeping structure uniform bounds the cross-test
-    # variance so injected revision-level shifts are the dominant effect.
-    # Frames are created (and draw their API slots) in preorder, with an
-    # explicit stack so that no tree depth hits the recursion limit.
-    def new_frame(depth: int) -> _Frame:
+    Internal structure is the full branching-ary tree of the configured
+    depth, identical for every test; only API placement is drawn from the
+    per-test stream.  Keeping structure uniform bounds the cross-test
+    variance so injected revision-level shifts are the dominant effect.
+    Frames draw their API slots in preorder, with an explicit stack so
+    that no tree depth hits the recursion limit.
+    """
+    skeleton = []
+    stack = [0]
+    while stack:
+        depth = stack.pop()
         api_calls = sum(
             1 for _ in range(spec.branching) if rng.uniform() < spec.api_density
         )
-        return _Frame(depth, api_calls, [])
-
-    root = new_frame(0)
-    stack = [root]
-    while stack:
-        frame = stack[-1]
-        n_children = spec.branching if frame.depth < spec.tree_depth else 0
-        if len(frame.children) == n_children:
-            stack.pop()
-            continue
-        child = new_frame(frame.depth + 1)
-        frame.children.append(child)
-        stack.append(child)
-    return root
+        skeleton.append((depth, api_calls))
+        if depth < spec.tree_depth:
+            stack.extend([depth + 1] * spec.branching)
+    return skeleton
 
 
-def _frames_preorder(frame: _Frame) -> list[_Frame]:
-    out = []
-    stack = [frame]
-    while stack:
-        current = stack.pop()
-        out.append(current)
-        stack.extend(reversed(current.children))
-    return out
-
-
-def _scale_api_counts(frames: "list[_Frame]", multiplier: float) -> dict[int, int]:
+def _scale_api_counts(base_counts: list[int], multiplier: float) -> list[int]:
     """Per-frame API-call counts whose total is the per-tree rounded
     (half-up) multiple of the base total, apportioned by largest
     remainder."""
-    base_total = sum(f.base_api_calls for f in frames)
-    target = math.floor(base_total * multiplier + 0.5)
-    ideals = [f.base_api_calls * multiplier for f in frames]
+    target = math.floor(sum(base_counts) * multiplier + 0.5)
+    ideals = [n * multiplier for n in base_counts]
     counts = [math.floor(x) for x in ideals]
     remaining = target - sum(counts)
     order = sorted(
-        range(len(frames)), key=lambda i: (-(ideals[i] - counts[i]), i)
+        range(len(counts)), key=lambda i: (-(ideals[i] - counts[i]), i)
     )
     pos = 0
     while remaining > 0 and order:
         counts[order[pos % len(order)]] += 1
         remaining -= 1
         pos += 1
-    return {id(frames[i]): counts[i] for i in range(len(frames))}
+    return counts
 
 
 def test_method_name(index: int) -> str:
@@ -235,74 +212,68 @@ def test_method_name(index: int) -> str:
 
 @dataclass
 class _Materialized:
-    trace_lines: list[str]
+    trace_rows: list[tuple]
     api_intervals: list[tuple[int, int]]
     end_us: int
     api_calls: int
 
 
 def _materialize(
-    spec: SynthSpec, skeleton: _Frame, multiplier: float, test_method: str
+    spec: SynthSpec, skeleton: list[tuple[int, int]], multiplier: float,
+    test_method: str,
 ) -> _Materialized:
     """Lay the skeleton out on the timeline for one revision; returns
-    trace event lines (without header) plus API windows in microseconds."""
-    counts = _scale_api_counts(_frames_preorder(skeleton), multiplier)
+    trace event rows (for trace._render_trace) plus API windows in
+    microseconds.
+
+    A frame's children are laid out one after another, each entered one
+    pad after the previous one's exit; then its API calls; then its own
+    exit.  A frame is exited when the next frame in preorder is no deeper,
+    and the depth -1 sentinel exits the root.
+    """
+    counts = _scale_api_counts([calls for _, calls in skeleton], multiplier)
     pad = spec.frame_pad_us
     api_us = spec.api_call_us
-    lines: list[str] = []
+    rows: list[tuple] = []
     intervals: list[tuple[int, int]] = []
-    frame_ord = 0
+    open_frames: list[tuple] = []  # (depth, package, class, method, API calls)
+    cursor = 0  # when the next event happens
+    end_us = 0
     api_ord = 0
-    # One entry per open frame: [frame, exit line's name part, cursor,
-    # index of the next child to lay out].  A frame's children are laid
-    # out one after another, each starting one pad after the previous
-    # one's exit; then its API calls; then its own exit.
-    stack: list[list] = []
-
-    def enter(frame: _Frame, start_us: int, name: str) -> None:
-        lines.append(f"E;1;{start_us * 1000};{name}")
-        stack.append([frame, name, start_us + pad, 0])
-
-    enter(skeleton, 0, f"com.fixture.suite;GeneratedSuite;{test_method}")
-    while True:
-        top = stack[-1]
-        frame, name, cursor, next_child = top
-        if next_child < len(frame.children):
-            top[3] += 1
-            child = frame.children[next_child]
-            frame_ord += 1
-            enter(child, cursor, f"com.fixture.lib;Helper{child.depth};m{frame_ord}")
-            continue
-        for _ in range(counts[id(frame)]):
-            api_pkg = _API_PACKAGES[api_ord % len(_API_PACKAGES)]
-            lines.append(f"E;1;{cursor * 1000};{api_pkg};Api;call{api_ord}")
-            lines.append(f"X;1;{(cursor + api_us) * 1000};{api_pkg};Api;call{api_ord}")
-            intervals.append((cursor, cursor + api_us))
-            api_ord += 1
-            cursor += api_us + pad
-        lines.append(f"X;1;{cursor * 1000};{name}")
-        stack.pop()
-        if not stack:
-            return _Materialized(lines, intervals, cursor, api_ord)
-        stack[-1][2] = cursor + pad
+    for index, (depth, _) in enumerate([*skeleton, (-1, 0)]):
+        while open_frames and open_frames[-1][0] >= depth:
+            _, *name, api_calls = open_frames.pop()
+            for _ in range(api_calls):
+                api_pkg = _API_PACKAGES[api_ord % len(_API_PACKAGES)]
+                method = f"call{api_ord}"
+                rows.append(("E", 1, cursor * 1000, api_pkg, "Api", method))
+                rows.append(("X", 1, (cursor + api_us) * 1000, api_pkg, "Api", method))
+                intervals.append((cursor, cursor + api_us))
+                api_ord += 1
+                cursor += api_us + pad
+            rows.append(("X", 1, cursor * 1000, *name))
+            end_us = cursor
+            cursor += pad
+        if depth < 0:
+            break
+        if index == 0:
+            name = ("com.fixture.suite", "GeneratedSuite", test_method)
+        else:
+            name = ("com.fixture.lib", f"Helper{depth}", f"m{index}")
+        rows.append(("E", 1, cursor * 1000, *name))
+        open_frames.append((depth, *name, counts[index]))
+        cursor += pad
+    return _Materialized(rows, intervals, end_us, api_ord)
 
 
-def _render_power(
-    spec: SynthSpec,
-    rev: RevisionSpec,
-    mat: _Materialized,
-    test_name: str,
-    sample_index: int,
-    rng: SplitMix64,
-) -> str:
+def _power_samples(
+    spec: SynthSpec, rev: RevisionSpec, mat: _Materialized, rng: SplitMix64
+) -> Iterator[tuple[float, float]]:
+    """The (t_us, power_mw) samples of one execution's power stream."""
     period = spec.sample_period_us
-    n_samples = mat.end_us // period + 3
-    lines = [
-        f"#power v1;{test_name};{sample_index};{float(spec.rate_hz)!r}"
-    ]
     interval_idx = 0
     active_until = -1
-    for i in range(n_samples):
+    for i in range(mat.end_us // period + 3):
         t = i * period
         while interval_idx < len(mat.api_intervals) and mat.api_intervals[interval_idx][0] <= t:
             active_until = max(active_until, mat.api_intervals[interval_idx][1])
@@ -312,9 +283,7 @@ def _render_power(
             power += rev.api_cost_mw
         if rev.noise_stddev_mw > 0:
             power += rng.gauss(rev.noise_stddev_mw)
-        power = max(power, 0.0)
-        lines.append(f"{float(t)!r};{power!r}")
-    return "\n".join(lines) + "\n"
+        yield float(t), max(power, 0.0)
 
 
 def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
@@ -350,7 +319,6 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
                 spec, skeletons[test_idx], rev.api_call_multiplier,
                 f"test{test_idx:03d}",
             )
-            body = "\n".join(mat.trace_lines)
             total_api += mat.api_calls
             api_time_us = sum(b - a for a, b in mat.api_intervals)
             energy_mj += (
@@ -359,13 +327,13 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
             for sample in range(spec.samples_per_test):
                 trace_name = f"{test_name}.{sample}.trace"
                 power_name = f"{test_name}.{sample}.power"
-                header = f"#trace v1;{test_name};{sample}"
-                content = header + "\n" + body + "\n" if body else header + "\n"
-                (traces_dir / trace_name).write_text(content, encoding="utf-8")
-                power_text = _render_power(
-                    spec, rev, mat, test_name, sample,
+                trace_text = _render_trace(test_name, sample, mat.trace_rows)
+                (traces_dir / trace_name).write_text(trace_text, encoding="utf-8")
+                samples = _power_samples(
+                    spec, rev, mat,
                     _stream(spec.seed, "power", rev.label, test_idx, sample),
                 )
+                power_text = _render_power(test_name, sample, float(spec.rate_hz), samples)
                 (power_dir / power_name).write_text(power_text, encoding="utf-8")
                 files[f"{rev.label}/traces/{trace_name}"] = {
                     "kind": "trace",

@@ -267,12 +267,23 @@ def write_trace(trace: TestTrace) -> str:
     violations = validate_trace(trace)
     if violations:
         raise TraceFormatError(f"invalid trace: {violations[0]}")
-    out = [f"{_HEADER_MAGIC} {TRACE_VERSION};{trace.test_name};{trace.sample_index}"]
-    for ev in trace.events:
-        m = ev.method
-        out.append(
-            f"{ev.kind.value};{ev.thread};{ev.t_ns};{m.package};{m.class_name};{m.method}"
-        )
+    return _render_trace(
+        trace.test_name,
+        trace.sample_index,
+        (
+            (ev.kind.value, ev.thread, ev.t_ns, ev.method.package,
+             ev.method.class_name, ev.method.method)
+            for ev in trace.events
+        ),
+    )
+
+
+def _render_trace(test_name: str, sample_index: int, rows: Iterable[tuple]) -> str:
+    """Trace-format text: the header, then one line per ``(kind code,
+    thread, t_ns, package, class, method)`` row.  Checks nothing; callers
+    pass rows that satisfy the sequence invariants."""
+    out = [f"{_HEADER_MAGIC} {TRACE_VERSION};{test_name};{sample_index}"]
+    out.extend(f"{k};{thread};{t_ns};{p};{c};{m}" for k, thread, t_ns, p, c, m in rows)
     return "\n".join(out) + "\n"
 
 

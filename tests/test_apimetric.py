@@ -104,7 +104,6 @@ class TestUapi:
         root = build_node(HELPER, 0, 10, [outer_api])
         profile = uapi(_tree(root), DEFAULT_CLASSIFIER)
         assert profile.total_api_interactions == 1
-        assert profile.api_distribution == {"android": 1}
         assert inner_api not in profile.node_values
 
     def test_synthetic_root_is_transparent(self):
@@ -116,6 +115,12 @@ class TestUapi:
         assert profile.node_values[wrapper] == 2
         assert profile.root_uapi == 2
 
+    def test_root_is_zero_exactly_without_api_interactions_on_random_trees(self):
+        rng = random.Random(404)
+        for _ in range(200):
+            profile = uapi(random_call_tree(rng, max_nodes=60), DEFAULT_CLASSIFIER)
+            assert (profile.root_uapi == 0) == (profile.total_api_interactions == 0)
+
 
 class TestRuapi:
     def test_zero_numerator_is_zero(self):
@@ -126,31 +131,6 @@ class TestRuapi:
 
     def test_unit_case(self):
         assert _ruapi(2, 1) == 1.0
-
-
-class TestApiDistribution:
-    def test_empty_for_api_free_tree(self):
-        assert uapi(_tree(build_node(HELPER, 0, 5)), DEFAULT_CLASSIFIER).api_distribution == {}
-
-    def test_counts_by_label(self):
-        children = [
-            build_node(MethodId("java.util", "A", "m"), 1, 1),
-            build_node(MethodId("java.io", "B", "m"), 3, 1),
-            build_node(MethodId("android.os", "C", "m"), 5, 1),
-        ]
-        root = build_node(HELPER, 0, 10, children)
-        assert uapi(_tree(root), DEFAULT_CLASSIFIER).api_distribution == {
-            "java": 2,
-            "android": 1,
-        }
-
-    def test_distribution_sums_to_total_on_random_trees(self):
-        rng = random.Random(404)
-        for _ in range(200):
-            tree = random_call_tree(rng, max_nodes=60)
-            profile = uapi(tree, DEFAULT_CLASSIFIER)
-            assert sum(profile.api_distribution.values()) == profile.total_api_interactions
-            assert (profile.root_uapi == 0) == (profile.total_api_interactions == 0)
 
 
 def _attach_api_leaf(tree: CallTree, rng: random.Random) -> "CallTree | None":

@@ -346,9 +346,24 @@ class TestReportCommand:
             lambda p: {**p, "bogus": 1},
             lambda p: {**p, "summaries": {"1.0": p["summaries"][0]}},
             lambda p: {**p, "summaries": [{**p["summaries"][0], "extra": 0}]},
+            lambda p: {**p, "alpha": "0.05"},
+            lambda p: {**p, "alpha": "inf"},
+            lambda p: {**p, "n_observations": None},
+            lambda p: {**p, "n_observations": True},
+            lambda p: {**p, "n_observations": 4.0},
+            lambda p: {**p, "revisions": [1.0]},
+            lambda p: _with_energy_metric(p, anova={"F": "x"}),
+            lambda p: _with_energy_metric(p, anova={"degenerate": 0}),
+            lambda p: _with_energy_metric(p, pair={"significant": None}),
+            lambda p: _with_energy_metric(p, pair={"p_adj": "inf"}),
+            lambda p: _with_energy_metric(p, proxy={"tp": None}),
         ],
         ids=["list", "string", "number", "missing-key", "extra-key",
-             "object-for-array", "extra-nested-key"],
+             "object-for-array", "extra-nested-key", "string-for-float",
+             "inf-outside-F-and-q", "null-for-int", "bool-for-int",
+             "float-for-int", "number-for-string", "string-for-F",
+             "int-for-bool", "null-for-bool", "inf-for-p_adj",
+             "null-outside-optional"],
     )
     def test_malformed_payload_exits_3(self, tmp_path, capsys, mangle):
         (tmp_path / "report.json").write_text(json.dumps(mangle(_single_revision_payload())))
@@ -356,6 +371,40 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: corrupt report file ")
         assert "Traceback" not in err
+
+
+    def test_well_typed_payload_is_accepted(self, tmp_path, capsys):
+        payload = _with_energy_metric(
+            _single_revision_payload(), anova={"F": "inf"}, pair={"q": "inf"},
+            proxy={"precision": None},
+        )
+        (tmp_path / "report.json").write_text(json.dumps(payload))
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert "energy_mj" in capsys.readouterr().out
+
+
+def _with_energy_metric(payload: dict, anova=(), pair=(), proxy=()) -> dict:
+    """``payload`` with one energy_mj comparison and its proxy score, the
+    given fields overriding the well-typed defaults."""
+    return {
+        **payload,
+        "revisions": ["1.0", "1.1"],
+        "metrics": {
+            "energy_mj": {
+                "anova": {"F": 2.5, "p": 0.2, "df_between": 1, "df_within": 6,
+                          "ms_between": 1.0, "ms_within": 0.4, "degenerate": False,
+                          **dict(anova)},
+                "pairs": [{"group_a": "1.0", "group_b": "1.1", "mean_diff": 0.5,
+                           "q": 2.2, "p_adj": 0.2, "significant": False,
+                           **dict(pair)}],
+            }
+        },
+        "proxy": {
+            "energy_mj": {"tp": 0, "fp": 0, "fn": 0, "tn": 1, "accuracy": 1.0,
+                          "precision": 0.5, "recall": None, "f1": None,
+                          **dict(proxy)}
+        },
+    }
 
 
 def _single_revision_payload() -> dict:

@@ -90,6 +90,13 @@ def test_test_name_keys_preserve_case_and_colons():
     assert config.power_clock_offset_us == {"com.Example.FooTest::testBar": -12.5}
 
 
+def test_offset_keys_must_be_test_names():
+    with pytest.raises(ConfigError, match=r"\[power_clock_offset_us\] key 'not a name'"):
+        parse_config("[power_clock_offset_us]\nno.Such::test = 5\nnot a name = 1\n")
+    with pytest.raises(ConfigError, match="'Foo::bar' is not a test name"):
+        AnalysisConfig(power_clock_offset_us={"Foo::bar": 1.0})
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_numbers_rejected(value):
     with pytest.raises(ConfigError, match="is not a finite number"):

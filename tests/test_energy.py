@@ -227,10 +227,8 @@ class TestIntegrate:
 class TestAttribute:
     def test_constant_power_parent_child(self):
         profile = _constant(100.0, 20000.0)
-        intervals = [
-            (CallNode(M, 1, 0, 10_000_000), 0),
-            (CallNode(MethodId("com.app", "C", "child"), 1, 2_000_000, 4_000_000), 1),
-        ]
+        child = CallNode(MethodId("com.app", "C", "child"), 1, 2_000_000, 4_000_000)
+        intervals = [(CallNode(M, 1, 0, 10_000_000, (child,)), 0), (child, 1)]
         energies = attribute(intervals, profile)
         assert energies[0][0] == pytest.approx(1.0, rel=1e-9)
         assert energies[1][0] == pytest.approx(0.4, rel=1e-9)
@@ -242,10 +240,10 @@ class TestAttribute:
 
     def test_siblings_tiling_parent_leave_zero_exclusive(self):
         profile = _constant(200.0, 2000.0)
-        parent = (CallNode(M, 1, 0, 1_000_000), 0)
-        left = (CallNode(M, 1, 0, 500_000), 1)
-        right = (CallNode(M, 1, 500_000, 500_000), 1)
-        energies = attribute([parent, left, right], profile)
+        left = CallNode(M, 1, 0, 500_000)
+        right = CallNode(M, 1, 500_000, 500_000)
+        parent = CallNode(M, 1, 0, 1_000_000, (left, right))
+        energies = attribute([(parent, 0), (left, 1), (right, 1)], profile)
         assert energies[0][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_interval_outside_profile(self):
@@ -272,6 +270,21 @@ class TestAttribute:
                 if depth == 0
             )
             assert total_exclusive == pytest.approx(roots_inclusive, rel=1e-6, abs=1e-12)
+
+    def test_order_of_intervals_is_not_read(self):
+        rng = random.Random(79)
+        for _ in range(30):
+            tree = random_call_tree(rng, max_nodes=40)
+            intervals = node_intervals(tree)
+            if len(intervals) < 2:
+                continue
+            end_ns = max(node.t_end_ns for node, _ in intervals)
+            profile = _profile([(t * 0.01, 40.0 + (t % 5) * 9.0) for t in range(end_ns // 10 + 2)])
+            expected = dict(zip((node for node, _ in intervals), attribute(intervals, profile)))
+            shuffled = intervals[:]
+            rng.shuffle(shuffled)
+            energies = attribute(shuffled, profile)
+            assert energies == [expected[node] for node, _ in shuffled]
 
     def test_bit_identical_to_sample_walk(self, monkeypatch):
         rng = random.Random(78)

@@ -1,5 +1,6 @@
 """Golden outputs: the SHA-256 of every file that ``analyze`` and
-``evolve`` write for a small seeded fixture must match the digests in
+``evolve`` write for a small seeded fixture, and one SHA-256 over the
+whole fixture tree that ``synth`` writes, must match the digests in
 ``golden.sha256``.
 
 The determinism tests compare two runs of the same code; this one pins
@@ -58,9 +59,22 @@ aggregation = median
 """
 
 
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the relative path and the bytes of every file under
+    ``root``, in sorted path order; each part is length-prefixed, so no
+    two trees share a byte stream."""
+    digest = hashlib.sha256()
+    files = {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+    for rel in sorted(files):
+        for part in (rel.encode("utf-8"), files[rel].read_bytes()):
+            digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
 def golden_digests(work: Path) -> list[str]:
     """Run synth, analyze and evolve under ``work``; return one
-    ``<sha256>  <path>`` line per output file, sorted by path."""
+    ``<sha256>  <path>`` line per output file, sorted by path, then one
+    line for the whole synth fixture tree, manifest included."""
     spec = work / "spec.ini"
     spec.write_text(SPEC_TEXT)
     config = work / "subset.ini"
@@ -79,6 +93,7 @@ def golden_digests(work: Path) -> list[str]:
         for path in sorted(out.iterdir()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             lines.append(f"{digest}  {name}/{path.name}")
+    lines.append(f"{tree_digest(fixture)}  synth/")
     return lines
 
 
