@@ -1,35 +1,17 @@
 """Per-test dynamic call trees built from enter/exit traces.
 
-Every Enter event opens a node; the matching Exit closes it and fixes its
-duration.  Each thread contributes one root: the actual top-level frame
-when the thread ran exactly one, or a synthetic wrapper node (``method is
-None``) spanning all of them otherwise.  Synthetic wrappers correspond to
-no trace event and are skipped by node counts, intervals and metrics.
+Nesting comes from :attr:`TestTrace.top_level_calls`, the walk that also
+checks the trace.  Each thread contributes one root: its top-level call
+when the thread ran exactly one, or a synthetic wrapper node (``method
+is None``) spanning all of them otherwise.  Synthetic wrappers
+correspond to no trace event and are skipped by node counts, intervals
+and metrics.
 """
 
 from dataclasses import dataclass
 
-from .trace import EventKind, MethodId, TestTrace, TraceFormatError, validate_trace
-
-
-@dataclass(eq=False)
-class CallNode:
-    """One call occurrence. Identity (not structure) keyed, so repeated
-    identical calls remain distinct nodes."""
-
-    method: MethodId | None
-    thread: int
-    t_start_ns: int
-    duration_ns: int
-    children: tuple["CallNode", ...] = ()
-
-    @property
-    def synthetic(self) -> bool:
-        return self.method is None
-
-    @property
-    def t_end_ns(self) -> int:
-        return self.t_start_ns + self.duration_ns
+from .trace import CallNode, TestTrace
+from .trace import validate_trace  # noqa: F401  bench/tracer.py wraps it under this module
 
 
 @dataclass(eq=False)
@@ -59,27 +41,8 @@ def build_call_trees(trace: TestTrace) -> CallTree:
     thread id.  Raises TraceFormatError if the trace violates its
     invariants.
     """
-    violations = validate_trace(trace)
-    if violations:
-        raise TraceFormatError(f"invalid trace: {violations[0]}")
-
-    open_frames: dict[int, list[tuple[MethodId, int, list[CallNode]]]] = {}
-    top_level: dict[int, list[CallNode]] = {}
-    for ev in trace.events:
-        stack = open_frames.setdefault(ev.thread, [])
-        if ev.kind is EventKind.ENTER:
-            stack.append((ev.method, ev.t_ns, []))
-        else:
-            method, t_start, children = stack.pop()
-            node = CallNode(method, ev.thread, t_start, ev.t_ns - t_start, tuple(children))
-            if stack:
-                stack[-1][2].append(node)
-            else:
-                top_level.setdefault(ev.thread, []).append(node)
-
     roots = []
-    for thread in sorted(top_level):
-        frames = top_level[thread]
+    for thread, frames in sorted(trace.top_level_calls.items()):
         if len(frames) == 1:
             roots.append(frames[0])
         else:

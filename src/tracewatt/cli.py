@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -31,9 +32,10 @@ from . import evolution, synth
 from .config import AnalysisConfig, ConfigError, parse_config
 from .energy import AttributionError
 from .evolution import (
-    AnalysisError, ComparisonReport, ExecutionRecord, ProxyScore, RevisionSummary,
+    AnalysisError, ComparisonReport, ExecutionRecord, ProxyScore, RevisionDataset,
+    RevisionSummary,
 )
-from .ingest import LayoutError, RevisionAnalysis, analyze_revision
+from .ingest import LayoutError, MethodRow, RevisionAnalysis, analyze_revision
 from .stats import ConvergenceError, TukeyPair
 from .trace import LineFormatError
 
@@ -85,33 +87,29 @@ def _load_analysis_config(args) -> AnalysisConfig:
     return config
 
 
+def _check_offset_keys(config: AnalysisConfig, datasets: list[RevisionDataset]) -> None:
+    """Every [power_clock_offset_us] key must name a test of some dataset."""
+    tests = {record.test_name for dataset in datasets for record in dataset.records}
+    for test_name in sorted(config.power_clock_offset_us.keys() - tests):
+        raise ConfigError(f"[power_clock_offset_us] key {test_name!r} names no analyzed test")
+
+
 def _columns(record_type: type) -> list[str]:
     return [f.name for f in dataclasses.fields(record_type)]
 
 
 def _write_analysis(analysis: RevisionAnalysis, out_dir: Path) -> None:
+    fields = _columns(MethodRow)
+    at = fields.index("method")
+    row_values = operator.attrgetter(*fields)
     method_rows = []
     for row in analysis.method_rows:
-        method_rows.append(
-            [
-                row.test_name, row.sample_index, row.thread, row.depth,
-                row.t_start_ns, row.duration_ns, row.method.package,
-                row.method.class_name, row.method.method,
-                row.api_label, row.u_value,
-                row.energy_mj_inclusive, row.energy_mj_exclusive,
-                row.avg_power_mw,
-            ]
-        )
-    _write_csv(
-        out_dir / "methods.csv",
-        [
-            "test_name", "sample_index", "thread", "depth", "t_start_ns",
-            "duration_ns", "package", "class", "method", "api_label",
-            "u_value", "energy_mj_inclusive", "energy_mj_exclusive",
-            "avg_power_mw",
-        ],
-        method_rows,
-    )
+        values = list(row_values(row))
+        m = values[at]
+        values[at:at + 1] = m.package, m.class_name, m.method
+        method_rows.append(values)
+    header = [*fields[:at], "package", "class", "method", *fields[at + 1:]]
+    _write_csv(out_dir / "methods.csv", header, method_rows)
     _write_csv(
         out_dir / "tests.csv",
         _columns(ExecutionRecord),
@@ -197,6 +195,7 @@ def cmd_analyze(args) -> int:
     if not revision_dir.is_dir():
         raise LayoutError(f"{revision_dir} is not a directory")
     analysis = analyze_revision(revision_dir.name, revision_dir, config)
+    _check_offset_keys(config, [analysis.dataset])
     out_dir = Path(args.out if args.out is not None else "tracewatt-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_analysis(analysis, out_dir)
@@ -221,6 +220,7 @@ def cmd_evolve(args) -> int:
     datasets = []
     for rev_dir in revision_dirs:
         datasets.append(analyze_revision(rev_dir.name, rev_dir, config).dataset)
+    _check_offset_keys(config, datasets)
     report = evolution.compare(
         datasets,
         alpha=config.alpha,

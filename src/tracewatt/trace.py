@@ -1,4 +1,4 @@
-"""Call-trace event model and its line-oriented file format.
+r"""Call-trace event model and its line-oriented file format.
 
 A trace file is UTF-8 text with LF line endings:
 
@@ -10,18 +10,23 @@ A trace file is UTF-8 text with LF line endings:
 nanoseconds relative to test start.  Threads, timestamps and the sample
 index are unsigned decimal integers ``0|[1-9][0-9]*``, so parse-then-write
 keeps their bytes.  Lines starting with ``#`` after the header are
-comments.  Fields are ``;``-separated and identifiers may not
-contain ``;``, ``:`` or whitespace, so no escaping is needed.
+comments.  Fields are ``;``-separated, so no escaping is needed: class
+and method names match ``[^;:.\s]+``, packages are such names joined by
+single dots.  :func:`parse_trace` checks the sequence rules and nests
+the events into :class:`CallNode` trees in one walk.
 """
 
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 TRACE_VERSION = "v1"
 _HEADER_MAGIC = "#trace"
 _UINT_RE = re.compile("0|[1-9][0-9]*")
+_NAME_RE = re.compile(r"[^;:.\s]+")
+_PACKAGE_RE = re.compile(rf"{_NAME_RE.pattern}(?:\.{_NAME_RE.pattern})*")
 
 
 class LineFormatError(ValueError):
@@ -38,19 +43,6 @@ class TraceFormatError(LineFormatError):
     """A trace file or trace value violates the format or its invariants."""
 
 
-def _check_identifier(value: str, what: str, allow_dots: bool) -> None:
-    if not value:
-        raise ValueError(f"{what} must be non-empty")
-    for ch in value:
-        if ch == ";" or ch == ":" or ch.isspace():
-            raise ValueError(f"{what} {value!r} contains forbidden character {ch!r}")
-    if allow_dots:
-        if any(not part for part in value.split(".")):
-            raise ValueError(f"{what} {value!r} has an empty dot-separated component")
-    elif "." in value:
-        raise ValueError(f"{what} {value!r} may not contain '.'")
-
-
 @dataclass(frozen=True)
 class MethodId:
     """Fully qualified method identity: ``package.class::method``."""
@@ -60,9 +52,13 @@ class MethodId:
     method: str
 
     def __post_init__(self):
-        _check_identifier(self.package, "package", allow_dots=True)
-        _check_identifier(self.class_name, "class", allow_dots=False)
-        _check_identifier(self.method, "method", allow_dots=False)
+        for what, value, pattern in (
+            ("package", self.package, _PACKAGE_RE),
+            ("class", self.class_name, _NAME_RE),
+            ("method", self.method, _NAME_RE),
+        ):
+            if pattern.fullmatch(value) is None:
+                raise ValueError(f"{what} {value!r} does not match {pattern.pattern}")
 
     def canonical(self) -> str:
         return f"{self.package}.{self.class_name}::{self.method}"
@@ -100,6 +96,26 @@ class TraceEvent:
             raise ValueError(f"timestamp must be >= 0, got {self.t_ns}")
 
 
+@dataclass(eq=False)
+class CallNode:
+    """One call occurrence. Identity (not structure) keyed, so repeated
+    identical calls remain distinct nodes."""
+
+    method: MethodId | None
+    thread: int
+    t_start_ns: int
+    duration_ns: int
+    children: tuple["CallNode", ...] = ()
+
+    @property
+    def synthetic(self) -> bool:
+        return self.method is None
+
+    @property
+    def t_end_ns(self) -> int:
+        return self.t_start_ns + self.duration_ns
+
+
 @dataclass(frozen=True)
 class TestTrace:
     """All events recorded for one execution of one test.
@@ -108,7 +124,7 @@ class TestTrace:
     test this trace belongs to.  Field-local invariants are enforced at
     construction; sequence-level invariants (per-thread timestamp order,
     balanced Enter/Exit nesting) are checked by :func:`validate_trace`
-    and enforced by :func:`parse_trace`.
+    and enforced by :func:`parse_trace` and :attr:`top_level_calls`.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -121,6 +137,15 @@ class TestTrace:
         MethodId.from_canonical(self.test_name)
         if self.sample_index < 0:
             raise ValueError(f"sample_index must be >= 0, got {self.sample_index}")
+
+    @cached_property
+    def top_level_calls(self) -> dict[int, list[CallNode]]:
+        """Thread id -> its top-level calls, nested, in Enter order.  Raises
+        TraceFormatError ``invalid trace: event N: ...`` if invalid."""
+        top_level: dict[int, list[CallNode]] = {}
+        for idx, message in _sequence_violations(self.events, top_level):
+            raise TraceFormatError(f"invalid trace: event {idx}: {message}")
+        return top_level
 
 
 def _parse_uint(text: str, what: str) -> int:
@@ -173,14 +198,16 @@ def _read_line_file(
     return test_name, sample_index, header[3:], lines[1:]
 
 
-def _sequence_violations(events: Iterable[TraceEvent]) -> Iterator[tuple[int, str]]:
+def _sequence_violations(events: Iterable[TraceEvent], top_level: dict) -> Iterator[tuple[int, str]]:
     """Yield (event index, message) for each violation of the sequence
     rules: per thread, timestamps never decrease and Enter/Exit events
     nest.  Lazy, so a violation comes before any later event is read.
     Frames never exited come last, at their Enter, innermost first.
+    Each Exit closes its frame into a CallNode under the enclosing frame
+    or in ``top_level[thread]``; valid only if nothing was yielded.
     """
     last_t: dict[int, int] = {}
-    stacks: dict[int, list[tuple[MethodId, int]]] = {}
+    stacks: dict[int, list[tuple[MethodId, int, int, list[CallNode]]]] = {}
     enter = EventKind.ENTER
     for idx, ev in enumerate(events):
         thread = ev.thread
@@ -194,20 +221,25 @@ def _sequence_violations(events: Iterable[TraceEvent]) -> Iterator[tuple[int, st
         if stack is None:
             stack = stacks[thread] = []
         if ev.kind is enter:
-            stack.append((ev.method, idx))
+            stack.append((ev.method, idx, t_ns, []))
         elif not stack:
             yield idx, (
                 f"exit of {ev.method.canonical()} with no open frame on thread {thread}"
             )
         else:
-            open_method, _ = stack.pop()
+            open_method, _, t_start, children = stack.pop()
             if open_method != ev.method:
                 yield idx, (
                     f"exit of {ev.method.canonical()} does not match open frame "
                     f"{open_method.canonical()} on thread {thread}"
                 )
+            node = CallNode(open_method, thread, t_start, t_ns - t_start, tuple(children))
+            if stack:
+                stack[-1][3].append(node)
+            else:
+                top_level.setdefault(thread, []).append(node)
     for thread, stack in stacks.items():
-        for method, idx in reversed(stack):
+        for method, idx, _, _ in reversed(stack):
             yield idx, (
                 f"unbalanced trace: {method.canonical()} entered on thread {thread} "
                 f"is never exited"
@@ -226,6 +258,7 @@ def parse_trace(data: "bytes | str") -> TestTrace:
         data, _HEADER_MAGIC, TRACE_VERSION, 3, TraceFormatError
     )
     events = []
+    top_level: dict[int, list[CallNode]] = {}
 
     def scan() -> Iterator[TraceEvent]:
         for lineno, line in enumerate(lines, start=2):
@@ -250,12 +283,14 @@ def parse_trace(data: "bytes | str") -> TestTrace:
             events.append(event)
             yield event
 
-    for idx, message in _sequence_violations(scan()):
+    for idx, message in _sequence_violations(scan(), top_level):
         event_lines = [
             n for n, line in enumerate(lines, start=2) if not line.startswith("#")
         ]
         raise TraceFormatError(message, line=event_lines[idx])
-    return TestTrace(test_name, sample_index, tuple(events))
+    trace = TestTrace(test_name, sample_index, tuple(events))
+    vars(trace)["top_level_calls"] = top_level  # the walk above nested the events
+    return trace
 
 
 def write_trace(trace: TestTrace) -> str:
@@ -294,5 +329,5 @@ def validate_trace(trace: TestTrace) -> list[str]:
     never raises.  Each message cites the 0-based event index.
     """
     return [
-        f"event {idx}: {message}" for idx, message in _sequence_violations(trace.events)
+        f"event {idx}: {message}" for idx, message in _sequence_violations(trace.events, {})
     ]

@@ -7,6 +7,7 @@ from conftest import (
     random_trace,
     tree_direct_call_counts,
 )
+from tracewatt import trace as trace_module
 from tracewatt.callgraph import build_call_trees, node_intervals
 from tracewatt.trace import (
     EventKind,
@@ -15,6 +16,7 @@ from tracewatt.trace import (
     TraceEvent,
     TraceFormatError,
     parse_trace,
+    write_trace,
 )
 
 
@@ -74,8 +76,65 @@ def test_invalid_trace_rejected():
     bad = TestTrace(
         "a.B::m", 0, (TraceEvent(EventKind.EXIT, MethodId("p", "C", "m"), 1, 0),)
     )
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(TraceFormatError) as exc:
         build_call_trees(bad)
+    assert str(exc.value) == (
+        "invalid trace: event 0: exit of p.C::m with no open frame on thread 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        (
+            [(EventKind.ENTER, "a", 1, 0), (EventKind.EXIT, "b", 1, 1)],
+            "event 1: exit of p.C::b does not match open frame p.C::a on thread 1",
+        ),
+        (
+            [(EventKind.ENTER, "a", 1, 5), (EventKind.EXIT, "a", 1, 3)],
+            "event 1: timestamp 3 before 5 on thread 1",
+        ),
+        (
+            [(EventKind.ENTER, "a", 1, 0), (EventKind.ENTER, "b", 2, 0),
+             (EventKind.EXIT, "b", 2, 1)],
+            "event 0: unbalanced trace: p.C::a entered on thread 1 is never exited",
+        ),
+    ],
+    ids=["mismatched-exit", "timestamp-regression", "never-exited"],
+)
+def test_invalid_trace_names_its_first_violation(events, message):
+    bad = TestTrace(
+        "a.B::m",
+        0,
+        tuple(TraceEvent(kind, MethodId("p", "C", m), thread, t) for kind, m, thread, t in events),
+    )
+    with pytest.raises(TraceFormatError) as exc:
+        build_call_trees(bad)
+    assert str(exc.value) == f"invalid trace: {message}"
+    assert exc.value.line is None
+
+
+def test_parsed_trace_is_not_walked_again(monkeypatch):
+    def no_second_walk(*args):
+        raise AssertionError("a parsed trace was walked again")
+
+    trace = _trace("E;1;0;p;C;a\nX;1;3;p;C;a\nE;1;5;p;C;b\nX;1;9;p;C;b\n")
+    monkeypatch.setattr(trace_module, "_sequence_violations", no_second_walk)
+    assert build_call_trees(trace).node_count == 2
+
+
+def _shape(node):
+    return (node.method, node.thread, node.t_start_ns, node.duration_ns,
+            [_shape(child) for child in node.children])
+
+
+def test_parsed_and_hand_built_traces_give_the_same_tree_on_random_traces():
+    rng = random.Random(4242)
+    for _ in range(200):
+        trace = random_trace(rng, n_threads=rng.randrange(2, 5))
+        parsed = build_call_trees(parse_trace(write_trace(trace)))
+        built = build_call_trees(trace)
+        assert [_shape(r) for r in parsed.roots] == [_shape(r) for r in built.roots]
 
 
 def test_adjacency_leaf_is_empty():

@@ -211,6 +211,18 @@ class TestAnalyzeCommand:
         ) == 0
         assert (baseline / "tests.csv").read_bytes() == (corrected / "tests.csv").read_bytes()
 
+    def test_clock_offset_key_naming_no_test_exits_2(self, fixture_dir, tmp_path, capsys):
+        config = tmp_path / "cfg.ini"
+        config.write_text("[power_clock_offset_us]\ncom.fixture.suite.GeneratedSuite::test01 = 5\n")
+        argv = ["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "o"),
+                "--config", str(config)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: [power_clock_offset_us] key "
+            "'com.fixture.suite.GeneratedSuite::test01' names no analyzed test\n"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvolveCommand:
     def test_fewer_than_two_revisions_exits_2(self, tmp_path):
@@ -283,6 +295,30 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: top-k selection removed every aligned test")
         assert "Traceback" not in err
+
+    def test_clock_offset_key_naming_no_test_exits_2(self, fixture_dir, tmp_path, capsys):
+        config = tmp_path / "cfg.ini"
+        config.write_text("[power_clock_offset_us]\ncom.fixture.suite.GeneratedSuite::test01 = 5\n")
+        argv = ["evolve", str(fixture_dir), "--out", str(tmp_path / "o"), "--config", str(config)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: [power_clock_offset_us] key "
+            "'com.fixture.suite.GeneratedSuite::test01' names no analyzed test\n"
+        )
+
+    def test_clock_offset_key_naming_a_test_of_one_revision_is_accepted(
+        self, fixture_dir, tmp_path
+    ):
+        test_name = "com.fixture.suite.GeneratedSuite::test001"
+        for path in (fixture_dir / "1.1").rglob(f"{test_name}.*"):
+            path.unlink()
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[power_clock_offset_us]\n{test_name} = -5.0\n")
+        out = tmp_path / "o"
+        argv = ["evolve", str(fixture_dir), "--out", str(out), "--config", str(config)]
+        assert cli.main(argv) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert test_name not in payload["aligned_tests"]
 
     def test_quadrature_not_converging_exits_5(self, fixture_dir, tmp_path, monkeypatch, capsys):
         def diverging_tukey_hsd(groups, alpha, labels):

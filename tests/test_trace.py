@@ -339,6 +339,50 @@ class TestMethodId:
         with pytest.raises(ValueError):
             MethodId(package, cls, method)
 
+    def test_grammar_accepts_what_the_per_character_checker_accepted(self):
+        def old_checker_accepts(value: str, allow_dots: bool) -> bool:
+            # the per-character check the two identifier patterns replaced
+            if not value:
+                return False
+            if any(ch == ";" or ch == ":" or ch.isspace() for ch in value):
+                return False
+            if allow_dots:
+                return all(value.split("."))
+            return "." not in value
+
+        alphabet = ["a", "Z", "$", "\u00e9", "\u0416", ";", ":", ".", "\t", "\x1c",
+                    "\u00a0", "\u2028", ""]
+        rng = random.Random(808)
+        accepted = {True: 0, False: 0}
+        for _ in range(4000):
+            value = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 6)))
+            for position in range(3):
+                parts = ["p", "C", "m"]
+                parts[position] = value
+                try:
+                    MethodId(*parts)
+                    ok = True
+                except ValueError:
+                    ok = False
+                assert ok == old_checker_accepts(value, allow_dots=position == 0), (
+                    position, value)
+                accepted[ok] += 1
+        assert min(accepted.values()) > 1000
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            (("p..q", "C", "m"), r"package 'p..q' does not match [^;:.\s]+(?:\.[^;:.\s]+)*"),
+            (("p", "C.D", "m"), r"class 'C.D' does not match [^;:.\s]+"),
+            (("p", "C", "m n"), r"method 'm n' does not match [^;:.\s]+"),
+        ],
+        ids=["package", "class", "method"],
+    )
+    def test_error_names_field_and_value(self, parts, message):
+        with pytest.raises(ValueError) as exc:
+            MethodId(*parts)
+        assert str(exc.value) == message
+
     def test_from_canonical_requires_separator(self):
         with pytest.raises(ValueError):
             MethodId.from_canonical("com.example.Foo.run")
