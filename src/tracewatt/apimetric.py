@@ -71,8 +71,8 @@ class UapiProfile:
 
     ``node_values`` maps every traversed node (API subtrees are pruned, so
     frames inside an API call are absent) to its U value.  ``root_uapi``
-    sums U over the thread roots and is 0 exactly when the tree contains
-    no API interaction.
+    sums U over the top-level calls and is 0 exactly when the tree
+    contains no API interaction.
     """
 
     root_uapi: int
@@ -86,9 +86,7 @@ def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
     Rules, applied per node: an API node is worth 1 and its subtree is
     pruned (its internals are below the interaction boundary); a node with
     no API interaction anywhere beneath it is worth 0; any other node is
-    worth 1 plus the sum over its children.  Synthetic thread wrappers are
-    transparent: they pass through the sum of their children and are never
-    interactions themselves.
+    worth 1 plus the sum over its children.
     """
     node_values: dict[CallNode, int] = {}
     total_api = 0
@@ -100,7 +98,7 @@ def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
         while stack:
             node, expanded = stack.pop()
             if not expanded:
-                if not node.synthetic and classifier.classify(node.method) is not None:
+                if classifier.classify(node.method) is not None:
                     node_values[node] = 1
                     total_api += 1
                     continue
@@ -108,11 +106,6 @@ def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:
                 stack.extend((child, False) for child in node.children)
             else:
                 child_sum = sum(node_values[child] for child in node.children)
-                if node.synthetic:
-                    node_values[node] = child_sum
-                elif child_sum == 0:
-                    node_values[node] = 0
-                else:
-                    node_values[node] = 1 + child_sum
+                node_values[node] = 1 + child_sum if child_sum else 0
     root_value = sum(node_values[root] for root in tree.roots)
     return UapiProfile(root_value, node_values, total_api)

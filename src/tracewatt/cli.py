@@ -28,12 +28,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import evolution, synth
+from . import evolution, ingest, synth
 from .config import AnalysisConfig, ConfigError, parse_config
 from .energy import AttributionError
 from .evolution import (
-    AnalysisError, ComparisonReport, ExecutionRecord, ProxyScore, RevisionDataset,
-    RevisionSummary,
+    AnalysisError, ComparisonReport, ExecutionRecord, ProxyScore, RevisionSummary,
 )
 from .ingest import LayoutError, MethodRow, RevisionAnalysis, analyze_revision
 from .stats import ConvergenceError, TukeyPair
@@ -87,11 +86,17 @@ def _load_analysis_config(args) -> AnalysisConfig:
     return config
 
 
-def _check_offset_keys(config: AnalysisConfig, datasets: list[RevisionDataset]) -> None:
-    """Every [power_clock_offset_us] key must name a test of some dataset."""
-    tests = {record.test_name for dataset in datasets for record in dataset.records}
+def _scan_revisions(
+    config: AnalysisConfig, revision_dirs: list[Path]
+) -> list[list[tuple[str, int, Path, Path]]]:
+    """Scan every revision directory, then check that each
+    [power_clock_offset_us] key names a test found by some scan, so both
+    layout and key errors come before any file is parsed."""
+    scans = [ingest.scan_revision_dir(rev_dir) for rev_dir in revision_dirs]
+    tests = {name for executions in scans for name, *_ in executions}
     for test_name in sorted(config.power_clock_offset_us.keys() - tests):
         raise ConfigError(f"[power_clock_offset_us] key {test_name!r} names no analyzed test")
+    return scans
 
 
 def _columns(record_type: type) -> list[str]:
@@ -194,8 +199,8 @@ def cmd_analyze(args) -> int:
     revision_dir = Path(args.revision_dir)
     if not revision_dir.is_dir():
         raise LayoutError(f"{revision_dir} is not a directory")
-    analysis = analyze_revision(revision_dir.name, revision_dir, config)
-    _check_offset_keys(config, [analysis.dataset])
+    (executions,) = _scan_revisions(config, [revision_dir])
+    analysis = analyze_revision(revision_dir.name, executions, config)
     out_dir = Path(args.out if args.out is not None else "tracewatt-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_analysis(analysis, out_dir)
@@ -217,17 +222,12 @@ def cmd_evolve(args) -> int:
             f"{root}: need at least 2 revision subdirectories, "
             f"found {len(revision_dirs)}"
         )
-    datasets = []
-    for rev_dir in revision_dirs:
-        datasets.append(analyze_revision(rev_dir.name, rev_dir, config).dataset)
-    _check_offset_keys(config, datasets)
-    report = evolution.compare(
-        datasets,
-        alpha=config.alpha,
-        observation_unit=config.observation_unit,
-        top_k_tests=config.top_k_tests,
-        aggregation=config.aggregation,
-    )
+    scans = _scan_revisions(config, revision_dirs)
+    datasets = [
+        analyze_revision(rev_dir.name, executions, config).dataset
+        for rev_dir, executions in zip(revision_dirs, scans)
+    ]
+    report = evolution.compare(datasets, config)
     out_dir = Path(args.out if args.out is not None else "tracewatt-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report_files(report, out_dir)

@@ -17,6 +17,7 @@ from typing import (
     Collection, Iterable, Mapping, Optional, Sequence, Union, get_args, get_origin,
 )
 
+from .config import AnalysisConfig
 from .stats import AnovaResult, TukeyPair, anova, tukey_hsd
 
 METRICS = ("energy_mj", "avg_power_mw", "ruapi")
@@ -201,25 +202,16 @@ def normalize_ruapi(
     )
 
 
-def _observations(
-    rev: RevisionDataset, metric: str, observation_unit: str, aggregation: str
-) -> list[float]:
+def _observations(rev: RevisionDataset, metric: str, config: AnalysisConfig) -> list[float]:
     values = [(r.test_name, r.sample_index, getattr(r, metric)) for r in rev.records]
     values.sort(key=lambda v: (v[0], v[1]))
-    if observation_unit == "per_sample":
+    if config.observation_unit == "per_sample":
         return [v[2] for v in values]
-    if observation_unit == "per_test_mean":
-        if aggregation == "mean":
-            collapse = statistics.fmean
-        elif aggregation == "median":
-            collapse = statistics.median
-        else:
-            raise ValueError(f"unknown aggregation {aggregation!r}")
-        by_test: dict[str, list[float]] = {}
-        for name, _, x in values:
-            by_test.setdefault(name, []).append(x)
-        return [collapse(xs) for _, xs in sorted(by_test.items())]
-    raise ValueError(f"unknown observation unit {observation_unit!r}")
+    collapse = statistics.fmean if config.aggregation == "mean" else statistics.median
+    by_test: dict[str, list[float]] = {}
+    for name, _, x in values:
+        by_test.setdefault(name, []).append(x)
+    return [collapse(xs) for _, xs in sorted(by_test.items())]
 
 
 def revision_summaries(revisions: Sequence[RevisionDataset]) -> list[RevisionSummary]:
@@ -242,38 +234,32 @@ def revision_summaries(revisions: Sequence[RevisionDataset]) -> list[RevisionSum
 
 
 def compare(
-    revisions: Sequence[RevisionDataset],
-    alpha: float = 0.05,
-    observation_unit: str = "per_sample",
-    top_k_tests: Optional[int] = None,
-    aggregation: str = "mean",
+    revisions: Sequence[RevisionDataset], config: AnalysisConfig
 ) -> ComparisonReport:
     """Run the three per-metric analyses over aligned revisions and score
     the rU proxy against energy and power.
 
     Tests are first aligned (intersection over revisions); when
-    top_k_tests is set, the analysis set is further restricted to the
-    most energy-demanding tests of the oldest revision.  rU values are
-    renormalized over the final analysis set before testing.  With the
-    per_test_mean observation unit, repeated samples collapse through
-    ``aggregation`` (mean or median).
+    ``config.top_k_tests`` is set, the analysis set is further restricted
+    to the most energy-demanding tests of the oldest revision.  rU values
+    are renormalized over the final analysis set before testing.  With
+    the per_test_mean observation unit, repeated samples collapse through
+    ``config.aggregation`` (mean or median).
     """
     aligned = align_tests(revisions)
+    ordered = sorted(revisions, key=lambda r: version_key(r.revision))
     excluded = {
-        rev.revision: sorted(rev.test_names() - set(aligned))
-        for rev in sorted(revisions, key=lambda r: version_key(r.revision))
+        rev.revision: sorted(rev.test_names() - set(aligned)) for rev in ordered
     }
 
     analysis_tests = aligned
-    if top_k_tests is not None:
-        reference = min(revisions, key=lambda r: version_key(r.revision))
-        top = select_top_energy_tests(reference, top_k_tests)
+    if config.top_k_tests is not None:
+        top = select_top_energy_tests(ordered[0], config.top_k_tests)
         analysis_tests = [t for t in top if t in set(aligned)]
         analysis_tests.sort()
         if not analysis_tests:
             raise AnalysisError("top-k selection removed every aligned test")
 
-    ordered = sorted(revisions, key=lambda r: version_key(r.revision))
     selected = set(analysis_tests)
     datasets = [normalize_ruapi(rev.revision, rev.records, selected) for rev in ordered]
     labels = [rev.revision for rev in datasets]
@@ -281,14 +267,11 @@ def compare(
     metrics: dict[str, MetricComparison] = {}
     n_observations = 0
     for metric in METRICS:
-        groups = [
-            _observations(rev, metric, observation_unit, aggregation)
-            for rev in datasets
-        ]
+        groups = [_observations(rev, metric, config) for rev in datasets]
         n_observations = sum(len(g) for g in groups)
         try:
             metrics[metric] = MetricComparison(
-                anova(groups), tukey_hsd(groups, alpha, labels)
+                anova(groups), tukey_hsd(groups, config.alpha, labels)
             )
         except ValueError as exc:
             raise AnalysisError(f"{metric}: {exc}") from None
@@ -304,8 +287,8 @@ def compare(
     }
 
     return ComparisonReport(
-        alpha=alpha,
-        observation_unit=observation_unit,
+        alpha=config.alpha,
+        observation_unit=config.observation_unit,
         revisions=labels,
         aligned_tests=list(aligned),
         analysis_tests=list(analysis_tests),

@@ -182,14 +182,15 @@ def analyze_execution(
 
 
 def analyze_revision(
-    revision: str, path: "Path | str", config: AnalysisConfig
+    revision: str, executions: list[tuple[str, int, Path, Path]], config: AnalysisConfig
 ) -> RevisionAnalysis:
-    """Analyze every execution of a revision directory, in (test_name,
-    sample_index) order, with rU normalized over all of its tests."""
+    """Analyze every execution that scan_revision_dir found in a revision
+    directory, in its (test_name, sample_index) order, with rU normalized
+    over all of its tests."""
     classifier = ApiClassifier(config.api_rules)
     records = []
     method_rows = []
-    for name, sample, trace_path, power_path in scan_revision_dir(path):
+    for name, sample, trace_path, power_path in executions:
         record, rows = analyze_execution(
             name, sample, trace_path, power_path, config, classifier
         )

@@ -101,15 +101,11 @@ class CallNode:
     """One call occurrence. Identity (not structure) keyed, so repeated
     identical calls remain distinct nodes."""
 
-    method: MethodId | None
+    method: MethodId
     thread: int
     t_start_ns: int
     duration_ns: int
     children: tuple["CallNode", ...] = ()
-
-    @property
-    def synthetic(self) -> bool:
-        return self.method is None
 
     @property
     def t_end_ns(self) -> int:

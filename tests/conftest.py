@@ -54,7 +54,7 @@ def random_trace(
 
 
 def build_node(
-    method: MethodId | None,
+    method: MethodId,
     t_start_ns: int,
     duration_ns: int,
     children=(),
@@ -93,33 +93,28 @@ def random_call_tree(
     while budget[0] > 0 and rng.random() < 0.2:
         start = roots[-1].t_end_ns + rng.randrange(0, 4)
         roots.append(build(0, start))
-    if len(roots) > 1:
-        span_end = max(r.t_end_ns for r in roots)
-        roots = [
-            CallNode(None, 1, roots[0].t_start_ns, span_end - roots[0].t_start_ns, tuple(roots))
-        ]
-    return CallTree("com.app.suite.Suite::testCase", 0, tuple(roots))
+    return CallTree(tuple(roots))
 
 
 def oracle_u_value(node: CallNode, classifier: ApiClassifier) -> int:
     """Independent U oracle by explicit post-order enumeration.
 
     Counts, over the API-pruned subtree view: the API nodes themselves
-    plus every real internal frame whose pruned subtree contains at least
-    one API node.  This closed counting form must agree with the
+    plus every internal frame whose pruned subtree contains at least one
+    API node.  This closed counting form must agree with the
     recursive definition everywhere.
     """
     counts = {"api": 0, "frames": 0}
 
     def walk(n: CallNode) -> bool:
-        if not n.synthetic and classifier.classify(n.method) is not None:
+        if classifier.classify(n.method) is not None:
             counts["api"] += 1
             return True
         has_api = False
         for child in n.children:
             if walk(child):
                 has_api = True
-        if has_api and not n.synthetic:
+        if has_api:
             counts["frames"] += 1
         return has_api
 
@@ -148,9 +143,6 @@ def tree_direct_call_counts(tree: CallTree) -> list[tuple[int, int, str, int]]:
     stack = list(tree.roots)
     while stack:
         node = stack.pop()
-        if not node.synthetic:
-            out.append(
-                (node.thread, node.t_start_ns, node.method.canonical(), len(node.children))
-            )
+        out.append((node.thread, node.t_start_ns, node.method.canonical(), len(node.children)))
         stack.extend(node.children)
     return sorted(out)

@@ -16,7 +16,7 @@ from tracewatt.trace import MethodId
 
 
 def _tree(*roots) -> CallTree:
-    return CallTree("com.app.S::t", 0, tuple(roots))
+    return CallTree(tuple(roots))
 
 
 def _ruapi(u_value: int, n_base: int) -> float:
@@ -106,14 +106,14 @@ class TestUapi:
         assert profile.total_api_interactions == 1
         assert inner_api not in profile.node_values
 
-    def test_synthetic_root_is_transparent(self):
+    def test_root_uapi_sums_the_top_level_calls(self):
         api = build_node(API, 1, 2)
         frame_a = build_node(HELPER, 0, 4, [api])
         frame_b = build_node(HELPER, 5, 3)
-        wrapper = CallNode(None, 1, 0, 8, (frame_a, frame_b))
-        profile = uapi(_tree(wrapper), DEFAULT_CLASSIFIER)
-        assert profile.node_values[wrapper] == 2
-        assert profile.root_uapi == 2
+        frame_c = build_node(HELPER, 9, 4, [build_node(API, 10, 1)], thread=2)
+        profile = uapi(_tree(frame_a, frame_b, frame_c), DEFAULT_CLASSIFIER)
+        assert [profile.node_values[f] for f in (frame_a, frame_b, frame_c)] == [2, 0, 2]
+        assert profile.root_uapi == 4
 
     def test_root_is_zero_exactly_without_api_interactions_on_random_trees(self):
         rng = random.Random(404)
@@ -139,10 +139,7 @@ def _attach_api_leaf(tree: CallTree, rng: random.Random) -> "CallTree | None":
     candidates = []
 
     def collect(node, inside_api):
-        is_api = (
-            not node.synthetic and DEFAULT_CLASSIFIER.classify(node.method) is not None
-        )
-        if inside_api or is_api:
+        if inside_api or DEFAULT_CLASSIFIER.classify(node.method) is not None:
             return
         candidates.append(node)
         for child in node.children:
@@ -161,7 +158,7 @@ def _attach_api_leaf(tree: CallTree, rng: random.Random) -> "CallTree | None":
             children = children + (leaf,)
         return CallNode(node.method, node.thread, node.t_start_ns, node.duration_ns, children)
 
-    return CallTree(tree.test_name, tree.sample_index, tuple(rebuild(r) for r in tree.roots))
+    return CallTree(tuple(rebuild(r) for r in tree.roots))
 
 
 class TestMetricLaws:

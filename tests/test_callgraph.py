@@ -3,11 +3,14 @@ import random
 import pytest
 
 from conftest import (
+    DEFAULT_CLASSIFIER,
     oracle_direct_call_counts,
+    oracle_u_value,
     random_trace,
     tree_direct_call_counts,
 )
 from tracewatt import trace as trace_module
+from tracewatt.apimetric import uapi
 from tracewatt.callgraph import build_call_trees, node_intervals
 from tracewatt.trace import (
     EventKind,
@@ -56,20 +59,19 @@ def test_two_threads_two_roots():
     )
     assert len(tree.roots) == 2
     assert [r.thread for r in tree.roots] == [1, 2]
-    assert all(not r.synthetic for r in tree.roots)
 
 
-def test_repeated_top_level_frames_get_synthetic_root():
+def test_top_level_calls_are_roots_by_thread_then_enter_order():
     tree = build_call_trees(
-        _trace("E;1;0;p;C;a\nX;1;3;p;C;a\nE;1;5;p;C;b\nX;1;9;p;C;b\n")
+        _trace(
+            "E;2;0;p;C;c\nE;1;1;p;C;a\nX;1;3;p;C;a\nX;2;4;p;C;c\n"
+            "E;1;5;p;C;b\nX;1;9;p;C;b\n"
+        )
     )
-    assert len(tree.roots) == 1
-    root = tree.roots[0]
-    assert root.synthetic
-    assert root.method is None
-    assert (root.t_start_ns, root.t_end_ns) == (0, 9)
-    assert [c.method.method for c in root.children] == ["a", "b"]
-    assert tree.node_count == 2
+    assert [(r.thread, r.method.method, r.t_start_ns, r.t_end_ns) for r in tree.roots] == [
+        (1, "a", 1, 3), (1, "b", 5, 9), (2, "c", 0, 4),
+    ]
+    assert tree.node_count == 3
 
 
 def test_invalid_trace_rejected():
@@ -186,7 +188,7 @@ def test_method_intervals_chain_depths():
     assert [depth for _, depth in intervals] == [0, 1, 2]
 
 
-def test_method_intervals_skip_synthetic_and_start_depth_zero():
+def test_method_intervals_start_every_top_level_call_at_depth_zero():
     intervals = node_intervals(
         build_call_trees(
             _trace("E;1;0;p;C;a\nX;1;3;p;C;a\nE;1;5;p;C;b\nX;1;9;p;C;b\n")
@@ -196,7 +198,7 @@ def test_method_intervals_skip_synthetic_and_start_depth_zero():
 
 
 def _subtree_size(node) -> int:
-    return (0 if node.synthetic else 1) + sum(_subtree_size(c) for c in node.children)
+    return 1 + sum(_subtree_size(c) for c in node.children)
 
 
 def test_node_count_equals_enter_count_on_random_traces():
@@ -232,3 +234,33 @@ def test_adjacency_matches_stack_simulation_oracle():
         trace = random_trace(rng, n_threads=rng.randrange(1, 4))
         tree = build_call_trees(trace)
         assert tree_direct_call_counts(tree) == oracle_direct_call_counts(trace)
+
+
+def test_depths_and_root_uapi_match_the_event_stack_on_random_traces():
+    rng = random.Random(9090)
+    multi_root_threads = 0
+    for _ in range(200):
+        trace = random_trace(rng, n_threads=rng.randrange(1, 4))
+        tree = build_call_trees(trace)
+        entered: dict[int, list] = {}
+        open_frames: dict[int, int] = {}
+        for ev in trace.events:
+            depth = open_frames.get(ev.thread, 0)
+            if ev.kind is EventKind.ENTER:
+                entered.setdefault(ev.thread, []).append((ev.method, ev.t_ns, depth))
+                open_frames[ev.thread] = depth + 1
+            else:
+                open_frames[ev.thread] = depth - 1
+        intervals = node_intervals(tree)
+        for thread, enters in entered.items():
+            assert [
+                (node.method, node.t_start_ns, depth)
+                for node, depth in intervals
+                if node.thread == thread
+            ] == enters
+        top_level = [node for calls in trace.top_level_calls.values() for node in calls]
+        multi_root_threads += sum(len(calls) > 1 for calls in trace.top_level_calls.values())
+        assert uapi(tree, DEFAULT_CLASSIFIER).root_uapi == sum(
+            oracle_u_value(node, DEFAULT_CLASSIFIER) for node in top_level
+        )
+    assert multi_root_threads > 100

@@ -223,6 +223,30 @@ class TestAnalyzeCommand:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_clock_offset_key_error_comes_before_a_corrupt_trace(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        _corrupt_last_trace(fixture_dir / "1.0")
+        config = tmp_path / "cfg.ini"
+        config.write_text("[power_clock_offset_us]\ncom.fixture.suite.GeneratedSuite::test01 = 5\n")
+        argv = ["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "o"),
+                "--config", str(config)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: [power_clock_offset_us] key "
+            "'com.fixture.suite.GeneratedSuite::test01' names no analyzed test\n"
+        )
+
+
+def _corrupt_last_trace(revision: Path) -> Path:
+    """Make line 3 of the revision's last trace file unparseable."""
+    victim = sorted((revision / "traces").iterdir())[-1]
+    lines = victim.read_text().splitlines(keepends=True)
+    fields = lines[2].split(";")
+    lines[2] = ";".join(fields[:2] + ["x"] + fields[3:])
+    victim.write_text("".join(lines))
+    return victim
+
 
 class TestEvolveCommand:
     def test_fewer_than_two_revisions_exits_2(self, tmp_path):
@@ -268,11 +292,7 @@ class TestEvolveCommand:
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 2
 
     def test_corrupt_trace_error_names_file(self, fixture_dir, tmp_path, capsys):
-        victim = sorted((fixture_dir / "1.1" / "traces").iterdir())[-1]
-        lines = victim.read_text().splitlines(keepends=True)
-        fields = lines[2].split(";")
-        lines[2] = ";".join(fields[:2] + ["x"] + fields[3:])
-        victim.write_text("".join(lines))
+        victim = _corrupt_last_trace(fixture_dir / "1.1")
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {victim}: line 3: ")
@@ -305,6 +325,30 @@ class TestEvolveCommand:
             "error: [power_clock_offset_us] key "
             "'com.fixture.suite.GeneratedSuite::test01' names no analyzed test\n"
         )
+
+    def test_clock_offset_key_error_comes_before_a_corrupt_trace(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        _corrupt_last_trace(fixture_dir / "1.0")
+        config = tmp_path / "cfg.ini"
+        config.write_text("[power_clock_offset_us]\ncom.fixture.suite.GeneratedSuite::test01 = 5\n")
+        argv = ["evolve", str(fixture_dir), "--out", str(tmp_path / "o"), "--config", str(config)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: [power_clock_offset_us] key "
+            "'com.fixture.suite.GeneratedSuite::test01' names no analyzed test\n"
+        )
+
+    def test_layout_error_in_a_later_revision_comes_before_a_corrupt_trace(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        _corrupt_last_trace(fixture_dir / "1.0")
+        victim = next((fixture_dir / "1.1" / "power").iterdir())
+        victim.unlink()
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fixture_dir / '1.1'}: trace for ")
+        assert "has no matching power file" in err
 
     def test_clock_offset_key_naming_a_test_of_one_revision_is_accepted(
         self, fixture_dir, tmp_path

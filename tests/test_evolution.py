@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tracewatt.config import AnalysisConfig
 from tracewatt.evolution import (
     AnalysisError,
     ComparisonReport,
@@ -168,7 +169,7 @@ class TestCompare:
             for s in range(3)
         )
         revs = [RevisionDataset("1.0", records), RevisionDataset("1.1", records)]
-        report = compare(revs, alpha=0.05)
+        report = compare(revs, AnalysisConfig(alpha=0.05))
         for comparison in report.metrics.values():
             assert not any(p.significant for p in comparison.pairs)
         for score in report.proxy.values():
@@ -185,14 +186,14 @@ class TestCompare:
                     energy_by_test={"a.B::t1": 1.0, "a.B::t2": 2.0}, rng=rng,
                 )
             )
-        report = compare(revs)
+        report = compare(revs, AnalysisConfig())
         for comparison in report.metrics.values():
             assert len(comparison.pairs) == 91
 
     def test_permutation_invariance(self):
         revs = self._pair(seed=42, delta=0.5)
-        forward = compare(revs)
-        backward = compare(list(reversed(revs)))
+        forward = compare(revs, AnalysisConfig())
+        backward = compare(list(reversed(revs)), AnalysisConfig())
         assert report_to_json_dict(forward) == report_to_json_dict(backward)
 
     def test_recomputes_ruapi_over_analysis_set(self):
@@ -210,14 +211,14 @@ class TestCompare:
             for r in records_a
         )
         revs = [RevisionDataset("1.0", records_a), RevisionDataset("1.1", records_b)]
-        report = compare(revs, top_k_tests=1)
+        report = compare(revs, AnalysisConfig(top_k_tests=1))
         assert report.analysis_tests == ["a.B::big"]
         # kept test: U=6, N=3 within each sample run -> rU = 6/4
         assert report.summaries[0].sum_ruapi == pytest.approx(6.0 / 4.0)
 
     def test_observation_unit_per_test_mean(self):
         revs = self._pair(seed=9, delta=0.0)
-        report = compare(revs, observation_unit="per_test_mean")
+        report = compare(revs, AnalysisConfig(observation_unit="per_test_mean"))
         assert report.n_observations == 6  # 3 tests x 2 revisions
 
     def test_per_test_mean_averages_samples(self):
@@ -232,13 +233,15 @@ class TestCompare:
             rev("1.0", {"a.B::t": [1.0, 3.0], "a.B::u": [5.0, 5.0]}),
             rev("1.1", {"a.B::t": [2.0, 2.0], "a.B::u": [5.0, 7.0]}),
         ]
-        report = compare(revs, observation_unit="per_test_mean")
+        report = compare(revs, AnalysisConfig(observation_unit="per_test_mean"))
         assert report.metrics["energy_mj"].anova == anova([[2.0, 5.0], [2.0, 6.0]])
 
     def test_per_test_mean_of_one_sample_is_that_sample(self):
         revs = self._pair(seed=12, delta=0.3, samples=1)
-        per_sample = report_to_json_dict(compare(revs))
-        per_test = report_to_json_dict(compare(revs, observation_unit="per_test_mean"))
+        per_sample = report_to_json_dict(compare(revs, AnalysisConfig()))
+        per_test = report_to_json_dict(
+            compare(revs, AnalysisConfig(observation_unit="per_test_mean"))
+        )
         assert per_test["metrics"] == per_sample["metrics"]
 
     def test_median_aggregation_discards_outlier_sample(self):
@@ -254,9 +257,9 @@ class TestCompare:
             RevisionDataset("1.0", records(1.2)),
             RevisionDataset("1.1", records(900.0)),
         ]
-        mean_report = compare(revs, observation_unit="per_test_mean")
+        mean_report = compare(revs, AnalysisConfig(observation_unit="per_test_mean"))
         median_report = compare(
-            revs, observation_unit="per_test_mean", aggregation="median"
+            revs, AnalysisConfig(observation_unit="per_test_mean", aggregation="median")
         )
         mean_diff = mean_report.metrics["energy_mj"].pairs[0].mean_diff
         median_diff = median_report.metrics["energy_mj"].pairs[0].mean_diff
@@ -269,10 +272,10 @@ class TestCompare:
             _dataset("1.1", ["a.B::t1"], samples=1),
         ]
         with pytest.raises(AnalysisError):
-            compare(revs)
+            compare(revs, AnalysisConfig())
 
     def test_report_json_round_trip(self):
-        report = compare(self._pair(seed=3, delta=0.4))
+        report = compare(self._pair(seed=3, delta=0.4), AnalysisConfig())
         payload = json.loads(json.dumps(report_to_json_dict(report), sort_keys=True))
         restored = report_from_json_dict(payload)
         assert report_to_json_dict(restored) == report_to_json_dict(report)

@@ -1,7 +1,7 @@
 """Golden outputs: the SHA-256 of every file that ``analyze`` and
-``evolve`` write for a small seeded fixture, and one SHA-256 over the
-whole fixture tree that ``synth`` writes, must match the digests in
-``golden.sha256``.
+``evolve`` write for a small seeded fixture and for one hand-written
+multi-root revision, and one SHA-256 over the whole fixture tree that
+``synth`` writes, must match the digests in ``golden.sha256``.
 
 The determinism tests compare two runs of the same code; this one pins
 the bytes across code changes, so a refactor that claims unchanged
@@ -58,6 +58,37 @@ observation_unit = per_test_mean
 aggregation = median
 """
 
+# Two top-level frames on thread 1 and a thread 2 that overlaps both, with
+# API calls under each frame: a tree shape that synth never writes.
+MULTI_ROOT_TEST = "com.multi.Suite::testRoots"
+MULTI_ROOT_TRACE = f"""\
+#trace v1;{MULTI_ROOT_TEST};0
+E;1;0;com.app.core;Main;first
+E;2;500;com.app.core;Worker;run
+E;1;1000;java.util;List;add
+X;1;3000;java.util;List;add
+E;2;3500;android.os;Handler;post
+X;2;4500;android.os;Handler;post
+X;1;5000;com.app.core;Main;first
+E;1;6000;com.app.core;Main;second
+E;1;7000;com.app.util;Helper;work
+E;1;7500;android.util;Log;d
+X;1;8000;android.util;Log;d
+X;1;9000;com.app.util;Helper;work
+X;2;9500;com.app.core;Worker;run
+X;1;12000;com.app.core;Main;second
+"""
+MULTI_ROOT_POWER = f"#power v1;{MULTI_ROOT_TEST};0;2000000.0\n" + "".join(
+    f"{i * 0.5!r};{100.0 + 7.5 * (i % 5)!r}\n" for i in range(27)
+)
+
+
+def write_multi_root_revision(revision: Path) -> None:
+    (revision / "traces").mkdir(parents=True)
+    (revision / "power").mkdir()
+    (revision / "traces" / f"{MULTI_ROOT_TEST}.0.trace").write_text(MULTI_ROOT_TRACE)
+    (revision / "power" / f"{MULTI_ROOT_TEST}.0.power").write_text(MULTI_ROOT_POWER)
+
 
 def tree_digest(root: Path) -> str:
     """SHA-256 over the relative path and the bytes of every file under
@@ -80,10 +111,13 @@ def golden_digests(work: Path) -> list[str]:
     config = work / "subset.ini"
     config.write_text(SUBSET_CONFIG)
     fixture = work / "fixture"
+    multi_root = work / "multi_root" / "1.0"
+    write_multi_root_revision(multi_root)
     runs = {
         "analyze": ["analyze", str(fixture / "1.0")],
         "evolve": ["evolve", str(fixture)],
         "evolve_subset": ["evolve", str(fixture), "--config", str(config)],
+        "analyze_multi_root": ["analyze", str(multi_root)],
     }
     assert cli.main(["synth", str(spec), str(fixture)]) == 0
     lines = []
