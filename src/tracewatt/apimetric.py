@@ -41,25 +41,24 @@ class ApiClassifier:
     def __init__(self, rules: Iterable[ApiRule]):
         self.rules = tuple(rules)
         if not self.rules:
-            raise ValueError("classifier needs at least one rule")
+            raise ValueError("need at least one API rule")
         seen = set()
         for rule in self.rules:
             if rule.prefix in seen:
                 raise ValueError(f"duplicate API rule prefix {rule.prefix!r}")
             seen.add(rule.prefix)
-        # precomputed (normalized-prefix, label), longest first, input order on ties
+        # (normalized prefix, label), longest first; sorted is stable, so
+        # equal lengths keep input order
         normalized = [
             (r.prefix if r.prefix.endswith(".") else r.prefix + ".", r.label)
             for r in self.rules
         ]
-        self._matchers = sorted(
-            enumerate(normalized), key=lambda item: (-len(item[1][0]), item[0])
-        )
+        self._matchers = sorted(normalized, key=lambda item: -len(item[0]))
 
     def classify(self, method: MethodId) -> Optional[str]:
         """Label of the longest matching prefix rule, or None."""
         probe = method.package + "."
-        for _, (prefix, label) in self._matchers:
+        for prefix, label in self._matchers:
             if probe.startswith(prefix):
                 return label
         return None

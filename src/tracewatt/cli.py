@@ -6,11 +6,11 @@ Commands:
     tracewatt synth <spec> <out_dir>   generate a synthetic fixture
     tracewatt report <evolve_out>      plot CSV + human-readable summary
 
-Global flags (also settable through TRACEWATT_CONFIG, TRACEWATT_ALPHA
-and TRACEWATT_OUT environment variables; flags win):
-    --config FILE   analysis configuration file
-    --alpha X       significance level override
-    --out DIR       output directory
+Flags (TRACEWATT_CONFIG, TRACEWATT_ALPHA or TRACEWATT_OUT fills its flag
+when the command takes that flag; flags win):
+    --config FILE   analysis configuration file (analyze, evolve)
+    --alpha X       significance level override (evolve)
+    --out DIR       output directory (analyze, evolve, report)
 
 Exit codes: 0 success; 2 layout/configuration errors; 3 parse errors;
 4 attribution errors; 5 statistical degeneracy (no common tests, top-k
@@ -73,17 +73,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _load_analysis_config(args) -> AnalysisConfig:
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file {path} does not exist")
-        config = parse_config(path.read_text(encoding="utf-8"))
-    else:
-        config = AnalysisConfig()
-    if args.alpha is not None:
-        config = dataclasses.replace(config, alpha=args.alpha)
-    return config
+def _load_analysis_config(config_file: "str | None") -> AnalysisConfig:
+    if config_file is None:
+        return AnalysisConfig()
+    path = Path(config_file)
+    if not path.is_file():
+        raise ConfigError(f"config file {path} does not exist")
+    return parse_config(path.read_text(encoding="utf-8"))
 
 
 def _scan_revisions(
@@ -195,7 +191,7 @@ def _summary_text(report: ComparisonReport) -> str:
 
 
 def cmd_analyze(args) -> int:
-    config = _load_analysis_config(args)
+    config = _load_analysis_config(args.config)
     revision_dir = Path(args.revision_dir)
     if not revision_dir.is_dir():
         raise LayoutError(f"{revision_dir} is not a directory")
@@ -212,7 +208,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    config = _load_analysis_config(args)
+    config = _load_analysis_config(args.config)
+    if args.alpha is not None:
+        config = dataclasses.replace(config, alpha=args.alpha)
     root = Path(args.root_dir)
     if not root.is_dir():
         raise LayoutError(f"{root} is not a directory")
@@ -271,12 +269,6 @@ def cmd_report(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None)
-    common.add_argument("--alpha", type=float, default=None,
-                        help="significance level override")
-    common.add_argument("--out", default=None)
-
     parser = argparse.ArgumentParser(
         prog="tracewatt",
         description=(
@@ -286,37 +278,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="analyze one revision directory")
+    p = sub.add_parser("analyze", help="analyze one revision directory")
     p.add_argument("revision_dir")
+    p.add_argument("--config", help="analysis configuration file")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("evolve", parents=[common], help="compare revisions under a root directory")
+    p = sub.add_parser("evolve", help="compare revisions under a root directory")
     p.add_argument("root_dir")
+    p.add_argument("--config", help="analysis configuration file")
+    p.add_argument("--alpha", type=float, help="significance level override")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic fixture")
+    p = sub.add_parser("synth", help="generate a synthetic fixture")
     p.add_argument("spec_file")
     p.add_argument("out_dir")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("report", parents=[common], help="re-emit plot CSV and summary from evolve outputs")
+    p = sub.add_parser("report", help="re-emit plot CSV and summary from evolve outputs")
     p.add_argument("evolve_dir")
+    p.add_argument("--out", help="output directory (default: evolve_dir)")
     p.set_defaults(func=cmd_report)
     return parser
 
 
 def _apply_env(args) -> None:
-    """Fill flags left unset from TRACEWATT_* environment variables."""
-    if args.config is None:
-        args.config = os.environ.get(ENV_PREFIX + "CONFIG")
-    if args.out is None:
-        args.out = os.environ.get(ENV_PREFIX + "OUT")
-    if args.alpha is None and ENV_PREFIX + "ALPHA" in os.environ:
-        raw = os.environ[ENV_PREFIX + "ALPHA"]
-        try:
-            args.alpha = float(raw)
-        except ValueError:
-            raise ConfigError(f"{ENV_PREFIX}ALPHA = {raw!r} is not a number") from None
+    """Fill the chosen command's flags left unset from TRACEWATT_*
+    environment variables; a variable is read only if the command takes
+    its flag."""
+    for flag in ("config", "alpha", "out"):
+        raw = os.environ.get(ENV_PREFIX + flag.upper())
+        if raw is not None and flag in vars(args) and getattr(args, flag) is None:
+            try:
+                setattr(args, flag, float(raw) if flag == "alpha" else raw)
+            except ValueError:
+                raise ConfigError(f"{ENV_PREFIX}ALPHA = {raw!r} is not a number") from None
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,7 @@
 
     [analysis]
     alpha = 0.05
-    aggregation = mean            # mean | median
+    aggregation = mean            # mean | median (per_test_mean only)
     observation_unit = per_sample # per_sample | per_test_mean
     top_k_tests = 100             # omit to analyze every aligned test
 
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union, get_args, get_origin
 
-from .apimetric import ApiRule
+from .apimetric import ApiClassifier, ApiRule
 from .trace import MethodId
 
 DEFAULT_API_RULES = (
@@ -61,13 +61,14 @@ class AnalysisConfig:
             raise ConfigError(f"aggregation must be one of {AGGREGATIONS}")
         if self.observation_unit not in OBSERVATION_UNITS:
             raise ConfigError(f"observation_unit must be one of {OBSERVATION_UNITS}")
+        if self.aggregation != "mean" and self.observation_unit == "per_sample":
+            raise ConfigError(f"aggregation = {self.aggregation} needs observation_unit = per_test_mean")
         if self.top_k_tests is not None and self.top_k_tests < 1:
             raise ConfigError(f"top_k_tests must be >= 1, got {self.top_k_tests}")
-        prefixes = [r.prefix for r in self.api_rules]
-        if len(set(prefixes)) != len(prefixes):
-            raise ConfigError("duplicate api_rules prefixes")
-        if not self.api_rules:
-            raise ConfigError("api_rules must not be empty")
+        try:  # the one check of the API rules; not a field, so not compared
+            self.classifier = ApiClassifier(self.api_rules)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for test_name in self.power_clock_offset_us:
             try:
                 MethodId.from_canonical(test_name)

@@ -156,17 +156,13 @@ def parse_power(data: "bytes | str") -> PowerProfile:
 
 
 def write_power(profile: PowerProfile) -> str:
-    """Render to canonical power-format text; parse_power round-trips it."""
-    prev_t = None
-    for s in profile.samples:
-        if s.power_mw < 0:
-            raise PowerFormatError(f"negative power {s.power_mw}")
-        if prev_t is not None and s.t_us <= prev_t:
-            raise PowerFormatError(f"timestamp {s.t_us} not after {prev_t}")
-        prev_t = s.t_us
-    return _render_power(
+    """Render to canonical power-format text; parse_power round-trips it.
+    A profile whose text parse_power refuses raises its PowerFormatError."""
+    text = _render_power(
         profile.test_name, profile.sample_index, profile.nominal_rate_hz, profile.samples
     )
+    parse_power(text)
+    return text
 
 
 def _render_power(

@@ -18,7 +18,7 @@ from typing import (
 )
 
 from .config import AnalysisConfig
-from .stats import AnovaResult, TukeyPair, anova, tukey_hsd
+from .stats import AnovaResult, TukeyPair, anova, float_sum, tukey_hsd
 
 METRICS = ("energy_mj", "avg_power_mw", "ruapi")
 PROXY_METRIC = "ruapi"
@@ -147,7 +147,7 @@ def select_top_energy_tests(revision: RevisionDataset, k: int) -> list[str]:
     for r in revision.records:
         by_test.setdefault(r.test_name, []).append(r.energy_mj)
     ranked = sorted(
-        by_test, key=lambda name: (-(sum(by_test[name]) / len(by_test[name])), name)
+        by_test, key=lambda name: (-(float_sum(by_test[name]) / len(by_test[name])), name)
     )
     return ranked[:k]
 
@@ -223,12 +223,12 @@ def revision_summaries(revisions: Sequence[RevisionDataset]) -> list[RevisionSum
         records = rev.records
         if not records:
             raise ValueError(f"revision {rev.revision} has no analyzed records")
-        energy = sum(r.energy_mj for r in records) / len(records)
-        power = sum(r.avg_power_mw for r in records) / len(records)
+        energy = float_sum(r.energy_mj for r in records) / len(records)
+        power = float_sum(r.avg_power_mw for r in records) / len(records)
         by_test: dict[str, list[float]] = {}
         for r in records:
             by_test.setdefault(r.test_name, []).append(r.ruapi)
-        sum_ruapi = sum(sum(xs) / len(xs) for xs in by_test.values())
+        sum_ruapi = float_sum(float_sum(xs) / len(xs) for xs in by_test.values())
         out.append(RevisionSummary(rev.revision, energy, power, sum_ruapi))
     return out
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .apimetric import ApiClassifier, uapi
+from .apimetric import uapi
 from .callgraph import build_call_trees, node_intervals
 from .config import AnalysisConfig
 from .energy import AttributionError, PowerFormatError, attribute, integrate, parse_power, shift_profile
@@ -103,7 +103,6 @@ def analyze_execution(
     trace_path: Path,
     power_path: Path,
     config: AnalysisConfig,
-    classifier: ApiClassifier,
 ) -> tuple[ExecutionRecord, list[MethodRow]]:
     """Analyze one (test, sample) execution: build the call tree, compute
     U values and attribute energy.
@@ -130,7 +129,7 @@ def analyze_execution(
     profile = shift_profile(profile, offset)
 
     tree = build_call_trees(trace)
-    metric = uapi(tree, classifier)
+    metric = uapi(tree, config.classifier)
     intervals = node_intervals(tree)
     if tree.roots:
         start_ns = min(r.t_start_ns for r in tree.roots)
@@ -159,7 +158,7 @@ def analyze_execution(
                 node.t_start_ns,
                 node.duration_ns,
                 node.method,
-                classifier.classify(node.method),
+                config.classifier.classify(node.method),
                 metric.node_values.get(node, 0),
                 inclusive,
                 exclusive,
@@ -187,13 +186,10 @@ def analyze_revision(
     """Analyze every execution that scan_revision_dir found in a revision
     directory, in its (test_name, sample_index) order, with rU normalized
     over all of its tests."""
-    classifier = ApiClassifier(config.api_rules)
     records = []
     method_rows = []
     for name, sample, trace_path, power_path in executions:
-        record, rows = analyze_execution(
-            name, sample, trace_path, power_path, config, classifier
-        )
+        record, rows = analyze_execution(name, sample, trace_path, power_path, config)
         records.append(record)
         method_rows.extend(rows)
     dataset = normalize_ruapi(revision, records, {r.test_name for r in records})

@@ -7,9 +7,10 @@ Everything here is pure and reentrant; no external numeric libraries.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache, reduce
+from typing import Iterable, Optional, Sequence
 
 BETA_CF_MAX_ITER = 300
 BETA_CF_REL_TOL = 1e-12
@@ -18,6 +19,7 @@ PTUKEY_MAX_DOUBLINGS = 4
 # Above this many error degrees of freedom the sample-scale distribution is
 # numerically a point mass at 1 and the outer integral is skipped.
 PTUKEY_LARGE_DF = 25000.0
+_GL_ORDER = 24  # Gauss-Legendre nodes per quadrature panel
 _Z_LIM = 8.5
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -52,6 +54,12 @@ class TukeyPair:
     q: float
     p_adj: float
     significant: bool
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0: the same bits on every Python,
+    where the built-in sum() of floats is compensated since 3.12."""
+    return reduce(operator.add, values, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -158,32 +166,37 @@ def f_upper_tail(f_stat: float, df1: int, df2: int) -> float:
     return regularized_incomplete_beta(0.5 * df2, 0.5 * df1, x)
 
 
+def _panel_nodes(lo: float, hi: float, panels: int) -> list[tuple[float, float]]:
+    """(node, weight) pairs of Gauss-Legendre quadrature on [lo, hi] split
+    into ``panels`` equal panels."""
+    xs, ws = _gauss_legendre(_GL_ORDER)
+    h = (hi - lo) / panels
+    half = 0.5 * h
+    return [
+        (lo + (p + 0.5) * h + half * x, w * half)
+        for p in range(panels)
+        for x, w in zip(xs, ws)
+    ]
+
+
 @lru_cache(maxsize=8)
-def _range_cdf_nodes(order: int, panels: int) -> tuple:
+def _range_cdf_nodes(panels: int) -> tuple:
     """(z, weight*phi(z), Phi(z)) quadrature nodes for the standard-normal
     range integral over [-Z_LIM, Z_LIM]."""
-    xs, ws = _gauss_legendre(order)
-    out = []
-    h = 2.0 * _Z_LIM / panels
-    for p in range(panels):
-        mid = -_Z_LIM + (p + 0.5) * h
-        half = 0.5 * h
-        for x, w in zip(xs, ws):
-            z = mid + half * x
-            out.append(
-                (z, w * half * _INV_SQRT_2PI * math.exp(-0.5 * z * z), normal_cdf(z))
-            )
-    return tuple(out)
+    return tuple(
+        (z, w * _INV_SQRT_2PI * math.exp(-0.5 * z * z), normal_cdf(z))
+        for z, w in _panel_nodes(-_Z_LIM, _Z_LIM, panels)
+    )
 
 
-def _range_cdf(w: float, k: int, order: int, panels: int) -> float:
+def _range_cdf(w: float, k: int, panels: int) -> float:
     """P(range of k iid standard normals <= w)."""
     if w <= 0.0:
         return 0.0
     km1 = k - 1
     erfc = math.erfc
     total = 0.0
-    for z, fw, cdf in _range_cdf_nodes(order, panels):
+    for z, fw, cdf in _range_cdf_nodes(panels):
         d = cdf - 0.5 * erfc((w - z) / _SQRT2)
         if d > 0.0:
             total += fw * d**km1
@@ -210,14 +223,13 @@ def ptukey(q: float, k: int, df: float) -> float:
         return 0.0
     if math.isinf(q):
         return 1.0
-    order = 24
     inner_panels, outer_panels = 1, 4
     prev_value = None
     for _ in range(PTUKEY_MAX_DOUBLINGS + 1):
         if df > PTUKEY_LARGE_DF:
-            current = _range_cdf(q, k, order, inner_panels)
+            current = _range_cdf(q, k, inner_panels)
         else:
-            current = _ptukey_outer(q, k, df, order, inner_panels, outer_panels)
+            current = _ptukey_outer(q, k, df, inner_panels, outer_panels)
         if prev_value is not None and abs(current - prev_value) <= PTUKEY_ABS_TOL:
             return current
         prev_value = current
@@ -229,9 +241,7 @@ def ptukey(q: float, k: int, df: float) -> float:
     )
 
 
-def _ptukey_outer(
-    q: float, k: int, df: float, order: int, inner_panels: int, outer_panels: int
-) -> float:
+def _ptukey_outer(q: float, k: int, df: float, inner_panels: int, outer_panels: int) -> float:
     # outer integrand: density of s = sqrt(chi2_df / df), which is
     # c * s^(df-1) * exp(-df s^2 / 2), times the conditional range CDF
     ln_const = (
@@ -242,18 +252,12 @@ def _ptukey_outer(
     sd = 1.0 / math.sqrt(2.0 * df)
     lo = max(0.0, 1.0 - 12.0 * sd - 1.5 / df)
     hi = 1.0 + 12.0 * sd + 4.0 / math.sqrt(df) + 3.0 / df
-    xs, ws = _gauss_legendre(order)
-    h = (hi - lo) / outer_panels
     total = 0.0
-    for p in range(outer_panels):
-        mid = lo + (p + 0.5) * h
-        half = 0.5 * h
-        for x, w in zip(xs, ws):
-            s = mid + half * x
-            ln_density = ln_const + (df - 1.0) * math.log(s) - 0.5 * df * s * s
-            if ln_density < -745.0:
-                continue
-            total += w * half * math.exp(ln_density) * _range_cdf(q * s, k, order, inner_panels)
+    for s, w in _panel_nodes(lo, hi, outer_panels):
+        ln_density = ln_const + (df - 1.0) * math.log(s) - 0.5 * df * s * s
+        if ln_density < -745.0:
+            continue
+        total += w * math.exp(ln_density) * _range_cdf(q * s, k, inner_panels)
     return min(1.0, total)
 
 
@@ -273,11 +277,11 @@ def anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
     df_between = k - 1
     df_within = n_total - k
 
-    grand_mean = sum(sum(g) for g in groups) / n_total
-    means = [sum(g) / len(g) for g in groups]
-    ss_between = sum(n * (m - grand_mean) ** 2 for n, m in zip(sizes, means))
-    ss_within = sum(
-        sum((x - m) ** 2 for x in g) for g, m in zip(groups, means)
+    grand_mean = float_sum(float_sum(g) for g in groups) / n_total
+    means = [float_sum(g) / len(g) for g in groups]
+    ss_between = float_sum(n * (m - grand_mean) ** 2 for n, m in zip(sizes, means))
+    ss_within = float_sum(
+        float_sum((x - m) ** 2 for x in g) for g, m in zip(groups, means)
     )
     ms_between = ss_between / df_between
     ms_within = ss_within / df_within
@@ -315,7 +319,7 @@ def tukey_hsd(
         raise ValueError("labels must match groups one-to-one")
 
     k = len(groups)
-    means = [sum(g) / len(g) for g in groups]
+    means = [float_sum(g) / len(g) for g in groups]
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):

@@ -58,9 +58,6 @@ class SplitMix64:
         """Uniform in [0, 1) with 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def below(self, n: int) -> int:
-        return self.next_u64() % n
-
     def gauss(self, sigma: float) -> float:
         """Zero-mean Gaussian via Box-Muller (fresh pair every call)."""
         u1 = self.uniform()
@@ -215,7 +212,6 @@ class _Materialized:
     trace_rows: list[tuple]
     api_intervals: list[tuple[int, int]]
     end_us: int
-    api_calls: int
 
 
 def _materialize(
@@ -263,7 +259,7 @@ def _materialize(
         rows.append(("E", 1, cursor * 1000, *name))
         open_frames.append((depth, *name, counts[index]))
         cursor += pad
-    return _Materialized(rows, intervals, end_us, api_ord)
+    return _Materialized(rows, intervals, end_us)
 
 
 def _power_samples(
@@ -319,7 +315,7 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
                 spec, skeletons[test_idx], rev.api_call_multiplier,
                 f"test{test_idx:03d}",
             )
-            total_api += mat.api_calls
+            total_api += len(mat.api_intervals)
             api_time_us = sum(b - a for a, b in mat.api_intervals)
             energy_mj += (
                 rev.base_power_mw * mat.end_us + rev.api_cost_mw * api_time_us
@@ -339,7 +335,7 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
                     "kind": "trace",
                     "test": test_name,
                     "sample": sample,
-                    "api_interactions": mat.api_calls,
+                    "api_interactions": len(mat.api_intervals),
                 }
                 files[f"{rev.label}/power/{power_name}"] = {
                     "kind": "power",

@@ -237,6 +237,26 @@ class TestAnalyzeCommand:
             "'com.fixture.suite.GeneratedSuite::test01' names no analyzed test\n"
         )
 
+    @pytest.mark.parametrize(
+        "config_text, message",
+        [
+            ("[analysis]\naggregation = median\n",
+             "error: aggregation = median needs observation_unit = per_test_mean\n"),
+            ("[api_rules]\n", "error: need at least one API rule\n"),
+            ("[api_rules]\njava. = a\njava. = b\n", "option 'java.' in section 'api_rules' already exists"),
+        ],
+        ids=["median-per-sample", "empty-api-rules", "duplicate-api-rule"],
+    )
+    def test_config_with_a_setting_that_does_nothing_or_no_api_rules_exits_2(
+        self, fixture_dir, tmp_path, capsys, config_text, message
+    ):
+        config = tmp_path / "cfg.ini"
+        config.write_text(config_text)
+        argv = ["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "o"),
+                "--config", str(config)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 def _corrupt_last_trace(revision: Path) -> Path:
     """Make line 3 of the revision's last trace file unparseable."""
@@ -287,9 +307,10 @@ class TestEvolveCommand:
         payload = json.loads((out / "report.json").read_text())
         assert payload["alpha"] == 0.1
 
-    def test_malformed_env_var_exits_2(self, fixture_dir, tmp_path, monkeypatch):
+    def test_malformed_env_var_exits_2(self, fixture_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TRACEWATT_ALPHA", "lots")
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: TRACEWATT_ALPHA = 'lots' is not a number\n"
 
     def test_corrupt_trace_error_names_file(self, fixture_dir, tmp_path, capsys):
         victim = _corrupt_last_trace(fixture_dir / "1.1")
@@ -503,6 +524,58 @@ def _single_revision_payload() -> dict:
              "mean_power_mw": 10.0, "sum_ruapi": 0.5}
         ],
     }
+
+
+class TestFlagsPerCommand:
+    """Each command takes only the flags it reads, and a TRACEWATT_*
+    variable fills a flag only for the commands that take that flag."""
+
+    @pytest.fixture
+    def argv(self, fixture_dir, tmp_path):
+        """A command line that exits 0, per command without --alpha."""
+        report_dir = tmp_path / "evolve_out"
+        report_dir.mkdir()
+        (report_dir / "report.json").write_text(json.dumps(_single_revision_payload()))
+        return {
+            "synth": ["synth", str(tmp_path / "spec.ini"), str(tmp_path / "fx2")],
+            "analyze": ["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "a")],
+            "report": ["report", str(report_dir)],
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("synth", "--out", "other"),
+            ("synth", "--config", "missing.ini"),
+            ("synth", "--alpha", "0.5"),
+            ("analyze", "--alpha", "0.5"),
+            ("report", "--config", "missing.ini"),
+            ("report", "--alpha", "0.5"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv[command], flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert cli.main(argv[command]) == 0
+
+    @pytest.mark.parametrize("command", ["synth", "analyze", "report"])
+    def test_malformed_alpha_variable_is_not_read_without_alpha(
+        self, argv, monkeypatch, command
+    ):
+        monkeypatch.setenv("TRACEWATT_ALPHA", "lots")
+        assert cli.main(argv[command]) == 0
+
+    def test_out_variable_fills_only_the_out_flag(self, argv, tmp_path, monkeypatch):
+        env_out = tmp_path / "env_out"
+        monkeypatch.setenv("TRACEWATT_OUT", str(env_out))
+        assert cli.main(argv["report"]) == 0
+        assert cli.main(argv["synth"]) == 0
+        assert sorted(p.name for p in env_out.iterdir()) == [
+            "revision_summaries.csv", "summary.txt",
+        ]
+        assert (tmp_path / "fx2" / "manifest.json").is_file()
 
 
 def test_usage_error_exits_2():

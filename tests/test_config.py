@@ -7,6 +7,7 @@ from tracewatt.config import (
     emit_config,
     parse_config,
 )
+from tracewatt.trace import MethodId
 
 SAMPLE = """
 [analysis]
@@ -78,9 +79,26 @@ def test_bad_aggregation_rejected():
         parse_config("[analysis]\naggregation = mode\n")
 
 
+def test_aggregation_needs_per_test_mean():
+    with pytest.raises(
+        ConfigError, match="aggregation = median needs observation_unit = per_test_mean"
+    ):
+        parse_config("[analysis]\naggregation = median\n")
+    config = AnalysisConfig(aggregation="median", observation_unit="per_test_mean")
+    assert config.aggregation == "median"
+
+
 def test_duplicate_prefixes_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="duplicate API rule prefix 'java.'"):
         AnalysisConfig(api_rules=(ApiRule("java.", "a"), ApiRule("java.", "b")))
+
+
+def test_classifier_is_built_from_the_api_rules():
+    with pytest.raises(ConfigError, match="need at least one API rule"):
+        parse_config("[api_rules]\n")
+    config = parse_config("[api_rules]\njava. = java\njava.util. = collections\n")
+    assert config.classifier.classify(MethodId("java.util", "List", "add")) == "collections"
+    assert config.classifier.classify(MethodId("android.os", "Handler", "post")) is None
 
 
 def test_test_name_keys_preserve_case_and_colons():

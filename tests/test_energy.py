@@ -136,6 +136,26 @@ class TestParsePower:
             assert parse_power(write_power(profile)) == profile
 
 
+class TestWritePower:
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            (_profile([(0.0, 1.0), (1.0, float("nan"))]), "line 3: power must be"),
+            (_profile([(0.0, 1.0), (float("inf"), 1.0)]), "line 3: timestamp must be"),
+            (_profile([(0.0, 1.0)], rate=float("inf")), "line 1: nominal_rate_hz must be"),
+            (_profile([(0.0, 1.0)], rate=0.0), "line 1: nominal_rate_hz must be > 0"),
+            (PowerProfile("not a name", -1, 1000.0, ()), "line 1: "),
+            (_profile([(0.0, -1.0)]), "line 2: negative power"),
+            (_profile([(0.0, 1.0), (0.0, 2.0)]), "line 3: timestamp 0.0 not after 0.0"),
+        ],
+        ids=["nan-power", "inf-timestamp", "inf-rate", "zero-rate", "bad-header",
+             "negative-power", "repeated-timestamp"],
+    )
+    def test_refuses_what_parse_power_refuses(self, profile, message):
+        with pytest.raises(PowerFormatError, match=f"^{message}"):
+            write_power(profile)
+
+
 class TestIntegrate:
     def test_constant_power_window(self):
         profile = _constant(100.0, 20000.0)

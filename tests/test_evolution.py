@@ -135,6 +135,14 @@ class TestRevisionSummaries:
         summary = revision_summaries([RevisionDataset("1.0", records)])[0]
         assert summary.sum_ruapi == pytest.approx(0.5)
 
+    def test_sums_run_left_to_right_on_every_python(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the left-to-right sum is 0.0;
+        # a compensated sum, as the built-in sum() is since Python 3.12, is 1.0
+        energies = {"a.B::x": 1e16, "a.B::y": 1.0, "a.B::z": -1e16}
+        assert math.fsum(energies.values()) == 1.0
+        rev = _dataset("1.0", list(energies), samples=1, energy_by_test=energies)
+        assert revision_summaries([rev])[0].mean_energy_mj == 0.0
+
     def test_ordered_by_version_components(self):
         revs = [
             _dataset("1.10", ["a.B::x"]),
