@@ -22,12 +22,6 @@ class ApiRule:
     prefix: str
     label: str
 
-    def __post_init__(self):
-        if not self.prefix:
-            raise ValueError("API rule prefix must be non-empty")
-        if not self.label:
-            raise ValueError("API rule label must be non-empty")
-
 
 class ApiClassifier:
     """Longest-prefix-match classifier over dot-separated package names.
@@ -36,6 +30,8 @@ class ApiClassifier:
     ``java`` and ``java.util`` but not ``javafoo``.  Among rules matching
     the same method the longest prefix wins (so ``java.util.`` can carve a
     sub-API out of ``java.``); equal lengths keep the earlier rule.
+    Construction is the one check of the rules: at least one, each with a
+    non-empty prefix and label, no prefix twice.
     """
 
     def __init__(self, rules: Iterable[ApiRule]):
@@ -44,6 +40,10 @@ class ApiClassifier:
             raise ValueError("need at least one API rule")
         seen = set()
         for rule in self.rules:
+            if not rule.prefix:
+                raise ValueError("API rule prefix must be non-empty")
+            if not rule.label:
+                raise ValueError("API rule label must be non-empty")
             if rule.prefix in seen:
                 raise ValueError(f"duplicate API rule prefix {rule.prefix!r}")
             seen.add(rule.prefix)

@@ -28,7 +28,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import evolution, ingest, synth
+from . import evolution, ingest
 from .config import AnalysisConfig, ConfigError, parse_config
 from .energy import AttributionError
 from .evolution import (
@@ -238,6 +238,8 @@ def cmd_synth(args) -> int:
     spec_path = Path(args.spec_file)
     if not spec_path.is_file():
         raise LayoutError(f"spec file {spec_path} does not exist")
+    from . import synth  # only this command needs the generator
+
     spec = synth.load_spec(spec_path.read_text(encoding="utf-8"))
     manifest = synth.generate(spec, args.out_dir)
     n_files = sum(len(entry["files"]) for entry in manifest["revisions"].values())
@@ -268,7 +270,8 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's sub-parser, by name."""
     parser = argparse.ArgumentParser(
         prog="tracewatt",
         description=(
@@ -300,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("evolve_dir")
     p.add_argument("--out", help="output directory (default: evolve_dir)")
     p.set_defaults(func=cmd_report)
-    return parser
+    return parser, sub.choices
 
 
 def _apply_env(args) -> None:
@@ -317,7 +320,10 @@ def _apply_env(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported with the command's usage, not the top-level one
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _apply_env(args)
         return args.func(args)

@@ -132,12 +132,9 @@ def parse_config(text: str) -> AnalysisConfig:
 
     kwargs = section_values(AnalysisConfig, "analysis", sections.get("analysis", {}))
     if "api_rules" in sections:
-        try:
-            kwargs["api_rules"] = tuple(
-                ApiRule(prefix, label) for prefix, label in sections["api_rules"].items()
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        kwargs["api_rules"] = tuple(
+            ApiRule(prefix, label) for prefix, label in sections["api_rules"].items()
+        )
     kwargs["power_clock_offset_us"] = {
         test_name: _convert_value("power_clock_offset_us", test_name, raw, float)
         for test_name, raw in sections.get("power_clock_offset_us", {}).items()

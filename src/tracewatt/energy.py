@@ -36,7 +36,6 @@ POWER_VERSION = "v1"
 _HEADER_MAGIC = "#power"
 
 MJ_PER_MW_US = 1e-6
-NEGATIVE_EXCLUSIVE_TOL_MJ = 1e-9
 
 _NUMERAL = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
 _NUMERAL_RE = re.compile(_NUMERAL)
@@ -49,8 +48,8 @@ class PowerFormatError(LineFormatError):
 
 
 class AttributionError(ValueError):
-    """Energy cannot be attributed: window outside the sampled range, or
-    children whose energy exceeds their parent's."""
+    """Energy cannot be attributed: fewer than two power samples, or a
+    window that is empty or outside the sampled range."""
 
 
 class PowerSample(NamedTuple):
@@ -238,9 +237,10 @@ def attribute(
 
     Inclusive energy integrates the node's own window; exclusive subtracts
     the inclusive energy of the node's children, so exclusive sums are
-    free of nested double-counting.  Every child of a listed node must be
-    listed too, as node_intervals does; the order and the depths are not
-    read.
+    free of nested double-counting.  The children are disjoint windows
+    inside their parent's, so a negative difference is rounding error and
+    is clamped to 0.  Every child of a listed node must be listed too, as
+    node_intervals does; the order and the depths are not read.
     """
     inclusive: dict[CallNode, float] = {}
     for node, _ in intervals:
@@ -260,10 +260,5 @@ def attribute(
         for child in node.children:
             child_sum += inclusive[child]
         exclusive = inclusive[node] - child_sum
-        if exclusive < -NEGATIVE_EXCLUSIVE_TOL_MJ:
-            raise AttributionError(
-                f"{node.method.canonical()}: children energy {child_sum} exceeds "
-                f"inclusive energy {inclusive[node]}"
-            )
         energies.append((inclusive[node], max(exclusive, 0.0)))
     return energies

@@ -12,8 +12,10 @@ index are unsigned decimal integers ``0|[1-9][0-9]*``, so parse-then-write
 keeps their bytes.  Lines starting with ``#`` after the header are
 comments.  Fields are ``;``-separated, so no escaping is needed: class
 and method names match ``[^;:.\s]+``, packages are such names joined by
-single dots.  :func:`parse_trace` checks the sequence rules and nests
-the events into :class:`CallNode` trees in one walk.
+single dots.  The records check nothing: :func:`parse_trace` checks
+every field and the sequence rules and nests the events into
+:class:`CallNode` trees in one walk, and :func:`write_trace` returns
+only text that it accepts.
 """
 
 import re
@@ -51,27 +53,32 @@ class MethodId:
     class_name: str
     method: str
 
-    def __post_init__(self):
-        for what, value, pattern in (
-            ("package", self.package, _PACKAGE_RE),
-            ("class", self.class_name, _NAME_RE),
-            ("method", self.method, _NAME_RE),
-        ):
-            if pattern.fullmatch(value) is None:
-                raise ValueError(f"{what} {value!r} does not match {pattern.pattern}")
-
     def canonical(self) -> str:
         return f"{self.package}.{self.class_name}::{self.method}"
 
     @classmethod
     def from_canonical(cls, text: str) -> "MethodId":
+        """The checked MethodId of a test name read from text."""
         qualified, sep, method = text.partition("::")
         if not sep:
             raise ValueError(f"method name {text!r} lacks '::'")
         package, sep, class_name = qualified.rpartition(".")
         if not sep:
             raise ValueError(f"method name {text!r} lacks a package prefix")
-        return cls(package, class_name, method)
+        return _checked_method(package, class_name, method)
+
+
+def _checked_method(package: str, class_name: str, method: str) -> MethodId:
+    """The MethodId of three text fields; raises ValueError naming the
+    first field that breaks the identifier grammar."""
+    for what, value, pattern in (
+        ("package", package, _PACKAGE_RE),
+        ("class", class_name, _NAME_RE),
+        ("method", method, _NAME_RE),
+    ):
+        if pattern.fullmatch(value) is None:
+            raise ValueError(f"{what} {value!r} does not match {pattern.pattern}")
+    return MethodId(package, class_name, method)
 
 
 class EventKind(Enum):
@@ -88,12 +95,6 @@ class TraceEvent:
     method: MethodId
     thread: int
     t_ns: int
-
-    def __post_init__(self):
-        if self.thread < 0:
-            raise ValueError(f"thread id must be >= 0, got {self.thread}")
-        if self.t_ns < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.t_ns}")
 
 
 @dataclass(eq=False)
@@ -117,10 +118,11 @@ class TestTrace:
     """All events recorded for one execution of one test.
 
     ``sample_index`` identifies which of the repeated executions of the
-    test this trace belongs to.  Field-local invariants are enforced at
-    construction; sequence-level invariants (per-thread timestamp order,
-    balanced Enter/Exit nesting) are checked by :func:`validate_trace`
-    and enforced by :func:`parse_trace` and :attr:`top_level_calls`.
+    test this trace belongs to.  Construction checks nothing:
+    :func:`parse_trace` checks every field and the sequence rules
+    (per-thread timestamp order, balanced Enter/Exit nesting), and
+    :attr:`top_level_calls` checks the sequence rules of a trace built in
+    code.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -128,11 +130,6 @@ class TestTrace:
     test_name: str
     sample_index: int
     events: tuple[TraceEvent, ...] = ()
-
-    def __post_init__(self):
-        MethodId.from_canonical(self.test_name)
-        if self.sample_index < 0:
-            raise ValueError(f"sample_index must be >= 0, got {self.sample_index}")
 
     @cached_property
     def top_level_calls(self) -> dict[int, list[CallNode]]:
@@ -272,7 +269,7 @@ def parse_trace(data: "bytes | str") -> TestTrace:
             try:
                 thread = _parse_uint(thread_s, "thread")
                 t_ns = _parse_uint(t_s, "timestamp")
-                method = MethodId(package, class_name, method_name)
+                method = _checked_method(package, class_name, method_name)
             except ValueError as exc:
                 raise TraceFormatError(str(exc), line=lineno) from None
             event = TraceEvent(kind, method, thread, t_ns)
@@ -290,15 +287,10 @@ def parse_trace(data: "bytes | str") -> TestTrace:
 
 
 def write_trace(trace: TestTrace) -> str:
-    """Render a TestTrace to canonical trace-format text.
-
-    parse_trace(write_trace(t)) reproduces t field-for-field.  Raises
-    TraceFormatError when the trace violates its sequence invariants.
-    """
-    violations = validate_trace(trace)
-    if violations:
-        raise TraceFormatError(f"invalid trace: {violations[0]}")
-    return _render_trace(
+    """Render a TestTrace to canonical trace-format text; parse_trace
+    round-trips it.  A trace whose text parse_trace refuses raises
+    TraceFormatError ``invalid trace: line N: ...``."""
+    text = _render_trace(
         trace.test_name,
         trace.sample_index,
         (
@@ -307,6 +299,11 @@ def write_trace(trace: TestTrace) -> str:
             for ev in trace.events
         ),
     )
+    try:
+        parse_trace(text)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"invalid trace: {exc}") from None
+    return text
 
 
 def _render_trace(test_name: str, sample_index: int, rows: Iterable[tuple]) -> str:

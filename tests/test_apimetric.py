@@ -64,8 +64,10 @@ class TestClassify:
             ApiClassifier([])
         with pytest.raises(ValueError):
             ApiClassifier([ApiRule("java.", "a"), ApiRule("java.", "b")])
-        with pytest.raises(ValueError):
-            ApiRule("", "label")
+        with pytest.raises(ValueError, match="^API rule prefix must be non-empty$"):
+            ApiClassifier([ApiRule("", "label")])
+        with pytest.raises(ValueError, match="^API rule label must be non-empty$"):
+            ApiClassifier([ApiRule("java.", "")])
 
 
 API = MethodId("java.util", "Api", "call")

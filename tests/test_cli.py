@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -557,7 +559,9 @@ class TestFlagsPerCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv[command], flag, value])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tracewatt {command} [-h]")
+        assert err.endswith(f"tracewatt {command}: error: unrecognized arguments: {flag} {value}\n")
         assert cli.main(argv[command]) == 0
 
     @pytest.mark.parametrize("command", ["synth", "analyze", "report"])
@@ -582,3 +586,12 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_the_generator_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, tracewatt.cli; print('tracewatt.synth' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n"

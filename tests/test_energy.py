@@ -266,6 +266,18 @@ class TestAttribute:
         energies = attribute([(parent, 0), (left, 1), (right, 1)], profile)
         assert energies[0][1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_children_summing_above_parent_by_rounding_clamp_to_zero(self):
+        # the two children tile the parent; in floats their inclusive
+        # energies sum to 33202615.5, the parent's to 33202615.499999996
+        powers = [3e12, 9e12, 2e12, 6e12, 4e12, 8e12, 7e12, 4e12, 8e12, 2e12]
+        profile = _profile([(float(t), p) for t, p in enumerate(powers)])
+        x = CallNode(MethodId("com.app", "C", "x"), 1, 0, 3901)
+        y = CallNode(MethodId("com.app", "C", "y"), 1, 3901, 1986)
+        parent = CallNode(M, 1, 0, 5887, (x, y))
+        energies = attribute([(parent, 0), (x, 1), (y, 1)], profile)
+        assert energies[1][0] + energies[2][0] > energies[0][0]
+        assert energies[0][1] == 0.0
+
     def test_interval_outside_profile(self):
         profile = _constant(100.0, 1000.0)
         with pytest.raises(AttributionError, match="outside sampled range"):

@@ -243,6 +243,22 @@ def test_write_rejects_invalid_nesting():
         write_trace(trace)
 
 
+@pytest.mark.parametrize(
+    "thread, t_ns, message",
+    [
+        (True, 3, "thread must be an unsigned decimal integer without leading zeros, got 'True'"),
+        (1, 0.5, "timestamp must be an unsigned decimal integer without leading zeros, got '0.5'"),
+    ],
+    ids=["bool thread", "fractional timestamp"],
+)
+def test_write_refuses_what_parse_refuses(thread, t_ns, message):
+    m = MethodId("p", "C", "m")
+    events = (TraceEvent(EventKind.ENTER, m, thread, t_ns), TraceEvent(EventKind.EXIT, m, 1, 3))
+    with pytest.raises(TraceFormatError) as exc:
+        write_trace(TestTrace("a.B::t", 0, events))
+    assert str(exc.value) == f"invalid trace: line 2: {message}"
+
+
 def test_round_trip_random_traces():
     rng = random.Random(1234)
     for _ in range(200):
@@ -270,6 +286,7 @@ def test_fuzz_mutations_never_crash():
         except TraceFormatError:
             continue
         assert validate_trace(trace) == []
+        assert parse_trace(write_trace(trace)) == trace
 
 
 def test_validate_balanced_pair_is_clean():
@@ -315,7 +332,16 @@ def test_validate_never_mutates():
     assert trace.events == events
 
 
+def _one_call(package: str, cls: str, method: str) -> str:
+    """Trace text of one call to ``package``, ``cls``, ``method``; its
+    event lines are lines 2 and 3."""
+    fields = f"{package};{cls};{method}"
+    return f"#trace v1;a.B::t;0\nE;1;0;{fields}\nX;1;1;{fields}\n"
+
+
 class TestMethodId:
+    """The identifier grammar, as parse_trace checks it on event lines."""
+
     def test_canonical_round_trip(self):
         m = MethodId("com.example.util", "LinkedList", "add")
         assert MethodId.from_canonical(m.canonical()) == m
@@ -336,8 +362,8 @@ class TestMethodId:
         ],
     )
     def test_invalid_components_rejected(self, package, cls, method):
-        with pytest.raises(ValueError):
-            MethodId(package, cls, method)
+        with pytest.raises(TraceFormatError, match="^line 2: "):
+            parse_trace(_one_call(package, cls, method))
 
     def test_grammar_accepts_what_the_per_character_checker_accepted(self):
         def old_checker_accepts(value: str, allow_dots: bool) -> bool:
@@ -360,9 +386,9 @@ class TestMethodId:
                 parts = ["p", "C", "m"]
                 parts[position] = value
                 try:
-                    MethodId(*parts)
+                    parse_trace(_one_call(*parts))
                     ok = True
-                except ValueError:
+                except TraceFormatError:
                     ok = False
                 assert ok == old_checker_accepts(value, allow_dots=position == 0), (
                     position, value)
@@ -379,9 +405,26 @@ class TestMethodId:
         ids=["package", "class", "method"],
     )
     def test_error_names_field_and_value(self, parts, message):
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(_one_call(*parts))
+        assert str(exc.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("p q.C::m", r"package 'p q' does not match [^;:.\s]+(?:\.[^;:.\s]+)*"),
+            ("p.C D::m", r"class 'C D' does not match [^;:.\s]+"),
+            ("p.C::m n", r"method 'm n' does not match [^;:.\s]+"),
+        ],
+        ids=["package", "class", "method"],
+    )
+    def test_from_canonical_checks_the_grammar(self, name, message):
         with pytest.raises(ValueError) as exc:
-            MethodId(*parts)
+            MethodId.from_canonical(name)
         assert str(exc.value) == message
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(f"#trace v1;{name};0\n")
+        assert str(exc.value) == f"line 1: {message}"
 
     def test_from_canonical_requires_separator(self):
         with pytest.raises(ValueError):
