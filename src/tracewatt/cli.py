@@ -99,6 +99,18 @@ def _columns(record_type: type) -> list[str]:
     return [f.name for f in dataclasses.fields(record_type)]
 
 
+def _write_records(path: Path, record_type: type, records) -> None:
+    """One CSV row per dataclass record, one column per field."""
+    _write_csv(path, _columns(record_type), [dataclasses.astuple(r) for r in records])
+
+
+def _out_dir(args, default: "Path | str" = "tracewatt-out") -> Path:
+    """The command's --out directory, else ``default``; created if missing."""
+    out_dir = Path(args.out if args.out is not None else default)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _write_analysis(analysis: RevisionAnalysis, out_dir: Path) -> None:
     fields = _columns(MethodRow)
     at = fields.index("method")
@@ -111,11 +123,7 @@ def _write_analysis(analysis: RevisionAnalysis, out_dir: Path) -> None:
         method_rows.append(values)
     header = [*fields[:at], "package", "class", "method", *fields[at + 1:]]
     _write_csv(out_dir / "methods.csv", header, method_rows)
-    _write_csv(
-        out_dir / "tests.csv",
-        _columns(ExecutionRecord),
-        [dataclasses.astuple(record) for record in analysis.dataset.records],
-    )
+    _write_records(out_dir / "tests.csv", ExecutionRecord, analysis.dataset.records)
 
 
 def _write_report_files(report: ComparisonReport, out_dir: Path) -> None:
@@ -124,25 +132,13 @@ def _write_report_files(report: ComparisonReport, out_dir: Path) -> None:
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     for metric, comparison in report.metrics.items():
-        _write_csv(
-            out_dir / f"pairwise_{metric}.csv",
-            _columns(TukeyPair),
-            [dataclasses.astuple(p) for p in comparison.pairs],
-        )
+        _write_records(out_dir / f"pairwise_{metric}.csv", TukeyPair, comparison.pairs)
     _write_csv(
         out_dir / "proxy_scores.csv",
         ["target", *_columns(ProxyScore)],
         [[t, *dataclasses.astuple(s)] for t, s in report.proxy.items()],
     )
-    _write_summaries_csv(report, out_dir)
-
-
-def _write_summaries_csv(report: ComparisonReport, out_dir: Path) -> None:
-    _write_csv(
-        out_dir / SUMMARIES_CSV,
-        _columns(RevisionSummary),
-        [dataclasses.astuple(s) for s in report.summaries],
-    )
+    _write_records(out_dir / SUMMARIES_CSV, RevisionSummary, report.summaries)
 
 
 def _summary_text(report: ComparisonReport) -> str:
@@ -197,8 +193,7 @@ def cmd_analyze(args) -> int:
         raise LayoutError(f"{revision_dir} is not a directory")
     (executions,) = _scan_revisions(config, [revision_dir])
     analysis = analyze_revision(revision_dir.name, executions, config)
-    out_dir = Path(args.out if args.out is not None else "tracewatt-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     _write_analysis(analysis, out_dir)
     print(
         f"analyzed revision {analysis.dataset.revision}: "
@@ -226,8 +221,7 @@ def cmd_evolve(args) -> int:
         for rev_dir, executions in zip(revision_dirs, scans)
     ]
     report = evolution.compare(datasets, config)
-    out_dir = Path(args.out if args.out is not None else "tracewatt-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     _write_report_files(report, out_dir)
     print(_summary_text(report), end="")
     print(f"report written to {out_dir}")
@@ -255,15 +249,13 @@ def cmd_report(args) -> int:
     report_path = in_dir / REPORT_NAME
     if not report_path.is_file():
         raise LayoutError(f"{report_path} does not exist (run evolve first)")
-    try:
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
+    try:  # bytes decoded here: json.loads would take UTF-16 and UTF-32 too
+        payload = json.loads(report_path.read_bytes().decode("utf-8"))
         report = evolution.report_from_json_dict(payload)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: corrupt report file {report_path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    out_dir = Path(args.out) if args.out is not None else in_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_summaries_csv(report, out_dir)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise LineFormatError(f"corrupt report file {report_path}: {exc}") from None
+    out_dir = _out_dir(args, in_dir)
+    _write_records(out_dir / SUMMARIES_CSV, RevisionSummary, report.summaries)
     text = _summary_text(report)
     (out_dir / "summary.txt").write_text(text, encoding="utf-8")
     print(text, end="")

@@ -270,8 +270,9 @@ def compare(
         groups = [_observations(rev, metric, config) for rev in datasets]
         n_observations = sum(len(g) for g in groups)
         try:
+            result = anova(groups)
             metrics[metric] = MetricComparison(
-                anova(groups), tukey_hsd(groups, config.alpha, labels)
+                result, tukey_hsd(groups, result, config.alpha, labels)
             )
         except ValueError as exc:
             raise AnalysisError(f"{metric}: {exc}") from None

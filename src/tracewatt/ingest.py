@@ -14,9 +14,9 @@ from typing import Optional
 from .apimetric import uapi
 from .callgraph import build_call_trees, node_intervals
 from .config import AnalysisConfig
-from .energy import AttributionError, PowerFormatError, attribute, integrate, parse_power, shift_profile
+from .energy import AttributionError, attribute, integrate, parse_power, shift_profile
 from .evolution import ExecutionRecord, RevisionDataset, normalize_ruapi
-from .trace import MethodId, TraceFormatError, _parse_uint, parse_trace
+from .trace import LineFormatError, MethodId, TraceFormatError, _parse_uint, parse_trace
 
 
 class LayoutError(ValueError):
@@ -108,35 +108,25 @@ def analyze_execution(
     U values and attribute energy.
 
     The record's rU is NaN until normalize_ruapi sets it, because N sums
-    over every execution of the same sample run.  Parse and attribution
-    errors name the file they came from.
+    over every execution of the same sample run.  A parse or attribution
+    error is raised again, once, naming the file it came from.
     """
     try:
         trace = parse_trace(trace_path.read_bytes())
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"{trace_path}: {exc}") from None
-    try:
         profile = parse_power(power_path.read_bytes())
-    except PowerFormatError as exc:
-        raise PowerFormatError(f"{power_path}: {exc}") from None
-    for path, parsed in ((trace_path, trace), (power_path, profile)):
-        if (parsed.test_name, parsed.sample_index) != (test_name, sample_index):
-            raise LayoutError(
-                f"{path}: header names {parsed.test_name} sample "
-                f"{parsed.sample_index}, expected {test_name} sample {sample_index}"
-            )
-    offset = config.power_clock_offset_us.get(test_name, 0.0)
-    profile = shift_profile(profile, offset)
+        for path, parsed in ((trace_path, trace), (power_path, profile)):
+            if (parsed.test_name, parsed.sample_index) != (test_name, sample_index):
+                raise LayoutError(
+                    f"{path}: header names {parsed.test_name} sample "
+                    f"{parsed.sample_index}, expected {test_name} sample {sample_index}"
+                )
+        profile = shift_profile(profile, config.power_clock_offset_us.get(test_name, 0.0))
 
-    tree = build_call_trees(trace)
-    metric = uapi(tree, config.classifier)
-    intervals = node_intervals(tree)
-    if tree.roots:
-        start_ns = min(r.t_start_ns for r in tree.roots)
-        end_ns = max(r.t_end_ns for r in tree.roots)
-    else:
-        start_ns = end_ns = 0
-    try:
+        tree = build_call_trees(trace)
+        metric = uapi(tree, config.classifier)
+        intervals = node_intervals(tree)
+        start_ns = min((r.t_start_ns for r in tree.roots), default=0)
+        end_ns = max((r.t_end_ns for r in tree.roots), default=0)
         energies = attribute(intervals, profile)
         if end_ns > start_ns:
             energy_mj = integrate(profile, start_ns / 1000.0, end_ns / 1000.0)
@@ -144,8 +134,9 @@ def analyze_execution(
         else:
             energy_mj = 0.0
             avg_power_mw = 0.0
-    except AttributionError as exc:
-        raise AttributionError(f"{power_path}: {exc}") from None
+    except (LineFormatError, AttributionError) as exc:
+        path = trace_path if isinstance(exc, TraceFormatError) else power_path
+        raise type(exc)(f"{path}: {exc}") from None
 
     rows = []
     for (node, depth), (inclusive, exclusive) in zip(intervals, energies):

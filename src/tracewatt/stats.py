@@ -100,25 +100,20 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, BETA_CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd step of the fraction
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < BETA_CF_REL_TOL:
             return h
     raise ConvergenceError(
@@ -277,8 +272,9 @@ def anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
     df_between = k - 1
     df_within = n_total - k
 
-    grand_mean = float_sum(float_sum(g) for g in groups) / n_total
-    means = [float_sum(g) / len(g) for g in groups]
+    sums = [float_sum(g) for g in groups]
+    grand_mean = float_sum(sums) / n_total
+    means = [total / n for total, n in zip(sums, sizes)]
     ss_between = float_sum(n * (m - grand_mean) ** 2 for n, m in zip(sizes, means))
     ss_within = float_sum(
         float_sum((x - m) ** 2 for x in g) for g, m in zip(groups, means)
@@ -300,11 +296,13 @@ def anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
 
 def tukey_hsd(
     groups: Sequence[Sequence[float]],
+    result: AnovaResult,
     alpha: float = 0.05,
     labels: Optional[Sequence[str]] = None,
 ) -> list[TukeyPair]:
     """All-pairs Tukey HSD comparisons at family-wise level alpha.
 
+    ``result`` is ``anova(groups)``, whose MSE and error df every q uses.
     Uses the Tukey-Kramer statistic q = |mean_i - mean_j| /
     sqrt((MSE/2) (1/n_i + 1/n_j)), which reduces to plain Tukey HSD for
     balanced groups, and adjusts p-values through the studentized range
@@ -312,7 +310,6 @@ def tukey_hsd(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    result = anova(groups)
     if labels is None:
         labels = [str(i) for i in range(len(groups))]
     elif len(labels) != len(groups):

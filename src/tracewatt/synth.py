@@ -88,7 +88,7 @@ class RevisionSpec:
     noise_stddev_mw: float = 0.0
 
     def __post_init__(self):
-        if not self.label or "/" in self.label or any(c.isspace() for c in self.label):
+        if self.label in ("", ".", "..") or "/" in self.label or any(map(str.isspace, self.label)):
             raise ValueError(f"bad revision label {self.label!r}")
         if self.api_call_multiplier <= 0:
             raise ValueError(
@@ -289,13 +289,16 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
     ``<label>/power/<test>.<sample>.power``.  The manifest is also written
     to ``manifest.json`` in the output directory.
     """
-    root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-
     skeletons = [
         _build_skeleton(_stream(spec.seed, "tree", i), spec)
         for i in range(spec.tests)
     ]
+    most_api_calls = max(sum(calls for _, calls in skeleton) for skeleton in skeletons)
+    for rev in spec.revisions:
+        if not math.isfinite(most_api_calls * rev.api_call_multiplier):
+            raise ValueError(f"revision {rev.label}: api_call_multiplier is too large")
+    root = Path(out_dir)
+    root.mkdir(parents=True, exist_ok=True)
 
     revision_entries: dict[str, dict] = {}
     expected_energy: dict[str, float] = {}

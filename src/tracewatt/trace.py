@@ -287,9 +287,10 @@ def parse_trace(data: "bytes | str") -> TestTrace:
 
 
 def write_trace(trace: TestTrace) -> str:
-    """Render a TestTrace to canonical trace-format text; parse_trace
-    round-trips it.  A trace whose text parse_trace refuses raises
-    TraceFormatError ``invalid trace: line N: ...``."""
+    """Render a TestTrace to canonical trace-format text, returned only if
+    parse_trace gives the same trace back; else raises TraceFormatError
+    ``invalid trace: line N: ...`` or ``invalid trace: its text parses to
+    a different trace`` (a thread ``"1"`` parses as ``1``)."""
     text = _render_trace(
         trace.test_name,
         trace.sample_index,
@@ -300,9 +301,11 @@ def write_trace(trace: TestTrace) -> str:
         ),
     )
     try:
-        parse_trace(text)
+        same = parse_trace(text) == trace
     except TraceFormatError as exc:
         raise TraceFormatError(f"invalid trace: {exc}") from None
+    if not same:
+        raise TraceFormatError("invalid trace: its text parses to a different trace")
     return text
 
 

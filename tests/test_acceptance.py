@@ -144,7 +144,8 @@ def test_criterion_5_studentized_range():
             assert ptukey(q, 2, 1e6) == pytest.approx(expected, abs=1e-4)
         values = [ptukey(0.25 * i, 5, 12) for i in range(1, 60)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-        pairs = {(p.group_a, p.group_b): p.p_adj for p in tukey_hsd(TK_GROUPS)}
+        tk_pairs = tukey_hsd(TK_GROUPS, anova(TK_GROUPS))
+        pairs = {(p.group_a, p.group_b): p.p_adj for p in tk_pairs}
         for key, expected_p in TK_REFERENCE_P.items():
             assert pairs[key] == pytest.approx(expected_p, abs=1e-3)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,28 @@ class TestSynthCommand:
         spec_file.write_text(SPEC_TEXT.replace("api_call_multiplier = 1.0\nbase_power_mw = 100.0\napi_cost_mw = 60.0\nnoise_stddev_mw = 1.0\n\n[revision.1.1]\n", "api_call_multiplier = 0\n\n[revision.1.1]\n", 1))
         assert cli.main(["synth", str(spec_file), str(tmp_path / "fx")]) == 2
         assert "multiplier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("[revision...]\n", "bad revision label '..'"),
+            ("[revision..]\n", "bad revision label '.'"),
+            (
+                "[revision.big]\napi_call_multiplier = 1e308\n",
+                "revision big: api_call_multiplier is too large",
+            ),
+        ],
+        ids=["dot-dot-label", "dot-label", "overflowing-multiplier"],
+    )
+    def test_revision_that_escapes_its_directory_or_overflows_exits_2(
+        self, tmp_path, capsys, section, message
+    ):
+        spec_file = tmp_path / "spec.ini"
+        spec_file.write_text(SPEC_TEXT + "\n" + section)
+        out = tmp_path / "out" / "fx"
+        assert cli.main(["synth", str(spec_file), str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_spec_exits_2(self, tmp_path):
         assert cli.main(["synth", str(tmp_path / "nope.ini"), str(tmp_path / "fx")]) == 2
@@ -388,7 +411,7 @@ class TestEvolveCommand:
         assert test_name not in payload["aligned_tests"]
 
     def test_quadrature_not_converging_exits_5(self, fixture_dir, tmp_path, monkeypatch, capsys):
-        def diverging_tukey_hsd(groups, alpha, labels):
+        def diverging_tukey_hsd(groups, anova_result, alpha, labels):
             return stats.ptukey(40.0, 30, 1)
 
         monkeypatch.setattr(evolution, "tukey_hsd", diverging_tukey_hsd)
@@ -421,6 +444,19 @@ class TestReportCommand:
     def test_corrupt_report_exits_3(self, tmp_path):
         (tmp_path / "report.json").write_text("{not json")
         assert cli.main(["report", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+        ids=["not-utf8", "nested-too-deeply"],
+    )
+    def test_undecodable_report_exits_3_naming_the_file(self, tmp_path, capsys, data):
+        report = tmp_path / "report.json"
+        report.write_bytes(data)
+        assert cli.main(["report", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt report file {report}: ")
+        assert "Traceback" not in err
 
     def test_regenerates_summaries_and_text(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -595,3 +631,121 @@ def test_cli_import_leaves_the_generator_unloaded():
         [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
     )
     assert run.stdout == "False\n"
+
+
+ONE_TRACE = "#trace v1;a.B::t;0\nE;1;0;a;B;t\nX;1;2000;a;B;t\n"
+ONE_POWER = "#power v1;a.B::t;0;1000.0\n0.0;100.0\n10.0;100.0\n"
+
+
+# Each helper changes the one-execution revision ``rev`` and returns the
+# command's arguments.
+def _write(rev: Path, name: str, text: str) -> list[str]:
+    (rev / name).write_text(text)
+    return [str(rev)]
+
+
+def _remove(rev: Path, name: str) -> list[str]:
+    shutil.rmtree(rev / name)
+    return [str(rev)]
+
+
+def _mkdir(rev: Path, name: str) -> list[str]:
+    (rev / name).mkdir()
+    return [str(rev)]
+
+
+def _config(rev: Path, text: str) -> list[str]:
+    config = rev.parent / "cfg.ini"
+    config.write_text(text)
+    return [str(rev), "--config", str(config)]
+
+
+def _one_test_row(out: Path) -> dict:
+    (row,) = _read_csv(out / "tests.csv")
+    return row
+
+
+def _header_only_outputs(out: Path) -> None:
+    assert float(_one_test_row(out)["energy_mj"]) == 0.0
+    assert _read_csv(out / "methods.csv") == []
+
+
+# id -> (command; its arguments for the revision <tmp>/1.0, after any
+# change to it; exit code; start of stderr, {rev} standing for the
+# revision; check of the outputs of a run that succeeds)
+FAILURE_PATHS = {
+    "missing-config": (
+        "analyze", lambda rev: [str(rev), "--config", str(rev / "missing.ini")], 2,
+        "error: config file {rev}/missing.ini does not exist\n", None,
+    ),
+    "analyze-on-a-file": (
+        "analyze", lambda rev: [str(rev / "traces" / "a.B::t.0.trace")], 2,
+        "error: {rev}/traces/a.B::t.0.trace is not a directory\n", None,
+    ),
+    "evolve-on-a-file": (
+        "evolve", lambda rev: [str(rev / "traces" / "a.B::t.0.trace")], 2,
+        "error: {rev}/traces/a.B::t.0.trace is not a directory\n", None,
+    ),
+    "no-traces-dir": (
+        "analyze", lambda rev: _remove(rev, "traces"), 2,
+        "error: {rev}: missing traces/ directory\n", None,
+    ),
+    "no-power-dir": (
+        "analyze", lambda rev: _remove(rev, "power"), 2,
+        "error: {rev}: missing power/ directory\n", None,
+    ),
+    "badly-named-trace": (
+        "analyze", lambda rev: _write(rev, "traces/notes.txt", ""), 2,
+        "error: {rev}/traces/notes.txt: expected <test_name>.<sample_index>.trace\n", None,
+    ),
+    "orphan-power": (
+        "analyze", lambda rev: _write(rev, "power/a.B::t.1.power", ONE_POWER), 2,
+        "error: {rev}: power file for a.B::t sample 1 has no matching trace\n", None,
+    ),
+    "corrupt-power-line": (
+        "analyze", lambda rev: _write(rev, "power/a.B::t.0.power", ONE_POWER + "20.0;x\n"), 3,
+        "error: {rev}/power/a.B::t.0.power: line 4: ", None,
+    ),
+    "header-names-another-test": (
+        "analyze",
+        lambda rev: _write(rev, "traces/a.B::t.0.trace", ONE_TRACE.replace("::t;", "::u;")), 2,
+        "error: {rev}/traces/a.B::t.0.trace: header names a.B::u sample 0, "
+        "expected a.B::t sample 0\n", None,
+    ),
+    "weekly-observation-unit": (
+        "analyze", lambda rev: _config(rev, "[analysis]\nobservation_unit = weekly\n"), 2,
+        "error: observation_unit must be one of ('per_sample', 'per_test_mean')\n", None,
+    ),
+    "top-k-zero": (
+        "analyze", lambda rev: _config(rev, "[analysis]\ntop_k_tests = 0\n"), 2,
+        "error: top_k_tests must be >= 1, got 0\n", None,
+    ),
+    "header-only-trace": (
+        "analyze", lambda rev: _write(rev, "traces/a.B::t.0.trace", "#trace v1;a.B::t;0\n"), 0,
+        "", _header_only_outputs,
+    ),
+    "subdirectory-in-traces": (
+        "analyze", lambda rev: _mkdir(rev, "traces/nested.0.trace"), 0, "", _one_test_row,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, arguments, code, err, check", FAILURE_PATHS.values(), ids=FAILURE_PATHS.keys()
+)
+def test_each_failure_path_exits_with_its_code_and_no_traceback(
+    tmp_path, capsys, command, arguments, code, err, check
+):
+    rev = tmp_path / "1.0"
+    (rev / "traces").mkdir(parents=True)
+    (rev / "power").mkdir()
+    (rev / "traces" / "a.B::t.0.trace").write_text(ONE_TRACE)
+    (rev / "power" / "a.B::t.0.power").write_text(ONE_POWER)
+    out = tmp_path / "out"
+    assert cli.main([command, *arguments(rev), "--out", str(out)]) == code
+    stderr = capsys.readouterr().err
+    expected = err.format(rev=rev)
+    assert stderr.startswith(expected) if expected else stderr == ""
+    assert "Traceback" not in stderr
+    if check is not None:
+        check(out)

@@ -239,9 +239,13 @@ class TestPtukey:
             ptukey(1.0, 3, 0.5)
 
 
+GROUPS_2X2 = [[1.0, 2.0], [3.0, 4.0]]
+
+
 class TestTukeyHsd:
     def test_equal_means_not_significant(self):
-        pairs = tukey_hsd([[1.0, 2.0, 3.0]] * 4)
+        groups = [[1.0, 2.0, 3.0]] * 4
+        pairs = tukey_hsd(groups, anova(groups))
         assert len(pairs) == 6
         for pair in pairs:
             assert pair.q == 0.0
@@ -251,7 +255,7 @@ class TestTukeyHsd:
     def test_pair_count_for_fourteen_groups(self):
         rng = random.Random(3)
         groups = [[rng.gauss(0, 1) for _ in range(3)] for _ in range(14)]
-        assert len(tukey_hsd(groups)) == 91
+        assert len(tukey_hsd(groups, anova(groups))) == 91
 
     def test_spec_dataset_significance_pattern(self):
         groups = [
@@ -259,33 +263,35 @@ class TestTukeyHsd:
             [10.0, 10.0, 10.0, 10.0],
             [0.1, -0.1, 0.05, -0.05],
         ]
-        pairs = {(p.group_a, p.group_b): p for p in tukey_hsd(groups, alpha=0.05)}
+        pairs = {(p.group_a, p.group_b): p for p in tukey_hsd(groups, anova(groups), alpha=0.05)}
         assert pairs[("0", "1")].significant
         assert not pairs[("0", "2")].significant
         assert pairs[("1", "2")].significant
 
     def test_reference_table_unequal_sizes(self):
-        pairs = {(p.group_a, p.group_b): p for p in tukey_hsd(TK_GROUPS)}
+        pairs = {(p.group_a, p.group_b): p for p in tukey_hsd(TK_GROUPS, anova(TK_GROUPS))}
         for key, expected_p in TK_REFERENCE_P.items():
             assert pairs[key].p_adj == pytest.approx(expected_p, abs=1e-3)
             assert pairs[key].significant == (expected_p < 0.05)
 
     def test_zero_mse_with_distinct_means(self):
-        pairs = tukey_hsd([[1.0, 1.0], [2.0, 2.0]])
+        groups = [[1.0, 1.0], [2.0, 2.0]]
+        pairs = tukey_hsd(groups, anova(groups))
         assert math.isinf(pairs[0].q)
         assert pairs[0].p_adj == 0.0
         assert pairs[0].significant
 
     def test_mean_diff_direction_and_labels(self):
-        pairs = tukey_hsd([[1.0, 1.2], [3.0, 3.2]], labels=["old", "new"])
+        groups = [[1.0, 1.2], [3.0, 3.2]]
+        pairs = tukey_hsd(groups, anova(groups), labels=["old", "new"])
         assert pairs[0].group_a == "old"
         assert pairs[0].group_b == "new"
         assert pairs[0].mean_diff == pytest.approx(2.0)
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            tukey_hsd([[1.0, 2.0], [3.0, 4.0]], labels=["only-one"])
+            tukey_hsd(GROUPS_2X2, anova(GROUPS_2X2), labels=["only-one"])
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
-            tukey_hsd([[1.0, 2.0], [3.0, 4.0]], alpha=1.5)
+            tukey_hsd(GROUPS_2X2, anova(GROUPS_2X2), alpha=1.5)

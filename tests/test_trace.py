@@ -259,6 +259,17 @@ def test_write_refuses_what_parse_refuses(thread, t_ns, message):
     assert str(exc.value) == f"invalid trace: line 2: {message}"
 
 
+@pytest.mark.parametrize(
+    "thread, sample_index", [("1", 0), (1, "0")], ids=["str thread", "str sample_index"]
+)
+def test_write_refuses_text_that_parses_to_another_trace(thread, sample_index):
+    m = MethodId("p", "C", "m")
+    events = (TraceEvent(EventKind.ENTER, m, thread, 0), TraceEvent(EventKind.EXIT, m, thread, 3))
+    with pytest.raises(TraceFormatError) as exc:
+        write_trace(TestTrace("a.B::t", sample_index, events))
+    assert str(exc.value) == "invalid trace: its text parses to a different trace"
+
+
 def test_round_trip_random_traces():
     rng = random.Random(1234)
     for _ in range(200):
@@ -273,20 +284,74 @@ def test_parser_output_always_validates():
         assert validate_trace(parse_trace(write_trace(trace))) == []
 
 
+# Characters a field mutation writes into a name: most keep the identifier
+# grammar, "." breaks it in a class or method name.
+_NAME_CHARS = "abXY_$09\u00e9."
+
+
+def _mutate_fields(rng: random.Random, lines: list[str]) -> None:
+    """Apply one mutation to the event lines (``lines[1:]``) that keeps
+    every line's field count: swap or drop a line, set a kind to E or X,
+    rewrite a digit of a thread or timestamp, or rewrite a character of a
+    name on every line that carries that name."""
+    n = len(lines)
+    op = rng.randrange(5)
+    if op == 0 and n > 3:
+        i, j = rng.sample(range(1, n), 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 1 and n > 2:
+        del lines[rng.randrange(1, n)]
+    elif op == 4:
+        f = rng.choice((3, 4, 5))
+        old = lines[rng.randrange(1, n)].split(";")[f]
+        pos = rng.randrange(len(old))
+        new = old[:pos] + rng.choice(_NAME_CHARS) + old[pos + 1:]
+        for k in range(1, n):
+            fields = lines[k].split(";")
+            if fields[f] == old:
+                fields[f] = new
+                lines[k] = ";".join(fields)
+    else:
+        i = rng.randrange(1, n)
+        fields = lines[i].split(";")
+        if op == 2:
+            fields[0] = rng.choice("EX")
+        else:
+            f = rng.choice((1, 2))
+            pos = rng.randrange(len(fields[f]))
+            fields[f] = fields[f][:pos] + rng.choice("0123456789") + fields[f][pos + 1:]
+        lines[i] = ";".join(fields)
+
+
 def test_fuzz_mutations_never_crash():
     rng = random.Random(7)
-    base = write_trace(random_trace(rng, max_events_per_thread=20)).encode()
+    text = write_trace(random_trace(rng, max_events_per_thread=20))
+    base = text.encode()
+    # Byte mutations: parse_trace raises nothing but TraceFormatError.
     for _ in range(500):
         data = bytearray(base)
         for _ in range(rng.randrange(1, 6)):
             pos = rng.randrange(len(data))
             data[pos] = rng.randrange(256)
         try:
-            trace = parse_trace(bytes(data))
+            parse_trace(bytes(data))
+        except TraceFormatError:
+            pass
+    # Field mutations keep the line shape, so many mutants parse and the
+    # round trip is checked on each of them.
+    accepted = 0
+    for _ in range(500):
+        lines = text.splitlines()
+        for _ in range(rng.randrange(1, 6)):
+            _mutate_fields(rng, lines)
+        try:
+            trace = parse_trace("\n".join(lines) + "\n")
         except TraceFormatError:
             continue
+        accepted += 1
         assert validate_trace(trace) == []
         assert parse_trace(write_trace(trace)) == trace
+    assert accepted >= 50
 
 
 def test_validate_balanced_pair_is_clean():
