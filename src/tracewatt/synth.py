@@ -293,9 +293,12 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
         _build_skeleton(_stream(spec.seed, "tree", i), spec)
         for i in range(spec.tests)
     ]
+    # A multiplier may give a test at most 100 API calls per frame and
+    # branch; every test has the same frames (see _build_skeleton).
+    api_call_limit = 100 * len(skeletons[0]) * spec.branching
     most_api_calls = max(sum(calls for _, calls in skeleton) for skeleton in skeletons)
     for rev in spec.revisions:
-        if not math.isfinite(most_api_calls * rev.api_call_multiplier):
+        if not most_api_calls * rev.api_call_multiplier <= api_call_limit:
             raise ValueError(f"revision {rev.label}: api_call_multiplier is too large")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

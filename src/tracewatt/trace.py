@@ -301,7 +301,9 @@ def write_trace(trace: TestTrace) -> str:
         ),
     )
     try:
-        same = parse_trace(text) == trace
+        same = parse_trace(text) == TestTrace(
+            trace.test_name, trace.sample_index, tuple(trace.events)
+        )
     except TraceFormatError as exc:
         raise TraceFormatError(f"invalid trace: {exc}") from None
     if not same:

@@ -83,8 +83,12 @@ class TestSynthCommand:
                 "[revision.big]\napi_call_multiplier = 1e308\n",
                 "revision big: api_call_multiplier is too large",
             ),
+            (
+                "[revision.big]\napi_call_multiplier = 1e12\n",
+                "revision big: api_call_multiplier is too large",
+            ),
         ],
-        ids=["dot-dot-label", "dot-label", "overflowing-multiplier"],
+        ids=["dot-dot-label", "dot-label", "overflowing-multiplier", "huge-multiplier"],
     )
     def test_revision_that_escapes_its_directory_or_overflows_exits_2(
         self, tmp_path, capsys, section, message

@@ -270,6 +270,13 @@ def test_write_refuses_text_that_parses_to_another_trace(thread, sample_index):
     assert str(exc.value) == "invalid trace: its text parses to a different trace"
 
 
+def test_write_accepts_events_as_a_list():
+    m = MethodId("p", "C", "m")
+    events = [TraceEvent(EventKind.ENTER, m, 1, 0), TraceEvent(EventKind.EXIT, m, 1, 3)]
+    text = write_trace(TestTrace("a.B::t", 0, events))
+    assert text == write_trace(TestTrace("a.B::t", 0, tuple(events)))
+
+
 def test_round_trip_random_traces():
     rng = random.Random(1234)
     for _ in range(200):
@@ -327,16 +334,19 @@ def test_fuzz_mutations_never_crash():
     rng = random.Random(7)
     text = write_trace(random_trace(rng, max_events_per_thread=20))
     base = text.encode()
-    # Byte mutations: parse_trace raises nothing but TraceFormatError.
+    # Byte mutations: parse_trace raises nothing but TraceFormatError, and
+    # a mutant it accepts round-trips.
     for _ in range(500):
         data = bytearray(base)
         for _ in range(rng.randrange(1, 6)):
             pos = rng.randrange(len(data))
             data[pos] = rng.randrange(256)
         try:
-            parse_trace(bytes(data))
+            trace = parse_trace(bytes(data))
         except TraceFormatError:
-            pass
+            continue
+        assert validate_trace(trace) == []
+        assert parse_trace(write_trace(trace)) == trace
     # Field mutations keep the line shape, so many mutants parse and the
     # round trip is checked on each of them.
     accepted = 0
