@@ -1,6 +1,8 @@
 """Small-sample statistics kernel: one-way ANOVA, F-distribution tail
 probabilities via the regularized incomplete beta function, the
-studentized range distribution via nested Gauss-Legendre quadrature, and
+studentized range distribution via nested Gauss-Legendre quadrature
+(Copenhaver & Holland, 1988) that refines its inner and outer panels
+separately and skips points a pairwise tail bound already settles, and
 Tukey HSD (Tukey-Kramer for unequal group sizes) post-hoc tests.
 
 Everything here is pure and reentrant; no external numeric libraries.
@@ -15,10 +17,17 @@ from typing import Iterable, Optional, Sequence
 BETA_CF_MAX_ITER = 300
 BETA_CF_REL_TOL = 1e-12
 PTUKEY_ABS_TOL = 1e-6
-PTUKEY_MAX_DOUBLINGS = 4
-# Above this many error degrees of freedom the sample-scale distribution is
-# numerically a point mass at 1 and the outer integral is skipped.
-PTUKEY_LARGE_DF = 25000.0
+PTUKEY_OUTER_ABS_TOL = 1e-10
+# per axis; two groups of two observations (k = 2, df = 2) need an eighth
+# outer doubling at some q between 600 and 1050
+PTUKEY_MAX_DOUBLINGS = 8
+PTUKEY_TAIL_CUT = 2.0**-53
+# Above this many error degrees of freedom the sample scale is taken as a
+# point mass at 1 and the outer integral is skipped.  That costs about
+# 0.3/df; the outer integral's own error grows about as 7e-16 * df, from
+# rounding in its log normalizing constant.  The two meet near 2e7, at
+# about 1.5e-8 (checked at k=2 against the exact t tail).
+PTUKEY_LARGE_DF = 2e7
 _GL_ORDER = 24  # Gauss-Legendre nodes per quadrature panel
 _Z_LIM = 8.5
 _SQRT2 = math.sqrt(2.0)
@@ -202,11 +211,18 @@ def ptukey(q: float, k: int, df: float) -> float:
     """P(Q <= q) for the studentized range with k groups and df error
     degrees of freedom.
 
-    Nested numerical integration: the outer integral runs over the scaled
-    chi density of the sample standard deviation, the inner over the
-    normal range probability, both on Gauss-Legendre panels.  Panel counts
-    are doubled until two successive evaluations agree within 1e-6
-    absolute; failure to stabilize raises ConvergenceError.
+    Returns exactly 1.0, with no quadrature, when the pairwise Bonferroni
+    bound C(k,2) * P(|T_df| > q/sqrt(2)) on 1 - P is at most 2**-53: the
+    exact answer rounds to 1.0 there.  Otherwise nested quadrature: the
+    outer integral runs over the scaled chi density of the sample standard
+    deviation, the inner over the normal range probability, both on
+    Gauss-Legendre panels.  The inner panels are doubled first, at two
+    outer panels, until two levels agree within PTUKEY_ABS_TOL; then the
+    outer panels, at that inner count, until two levels agree within
+    PTUKEY_OUTER_ABS_TOL, which is tighter because the outer axis converges
+    slowly at small df.  The finer level is returned.  An axis that does
+    not stabilize within PTUKEY_MAX_DOUBLINGS doublings raises
+    ConvergenceError.
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
@@ -218,22 +234,37 @@ def ptukey(q: float, k: int, df: float) -> float:
         return 0.0
     if math.isinf(q):
         return 1.0
-    inner_panels, outer_panels = 1, 4
-    prev_value = None
-    for _ in range(PTUKEY_MAX_DOUBLINGS + 1):
-        if df > PTUKEY_LARGE_DF:
-            current = _range_cdf(q, k, inner_panels)
-        else:
-            current = _ptukey_outer(q, k, df, inner_panels, outer_panels)
-        if prev_value is not None and abs(current - prev_value) <= PTUKEY_ABS_TOL:
-            return current
-        prev_value = current
-        inner_panels *= 2
-        outer_panels *= 2
-    raise ConvergenceError(
-        f"studentized range quadrature did not stabilize for q={q}, k={k}, df={df}",
-        PTUKEY_MAX_DOUBLINGS + 1,
-    )
+    # the t tail is heavier than the normal one, so the normal bound
+    # decides first whether the incomplete beta is worth evaluating
+    pairs = 0.5 * k * (k - 1)
+    if pairs * math.erfc(0.5 * q) <= PTUKEY_TAIL_CUT and (
+        df > PTUKEY_LARGE_DF
+        or pairs * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + 0.5 * q * q))
+        <= PTUKEY_TAIL_CUT
+    ):
+        return 1.0
+
+    def refine(evaluate, panels, tol, previous=None):
+        # double ``panels`` until two levels agree; return the finer one
+        if previous is None:
+            previous = evaluate(panels)
+        for _ in range(PTUKEY_MAX_DOUBLINGS):
+            panels *= 2
+            current = evaluate(panels)
+            if abs(current - previous) <= tol:
+                return panels, current
+            previous = current
+        raise ConvergenceError(
+            f"studentized range quadrature did not stabilize for q={q}, k={k}, df={df}",
+            PTUKEY_MAX_DOUBLINGS + 1,
+        )
+
+    if df > PTUKEY_LARGE_DF:
+        return refine(lambda n: _range_cdf(q, k, n), 1, PTUKEY_ABS_TOL)[1]
+    inner, value = refine(lambda n: _ptukey_outer(q, k, df, n, 2), 1, PTUKEY_ABS_TOL)
+    return refine(
+        lambda n: _ptukey_outer(q, k, df, inner, n), 2, PTUKEY_OUTER_ABS_TOL, value
+    )[1]
 
 
 def _ptukey_outer(q: float, k: int, df: float, inner_panels: int, outer_panels: int) -> float:

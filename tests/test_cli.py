@@ -416,7 +416,9 @@ class TestEvolveCommand:
 
     def test_quadrature_not_converging_exits_5(self, fixture_dir, tmp_path, monkeypatch, capsys):
         def diverging_tukey_hsd(groups, anova_result, alpha, labels):
-            return stats.ptukey(40.0, 30, 1)
+            raise stats.ConvergenceError(
+                "studentized range quadrature did not stabilize for q=40.0, k=30, df=1", 6
+            )
 
         monkeypatch.setattr(evolution, "tukey_hsd", diverging_tukey_hsd)
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 5

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tracewatt import stats
 from tracewatt.stats import (
     anova,
     f_upper_tail,
@@ -30,6 +31,23 @@ PTUKEY_REFERENCE = {
     (1.5, 3, 3): 0.40422741947476243,
     (2.0, 2, 1): 0.6081734479693928,
     (5.0, 10, 30): 0.9625770171515469,
+    # scipy 1.17, at small df with large q or k, where the outer integral
+    # converges slowly
+    (20.0, 3, 1): 0.9326304847758619,
+    (30.0, 3, 2): 0.9959565430227058,
+    (50.0, 3, 5): 0.9999991901924874,
+    (50.0, 8, 5): 0.9999964029456353,
+    (5.0, 20, 5): 0.7164571424712579,
+    (20.0, 30, 10): 0.9999916614533731,
+    (50.0, 30, 5): 0.9999859101209109,
+}
+
+# Frozen scipy 1.17 values at df = 1, where the outer axis needs its
+# seventh doubling.
+PTUKEY_EXTREME_REFERENCE = {
+    (40.0, 30, 1): 0.9186595413517228,
+    (50.0, 30, 1): 0.9348833613708168,
+    (50.0, 20, 1): 0.9404606764825929,
 }
 
 F_SF_REFERENCE = {
@@ -211,7 +229,53 @@ class TestPtukey:
 
     def test_frozen_reference_grid(self):
         for (q, k, df), expected in PTUKEY_REFERENCE.items():
-            assert ptukey(q, k, df) == pytest.approx(expected, abs=1e-6)
+            assert ptukey(q, k, df) == pytest.approx(expected, abs=1e-9)
+
+    def test_extreme_arguments_get_a_value(self):
+        for (q, k, df), expected in PTUKEY_EXTREME_REFERENCE.items():
+            assert ptukey(q, k, df) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 88, 978, 24000, 26000, 1e5, 1e6])
+    def test_two_groups_match_the_exact_t_tail(self, df):
+        # for k=2, Q = sqrt(2) |T_df|: P(Q <= q) = 1 - I(df/2, 1/2, df / (df + q^2 / 2))
+        for q in (0.5, 1.0, 2.0, 3.0, 5.0):
+            exact = 1.0 - regularized_incomplete_beta(0.5 * df, 0.5, df / (df + 0.5 * q * q))
+            assert ptukey(q, 2, df) == pytest.approx(exact, abs=1e-8)
+
+    def test_tail_bound_cuts_only_where_the_quadrature_rounds_to_one(self, monkeypatch):
+        # Bisect for the q where C(k,2) P(|T_df| > q / sqrt 2) crosses 2**-53.
+        # Just above it ptukey returns 1.0 with no quadrature; just below it
+        # the quadrature runs, and P is furthest below 1 of all cut points.
+        cut = 2.0**-53
+
+        def bound(q, k, df):
+            pairs = 0.5 * k * (k - 1)
+            if df > stats.PTUKEY_LARGE_DF:
+                return pairs * math.erfc(0.5 * q)
+            return pairs * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + 0.5 * q * q))
+
+        calls = []
+        range_cdf = stats._range_cdf
+        monkeypatch.setattr(
+            stats, "_range_cdf", lambda *args: calls.append(args) or range_cdf(*args)
+        )
+        for k in (2, 3, 8, 30):
+            for df in (1, 2, 5, 10, 88, 978, 10000, 3e7):
+                lo, hi = 1.0, 2.0
+                while bound(hi, k, df) > cut:
+                    lo, hi = hi, 2.0 * hi
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if bound(mid, k, df) > cut:
+                        lo = mid
+                    else:
+                        hi = mid
+                calls.clear()
+                assert ptukey(hi, k, df) == 1.0
+                assert not calls
+                # the quadrature's own floor near 1 is about 1e-14, above 2**-52
+                assert ptukey(lo, k, df) >= 1.0 - 1e-13
+                assert calls
 
     def test_large_df_matches_normal_range_identity(self):
         # for k=2: P(Q <= q) = P(|Z1 - Z2| <= q) = 2 Phi(q / sqrt 2) - 1

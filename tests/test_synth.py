@@ -104,6 +104,41 @@ class TestLoadSpec:
         with pytest.raises(ValueError, match="rate_hz"):
             load_spec(SPEC_TEXT.replace("rate_hz = 20000", "rate_hz = 30000"))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("base_power_mw = 100.0", "base_power_mw = -1", "power levels must be >= 0"),
+            ("api_cost_mw = 50.0", "api_cost_mw = -1", "power levels must be >= 0"),
+            ("noise_stddev_mw = 0.0", "noise_stddev_mw = -0.5", "noise_stddev_mw must be >= 0"),
+            ("tests = 3", "tests = 0", "tests must be >= 1"),
+            ("samples_per_test = 2", "samples_per_test = 0", "samples_per_test must be >= 1"),
+            ("rate_hz = 20000", "rate_hz = 0", "rate_hz must be >= 1"),
+            ("tree_depth = 2", "tree_depth = 0", "tree_depth must be >= 1"),
+            ("branching = 2", "branching = 0", "branching must be >= 1"),
+            ("api_density = 0.5", "api_density = 1.5", r"api_density must be in \[0, 1\]"),
+            ("api_density = 0.5", "api_density = -0.1", r"api_density must be in \[0, 1\]"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, old, new, message):
+        with pytest.raises(ValueError, match=message):
+            load_spec(SPEC_TEXT.replace(old, new, 1))
+
+    def test_spec_without_revisions_rejected(self):
+        with pytest.raises(ValueError, match="at least one revision"):
+            load_spec("[synth]\nseed = 1\n")
+
+    def test_duplicate_revision_labels_rejected(self):
+        with pytest.raises(ValueError, match="duplicate revision labels"):
+            SynthSpec(seed=1, revisions=(RevisionSpec("a"), RevisionSpec("a")))
+
+    def test_missing_synth_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"needs a \[synth\] section"):
+            load_spec("[revision.a]\nbase_power_mw = 1.0\n")
+
+    def test_unknown_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown section \[extra\]"):
+            load_spec(SPEC_TEXT + "\n[extra]\nkey = 1\n")
+
     def test_durations_must_align_to_period(self):
         with pytest.raises(ValueError, match="api_call_us"):
             SynthSpec(seed=1, revisions=(RevisionSpec("a", 1.0, 100.0, 0.0, 0.0),),
@@ -205,6 +240,38 @@ class TestVerifyFixture:
         victim.unlink()
         violations = verify_fixture(root, manifest)
         assert any("missing" in v for v in violations)
+
+    def test_api_count_mismatch_reported(self, tmp_path):
+        root, manifest = self._fixture(tmp_path)
+        entry = manifest["revisions"]["1.0"]
+        rel_path, info = next(
+            (p, info) for p, info in entry["files"].items() if info["kind"] == "trace"
+        )
+        actual = info["api_interactions"]
+        info["api_interactions"] += 1
+        entry["total_api_interactions"] += 1
+        assert verify_fixture(root, manifest) == [
+            f"{rel_path}: {actual} API interactions, manifest says {actual + 1}",
+        ] + [
+            f"revision 1.0 sample {sample}: {entry['total_api_interactions'] - 1} "
+            f"API interactions, manifest says {entry['total_api_interactions']}"
+            for sample in range(2)
+        ]
+
+    def test_unparsable_power_file_reported(self, tmp_path):
+        root, manifest = self._fixture(tmp_path)
+        rel_path = next(
+            p
+            for p, info in manifest["revisions"]["2.0"]["files"].items()
+            if info["kind"] == "power"
+        )
+        victim = root / rel_path
+        lines = victim.read_text().splitlines()
+        lines[-1] = "not a sample"
+        victim.write_text("\n".join(lines) + "\n")
+        violations = verify_fixture(root, manifest)
+        assert len(violations) == 1
+        assert violations[0].startswith(f"{rel_path}: ")
 
     def test_manifest_round_trips_through_json(self, tmp_path):
         root, manifest = self._fixture(tmp_path)
