@@ -14,19 +14,24 @@ plain integers such as ``20000``.  Other spellings ``float()`` accepts
 (``1_0``, `` 5``, ``+.5``, ``5.``, ``1E5``, ``nan``) are rejected.
 
 Energy is the trapezoidal integral of power over a time window: mW times
-seconds gives millijoules.  Cost model: each profile builds one segment
-table, once, when it is first integrated (O(S) for S samples).  Every
-window of that profile, method intervals and the test window alike, then
-costs O(log S) to find its edges by bisection plus one addition per whole
-segment inside it.  The segment areas are added left to right into one
-accumulator, the same float operations in the same order as a walk over
-the window's samples, so every result is bit for bit that walk's.
+seconds gives millijoules.  A profile builds its segment table once, in
+O(S) for S samples; a window then costs O(log S) plus one addition per
+whole segment inside it, bit for bit a walk over its samples.
+
+Attribution integrates each stretch of an execution once.  A frame owns
+the stretches of its window that its children leave; a stretch owned by
+the frames of c concurrent threads is split equally among them; a stretch
+that no frame owns is left unattributed.  So exclusive energies are sums
+of non-negative shares, and they plus the unattributed stretches add up
+to the test window's energy.  The cost is O(E log S + S) for E call
+boundaries.
 """
 
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .callgraph import CallNode
@@ -229,36 +234,46 @@ def integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
     return total_mw_us * MJ_PER_MW_US
 
 
-def attribute(
-    intervals: "list[tuple[CallNode, int]]", profile: PowerProfile
-) -> list[tuple[float, float]]:
-    """Attribute energy to call occurrences: one (inclusive, exclusive)
-    pair in millijoules per (node, depth) interval, in input order.
-
-    Inclusive energy integrates the node's own window; exclusive subtracts
-    the inclusive energy of the node's children, so exclusive sums are
-    free of nested double-counting.  The children are disjoint windows
-    inside their parent's, so a negative difference is rounding error and
-    is clamped to 0.  Every child of a listed node must be listed too, as
-    node_intervals does; the order and the depths are not read.
+def attribute(nodes: "list[CallNode]", profile: PowerProfile) -> list[tuple[float, float]]:
+    """Attribute energy to call occurrences: one (inclusive, exclusive) pair
+    in millijoules per node, in input order, from one sweep over the call
+    boundaries of every thread (see the module docstring).  Inclusive
+    energy is exclusive energy plus the children's inclusive energy.  Every
+    child of a listed node must be listed too; the order is not read.
     """
-    inclusive: dict[CallNode, float] = {}
-    for node, _ in intervals:
-        if node.duration_ns == 0:
-            inclusive[node] = 0.0
-            continue
-        a_us = node.t_start_ns / 1000.0
-        b_us = (node.t_start_ns + node.duration_ns) / 1000.0
-        try:
-            inclusive[node] = integrate(profile, a_us, b_us)
-        except AttributionError as exc:
-            raise AttributionError(f"{node.method.canonical()}: {exc}") from None
-
-    energies = []
-    for node, _ in intervals:
-        child_sum = 0.0
+    inner = {child for node in nodes for child in node.children}
+    order = [node for node in nodes if node not in inner]
+    bounds = []  # (t_ns, starts, frame): a stretch that the frame owns starts or ends
+    for node in order:  # read as it grows, so children follow their parents
+        order.extend(node.children)
+        t_ns = node.t_start_ns
         for child in node.children:
-            child_sum += inclusive[child]
-        exclusive = inclusive[node] - child_sum
-        energies.append((inclusive[node], max(exclusive, 0.0)))
-    return energies
+            if t_ns < child.t_start_ns:
+                bounds += ((t_ns, True, node), (child.t_start_ns, False, node))
+            t_ns = child.t_start_ns + child.duration_ns
+        if t_ns < node.t_end_ns:
+            bounds += ((t_ns, True, node), (node.t_end_ns, False, node))
+    bounds.sort(key=itemgetter(0, 1))  # at one time, stretches end before others start
+
+    exclusive = dict.fromkeys(order, 0.0)
+    owners: dict[CallNode, None] = {}  # the frames that own the stretch ending at t_ns
+    last_ns = 0
+    for t_ns, starts, node in bounds:
+        if owners and last_ns < t_ns:
+            try:
+                share = integrate(profile, last_ns / 1000.0, t_ns / 1000.0) / len(owners)
+            except AttributionError as exc:
+                raise AttributionError(f"{next(iter(owners)).method.canonical()}: {exc}") from None
+            for owner in owners:
+                exclusive[owner] += share
+        last_ns = t_ns
+        if starts:
+            owners[node] = None
+        else:
+            del owners[node]
+
+    inclusive = dict(exclusive)
+    for node in reversed(order):
+        for child in node.children:
+            inclusive[node] += inclusive[child]
+    return [(inclusive[node], exclusive[node]) for node in nodes]

@@ -127,7 +127,7 @@ def analyze_execution(
         intervals = node_intervals(tree)
         start_ns = min((r.t_start_ns for r in tree.roots), default=0)
         end_ns = max((r.t_end_ns for r in tree.roots), default=0)
-        energies = attribute(intervals, profile)
+        energies = attribute([node for node, _ in intervals], profile)
         if end_ns > start_ns:
             energy_mj = integrate(profile, start_ns / 1000.0, end_ns / 1000.0)
             avg_power_mw = energy_mj / ((end_ns - start_ns) * 1e-9)

@@ -100,7 +100,7 @@ def test_criterion_3_energy_integration():
             profile = _profile(
                 [(t * 5.0, 80.0 + (t % 11) * 7.0) for t in range(end_ns // 5_000 + 2)]
             )
-            energies = attribute(intervals, profile)
+            energies = attribute([node for node, _ in intervals], profile)
             total_exclusive = sum(exclusive for _, exclusive in energies)
             roots_inclusive = sum(
                 inclusive

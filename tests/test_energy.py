@@ -4,7 +4,7 @@ from bisect import bisect_right
 import pytest
 
 from tracewatt import energy
-from tracewatt.callgraph import CallNode, node_intervals
+from tracewatt.callgraph import CallNode, build_call_trees, node_intervals
 from tracewatt.energy import (
     AttributionError,
     PowerFormatError,
@@ -16,9 +16,10 @@ from tracewatt.energy import (
     shift_profile,
     write_power,
 )
-from tracewatt.trace import MethodId
+from tracewatt.trace import MethodId, parse_trace
 
-from conftest import random_call_tree
+from conftest import random_call_tree, random_trace
+from test_golden import MULTI_ROOT_POWER, MULTI_ROOT_TRACE
 
 M = MethodId("com.app", "C", "m")
 
@@ -248,40 +249,46 @@ class TestAttribute:
     def test_constant_power_parent_child(self):
         profile = _constant(100.0, 20000.0)
         child = CallNode(MethodId("com.app", "C", "child"), 1, 2_000_000, 4_000_000)
-        intervals = [(CallNode(M, 1, 0, 10_000_000, (child,)), 0), (child, 1)]
-        energies = attribute(intervals, profile)
+        energies = attribute([CallNode(M, 1, 0, 10_000_000, (child,)), child], profile)
         assert energies[0][0] == pytest.approx(1.0, rel=1e-9)
         assert energies[1][0] == pytest.approx(0.4, rel=1e-9)
         assert energies[0][1] == pytest.approx(0.6, rel=1e-9)
 
     def test_zero_duration_leaf(self):
         profile = _constant(100.0, 1000.0)
-        assert attribute([(CallNode(M, 1, 5000, 0), 0)], profile) == [(0.0, 0.0)]
+        assert attribute([CallNode(M, 1, 5000, 0)], profile) == [(0.0, 0.0)]
+
+    def test_concurrent_threads_split_a_stretch_equally(self):
+        profile = _constant(100.0, 2000.0)
+        ui, worker = CallNode(M, 1, 0, 1_000_000), CallNode(M, 2, 0, 1_000_000)
+        half = integrate(profile, 0.0, 1000.0) / 2
+        assert attribute([ui, worker], profile) == [(half, half), (half, half)]
 
     def test_siblings_tiling_parent_leave_zero_exclusive(self):
         profile = _constant(200.0, 2000.0)
         left = CallNode(M, 1, 0, 500_000)
         right = CallNode(M, 1, 500_000, 500_000)
         parent = CallNode(M, 1, 0, 1_000_000, (left, right))
-        energies = attribute([(parent, 0), (left, 1), (right, 1)], profile)
+        energies = attribute([parent, left, right], profile)
         assert energies[0][1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_children_summing_above_parent_by_rounding_clamp_to_zero(self):
+    def test_parent_of_tiling_children_is_their_exact_sum(self):
         # the two children tile the parent; in floats their inclusive
-        # energies sum to 33202615.5, the parent's to 33202615.499999996
+        # energies sum to 33202615.5 and the parent's whole window
+        # integrates to 33202615.499999996, but the parent owns no stretch
         powers = [3e12, 9e12, 2e12, 6e12, 4e12, 8e12, 7e12, 4e12, 8e12, 2e12]
         profile = _profile([(float(t), p) for t, p in enumerate(powers)])
         x = CallNode(MethodId("com.app", "C", "x"), 1, 0, 3901)
         y = CallNode(MethodId("com.app", "C", "y"), 1, 3901, 1986)
         parent = CallNode(M, 1, 0, 5887, (x, y))
-        energies = attribute([(parent, 0), (x, 1), (y, 1)], profile)
-        assert energies[1][0] + energies[2][0] > energies[0][0]
-        assert energies[0][1] == 0.0
+        energies = attribute([parent, x, y], profile)
+        assert integrate(profile, 0.0, 5.887) != energies[1][0] + energies[2][0]
+        assert energies[0] == (energies[1][0] + energies[2][0], 0.0)
 
     def test_interval_outside_profile(self):
         profile = _constant(100.0, 1000.0)
         with pytest.raises(AttributionError, match="outside sampled range"):
-            attribute([(CallNode(M, 1, 0, 5_000_000), 0)], profile)
+            attribute([CallNode(M, 1, 0, 5_000_000)], profile)
 
     def test_conservation_on_random_trees(self):
         rng = random.Random(77)
@@ -294,7 +301,7 @@ class TestAttribute:
             profile = _profile(
                 [(t * 10.0, 50.0 + (t % 7) * 13.0) for t in range(end_ns // 10_000 + 2)]
             )
-            energies = attribute(intervals, profile)
+            energies = attribute([node for node, _ in intervals], profile)
             total_exclusive = sum(exclusive for _, exclusive in energies)
             roots_inclusive = sum(
                 inclusive
@@ -307,38 +314,113 @@ class TestAttribute:
         rng = random.Random(79)
         for _ in range(30):
             tree = random_call_tree(rng, max_nodes=40)
-            intervals = node_intervals(tree)
-            if len(intervals) < 2:
+            nodes = [node for node, _ in node_intervals(tree)]
+            if len(nodes) < 2:
                 continue
-            end_ns = max(node.t_end_ns for node, _ in intervals)
+            end_ns = max(node.t_end_ns for node in nodes)
             profile = _profile([(t * 0.01, 40.0 + (t % 5) * 9.0) for t in range(end_ns // 10 + 2)])
-            expected = dict(zip((node for node, _ in intervals), attribute(intervals, profile)))
-            shuffled = intervals[:]
+            expected = dict(zip(nodes, attribute(nodes, profile)))
+            shuffled = nodes[:]
             rng.shuffle(shuffled)
             energies = attribute(shuffled, profile)
-            assert energies == [expected[node] for node, _ in shuffled]
+            assert energies == [expected[node] for node in shuffled]
 
     def test_bit_identical_to_sample_walk(self, monkeypatch):
         rng = random.Random(78)
         cases = []
         for _ in range(40):
-            intervals = node_intervals(random_call_tree(rng, max_nodes=60))
-            if not intervals:
+            nodes = [node for node, _ in node_intervals(random_call_tree(rng, max_nodes=60))]
+            if not nodes:
                 continue
-            end_us = max(node.t_end_ns for node, _ in intervals) / 1000.0
+            end_us = max(node.t_end_ns for node in nodes) / 1000.0
             samples = []
             t = -rng.random() * 0.01
             while t <= end_us:
                 samples.append((t, rng.random() * 300))
                 t += rng.random() * 0.02 + 1e-4
             samples.append((t, rng.random() * 300))
-            cases.append((intervals, _profile(samples)))
+            cases.append((nodes, _profile(samples)))
         expected = []
         with monkeypatch.context() as patch:
             patch.setattr(energy, "integrate", _walk_integrate)
-            for intervals, profile in cases:
-                expected.append(attribute(intervals, profile))
-        assert [attribute(i, p) for i, p in cases] == expected
+            for nodes, profile in cases:
+                expected.append(attribute(nodes, profile))
+        assert [attribute(n, p) for n, p in cases] == expected
+
+    def test_each_instant_is_integrated_once_at_any_depth(self, monkeypatch):
+        # a 2000-deep chain, each frame 1 us inside its parent on both sides
+        depth, leaf_ns = 2000, 5000
+        node = CallNode(M, 1, depth * 1000, leaf_ns)
+        nodes = [node]
+        for k in range(depth - 1, -1, -1):
+            node = CallNode(M, 1, k * 1000, node.duration_ns + 2000, (node,))
+            nodes.append(node)
+        width_us = node.duration_ns / 1000.0
+        profile = _profile([(float(t), 100.0 + t % 3) for t in range(int(width_us) + 1)])
+        widths = []
+
+        def counting_integrate(profile, a_us, b_us):
+            widths.append(b_us - a_us)
+            return integrate(profile, a_us, b_us)
+
+        monkeypatch.setattr(energy, "integrate", counting_integrate)
+        energies = attribute(nodes, profile)
+        assert sum(widths) <= width_us
+        assert energies[-1][0] == pytest.approx(integrate(profile, 0.0, width_us), rel=1e-12)
+
+
+def _idle_energy(profile: PowerProfile, roots, start_ns: int, end_ns: int) -> float:
+    """Energy of the stretches of [start_ns, end_ns] that no top-level
+    call of any thread covers."""
+    idle, t_ns = 0.0, start_ns
+    for root in sorted(roots, key=lambda node: node.t_start_ns):
+        if t_ns < root.t_start_ns:
+            idle += integrate(profile, t_ns / 1000.0, root.t_start_ns / 1000.0)
+        t_ns = max(t_ns, root.t_end_ns)
+    return idle
+
+
+def _conservation_inputs():
+    """(trace, profile) pairs: a gap between two calls, two threads
+    running the same millisecond, the golden multi-root trace and random
+    two-thread traces."""
+    one_ms = [("E", 1, 0, "a"), ("X", 1, 1_000_000, "a"), ("E", 1, 2_000_000, "b"),
+              ("X", 1, 3_000_000, "b")]
+    threads = [("E", 1, 0, "a"), ("E", 2, 0, "b"), ("X", 1, 1_000_000, "a"),
+               ("X", 2, 1_000_000, "b")]
+    for rows in (one_ms, threads):
+        text = "#trace v1;a.B::t;0\n" + "".join(
+            f"{kind};{thread};{t_ns};p;C;{m}\n" for kind, thread, t_ns, m in rows
+        )
+        yield parse_trace(text), _constant(100.0, 4000.0)
+    yield parse_trace(MULTI_ROOT_TRACE), parse_power(MULTI_ROOT_POWER)
+    for seed in range(8):
+        rng = random.Random(seed)
+        trace = random_trace(rng, n_threads=2)
+        end_us = max(ev.t_ns for ev in trace.events) / 1000.0
+        samples, t = [], -0.001
+        while t <= end_us:
+            samples.append((t, rng.random() * 300))
+            t += rng.random() * 0.004 + 1e-4
+        samples.append((t, 10.0))
+        yield trace, _profile(samples)
+
+
+@pytest.mark.parametrize(
+    "trace, profile",
+    list(_conservation_inputs()),
+    ids=["gap", "two-threads", "multi-root"] + [f"random-{seed}" for seed in range(8)],
+)
+def test_exclusive_plus_unattributed_is_the_test_energy(trace, profile):
+    tree = build_call_trees(trace)
+    nodes = [node for node, _ in node_intervals(tree)]
+    start_ns = min(root.t_start_ns for root in tree.roots)
+    end_ns = max(root.t_end_ns for root in tree.roots)
+    test_energy = integrate(profile, start_ns / 1000.0, end_ns / 1000.0)
+    exclusive = [e for _, e in attribute(nodes, profile)]
+    assert min(exclusive) >= 0.0
+    total = sum(exclusive) + _idle_energy(profile, tree.roots, start_ns, end_ns)
+    assert total == pytest.approx(test_energy, rel=1e-9)
 
 
 def test_shift_profile_moves_clock():
