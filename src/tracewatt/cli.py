@@ -192,7 +192,7 @@ def cmd_analyze(args) -> int:
     if not revision_dir.is_dir():
         raise LayoutError(f"{revision_dir} is not a directory")
     (executions,) = _scan_revisions(config, [revision_dir])
-    analysis = analyze_revision(revision_dir.name, executions, config)
+    analysis = analyze_revision(revision_dir.name, executions, config, with_rows=True)
     out_dir = _out_dir(args)
     _write_analysis(analysis, out_dir)
     print(
@@ -217,7 +217,7 @@ def cmd_evolve(args) -> int:
         )
     scans = _scan_revisions(config, revision_dirs)
     datasets = [
-        analyze_revision(rev_dir.name, executions, config).dataset
+        analyze_revision(rev_dir.name, executions, config, with_rows=False).dataset
         for rev_dir, executions in zip(revision_dirs, scans)
     ]
     report = evolution.compare(datasets, config)

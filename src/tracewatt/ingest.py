@@ -4,6 +4,10 @@ and assembly of revision datasets.
 A revision directory holds ``traces/`` and ``power/`` subdirectories with
 files named ``<test_name>.<sample_index>.trace`` / ``.power``; every trace
 must have its matching power file and vice versa.
+
+Each execution yields one ExecutionRecord: its test-window energy and U,
+all that ``evolve`` reads.  Per-method attribution, whose rows ``analyze``
+writes to ``methods.csv``, runs only when the caller asks for rows.
 """
 
 import math
@@ -103,13 +107,18 @@ def analyze_execution(
     trace_path: Path,
     power_path: Path,
     config: AnalysisConfig,
+    with_rows: bool,
 ) -> tuple[ExecutionRecord, list[MethodRow]]:
     """Analyze one (test, sample) execution: build the call tree, compute
-    U values and attribute energy.
+    U values and integrate the test window's energy.
 
-    The record's rU is NaN until normalize_ruapi sets it, because N sums
-    over every execution of the same sample run.  A parse or attribution
-    error is raised again, once, naming the file it came from.
+    Only ``with_rows`` (``analyze``) attributes energy to each call
+    occurrence, one MethodRow per node; ``evolve`` reads the record alone.
+    Attribution integrates only stretches inside the test window, so a
+    power file fails with rows or without them alike.  The record's rU is
+    NaN until normalize_ruapi sets it, because N sums over every execution
+    of the same sample run.  A parse or attribution error is raised again,
+    once, naming the file it came from.
     """
     try:
         trace = parse_trace(trace_path.read_bytes())
@@ -124,10 +133,11 @@ def analyze_execution(
 
         tree = build_call_trees(trace)
         metric = uapi(tree, config.classifier)
-        intervals = node_intervals(tree)
+        if with_rows:
+            intervals = node_intervals(tree)
+            energies = attribute([node for node, _ in intervals], profile)
         start_ns = min((r.t_start_ns for r in tree.roots), default=0)
         end_ns = max((r.t_end_ns for r in tree.roots), default=0)
-        energies = attribute([node for node, _ in intervals], profile)
         if end_ns > start_ns:
             energy_mj = integrate(profile, start_ns / 1000.0, end_ns / 1000.0)
             avg_power_mw = energy_mj / ((end_ns - start_ns) * 1e-9)
@@ -138,24 +148,23 @@ def analyze_execution(
         path = trace_path if isinstance(exc, TraceFormatError) else power_path
         raise type(exc)(f"{path}: {exc}") from None
 
-    rows = []
-    for (node, depth), (inclusive, exclusive) in zip(intervals, energies):
-        rows.append(
-            MethodRow(
-                test_name,
-                sample_index,
-                node.thread,
-                depth,
-                node.t_start_ns,
-                node.duration_ns,
-                node.method,
-                config.classifier.classify(node.method),
-                metric.node_values.get(node, 0),
-                inclusive,
-                exclusive,
-                inclusive / (node.duration_ns * 1e-9) if node.duration_ns > 0 else 0.0,
-            )
+    rows = [
+        MethodRow(
+            test_name,
+            sample_index,
+            node.thread,
+            depth,
+            node.t_start_ns,
+            node.duration_ns,
+            node.method,
+            config.classifier.classify(node.method),
+            metric.node_values.get(node, 0),
+            inclusive,
+            exclusive,
+            inclusive / (node.duration_ns * 1e-9) if node.duration_ns > 0 else 0.0,
         )
+        for (node, depth), (inclusive, exclusive) in zip(intervals, energies)
+    ] if with_rows else []
 
     duration_ms = (end_ns - start_ns) / 1e6
     record = ExecutionRecord(
@@ -172,15 +181,16 @@ def analyze_execution(
 
 
 def analyze_revision(
-    revision: str, executions: list[tuple[str, int, Path, Path]], config: AnalysisConfig
+    revision: str, executions: list[tuple[str, int, Path, Path]], config: AnalysisConfig,
+    with_rows: bool,
 ) -> RevisionAnalysis:
     """Analyze every execution that scan_revision_dir found in a revision
     directory, in its (test_name, sample_index) order, with rU normalized
-    over all of its tests."""
+    over all of its tests.  ``method_rows`` is filled only ``with_rows``."""
     records = []
     method_rows = []
     for name, sample, trace_path, power_path in executions:
-        record, rows = analyze_execution(name, sample, trace_path, power_path, config)
+        record, rows = analyze_execution(name, sample, trace_path, power_path, config, with_rows)
         records.append(record)
         method_rows.extend(rows)
     dataset = normalize_ruapi(revision, records, {r.test_name for r in records})

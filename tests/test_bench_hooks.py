@@ -53,10 +53,13 @@ def test_every_span_and_counter_records_work_on_a_real_run(tmp_path):
     fixture = tmp_path / "fixture"
     assert cli.main(["synth", str(spec), str(fixture)]) == 0
 
+    # evolve never attributes per-method energy, so analyze runs under the
+    # same recorder too: between them every span and counter is entered.
     recorder = tracer.Recorder("t")
     recorder.install()
     try:
         assert cli.main(["evolve", str(fixture), "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["analyze", str(fixture / "1.0"), "--out", str(tmp_path / "a")]) == 0
     finally:
         recorder.uninstall()
     trace = recorder.to_json()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tracewatt import cli, evolution, stats
+from tracewatt import cli, evolution, ingest, stats
 
 SPEC_TEXT = """
 [synth]
@@ -347,6 +347,44 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {victim}: line 3: ")
         assert "Traceback" not in err
+
+    def test_power_ending_before_its_trace_exits_4_naming_the_file(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        # Without per-method attribution, the test-window integral must
+        # refuse the same power files that attribution refused.
+        victim = sorted((fixture_dir / "1.1" / "power").iterdir())[-1]
+        lines = victim.read_text().splitlines()
+        victim.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: ")
+        assert "outside sampled range" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_only_analyze_attributes_per_method_energy(self, fixture_dir, tmp_path, monkeypatch):
+        calls = {"attribute": 0, "node_intervals": 0}
+
+        def spy(name):
+            original = getattr(ingest, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(ingest, name, counted)
+
+        spy("attribute")
+        spy("node_intervals")
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "e")]) == 0
+        assert calls == {"attribute": 0, "node_intervals": 0}
+        revision = fixture_dir / "1.0"
+        assert cli.main(["analyze", str(revision), "--out", str(tmp_path / "a")]) == 0
+        executions = len(list((revision / "traces").iterdir()))
+        assert executions == 6
+        assert calls == {"attribute": executions, "node_intervals": executions}
 
     def test_top_k_removing_every_aligned_test_exits_5(self, fixture_dir, tmp_path, capsys):
         analysis = tmp_path / "analysis"

@@ -136,6 +136,65 @@ class TestParsePower:
             profile = _profile(samples, rate=rng.choice([20000.0, 5000.0]))
             assert parse_power(write_power(profile)) == profile
 
+    def test_fuzz_mutations_never_crash(self):
+        rng = random.Random(11)
+        text = write_power(_random_profile(rng, n_max=30))
+        base = text.encode()
+        # Byte mutations: parse_power raises nothing but PowerFormatError,
+        # and a mutant it accepts round-trips.
+        for _ in range(500):
+            data = bytearray(base)
+            for _ in range(rng.randrange(1, 6)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            try:
+                profile = parse_power(bytes(data))
+            except PowerFormatError:
+                continue
+            assert parse_power(write_power(profile)) == profile
+        # Field mutations keep the line shape, so many mutants parse and the
+        # round trip is checked on each of them.
+        accepted = 0
+        for _ in range(500):
+            lines = text.splitlines()
+            for _ in range(rng.randrange(1, 6)):
+                _mutate_power_fields(rng, lines)
+            try:
+                profile = parse_power("\n".join(lines) + "\n")
+            except PowerFormatError:
+                continue
+            accepted += 1
+            assert parse_power(write_power(profile)) == profile
+        assert accepted >= 100
+
+
+# Characters a field mutation writes into a numeral: digits keep it a
+# numeral, the others may break it or its canonical spelling.
+_NUMERAL_CHARS = "0123456789" * 3 + ".-e+_ "
+
+
+def _mutate_power_fields(rng: random.Random, lines: list[str]) -> None:
+    """Apply one mutation to a power text's lines that keeps the header's
+    and every sample line's field count: swap, drop or comment out a
+    sample line, or rewrite a character of a numeral in the header or a
+    sample line."""
+    n = len(lines)
+    op = rng.randrange(4)
+    if op == 0 and n > 3:
+        i, j = rng.sample(range(1, n), 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 1 and n > 2:
+        del lines[rng.randrange(1, n)]
+    elif op == 2 and n > 1:
+        i = rng.randrange(1, n)
+        lines[i] = "#" + lines[i]
+    else:
+        i = rng.randrange(n)
+        fields = lines[i].split(";")
+        f = rng.choice((2, 3)) if i == 0 else rng.randrange(2)
+        pos = rng.randrange(len(fields[f]))
+        fields[f] = fields[f][:pos] + rng.choice(_NUMERAL_CHARS) + fields[f][pos + 1:]
+        lines[i] = ";".join(fields)
+
 
 class TestWritePower:
     @pytest.mark.parametrize(
