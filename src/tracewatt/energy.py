@@ -14,23 +14,22 @@ plain integers such as ``20000``.  Other spellings ``float()`` accepts
 (``1_0``, `` 5``, ``+.5``, ``5.``, ``1E5``, ``nan``) are rejected.
 
 Energy is the trapezoidal integral of power over a time window: mW times
-seconds gives millijoules.  A profile builds its segment table once, in
-O(S) for S samples; a window then costs O(log S) plus one addition per
-whole segment inside it, bit for bit a walk over its samples.
+seconds gives millijoules.  A window is integrated straight from the
+profile's samples: one bisection finds its first segment, O(log S) for S
+samples, and the walk then takes one step per segment it covers.
 
 Attribution integrates each stretch of an execution once.  A frame owns
 the stretches of its window that its children leave; a stretch owned by
 the frames of c concurrent threads is split equally among them; a stretch
 that no frame owns is left unattributed.  So exclusive energies are sums
 of non-negative shares, and they plus the unattributed stretches add up
-to the test window's energy.  The cost is O(E log S + S) for E call
-boundaries.
+to the test window's energy.  The stretches tile the test window, so
+the cost is O(E log S + S) for E call boundaries.
 """
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -62,39 +61,12 @@ class PowerSample(NamedTuple):
     power_mw: float
 
 
-class _SegmentTable(NamedTuple):
-    """Per-profile integration table; segment k runs from ts[k] to ts[k+1].
-
-    ``pe[k]`` is the power at segment k's right end as interpolation
-    computes it there, ``ps[k] + (ps[k+1] - ps[k])``, which need not equal
-    ``ps[k+1]`` in floats.  ``areas[k - 1]`` is the trapezoid of a whole
-    segment k >= 1 entered from segment k - 1, so its left power is
-    ``pe[k - 1]``.
-    """
-
-    ts: list
-    ps: list
-    pe: list
-    areas: list
-
-
 @dataclass(frozen=True)
 class PowerProfile:
     test_name: str
     sample_index: int
     nominal_rate_hz: float
     samples: tuple[PowerSample, ...] = ()
-
-    @cached_property
-    def _segments(self) -> _SegmentTable:
-        ts = [s.t_us for s in self.samples]
-        ps = [s.power_mw for s in self.samples]
-        pe = [p0 + (p1 - p0) for p0, p1 in zip(ps, ps[1:])]
-        areas = [
-            0.5 * (pe0 + pe1) * (t1 - t0)
-            for pe0, pe1, t0, t1 in zip(pe, pe[1:], ts[1:], ts[2:])
-        ]
-        return _SegmentTable(ts, ps, pe, areas)
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -193,43 +165,41 @@ def shift_profile(profile: PowerProfile, offset_us: float) -> PowerProfile:
     )
 
 
-def _power_at(ts: list, ps: list, t: float, seg: int) -> float:
-    t0, t1 = ts[seg], ts[seg + 1]
-    frac = (t - t0) / (t1 - t0)
-    return ps[seg] + (ps[seg + 1] - ps[seg]) * frac
-
-
 def integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
     """Trapezoidal energy over [a_us, b_us] in millijoules.
 
     Power is linearly interpolated at the window edges; the window must
     lie within the sampled range.  Exact for piecewise-linear power.
-    The two edge pieces are computed here, the whole segments between
-    them come from the profile's segment table.
+    Each piece's right-end power is interpolated too, ``p0 + (p1 - p0)``,
+    which need not equal ``p1`` in floats, and carried to the next piece.
     """
-    if len(profile.samples) < 2:
+    samples = profile.samples
+    if len(samples) < 2:
         raise AttributionError(
-            f"need at least 2 power samples to integrate, got {len(profile.samples)}"
+            f"need at least 2 power samples to integrate, got {len(samples)}"
         )
     if not a_us < b_us:
         raise AttributionError(f"bad window [{a_us}, {b_us}]")
-    ts, ps, pe, areas = profile._segments
-    if a_us < ts[0] or b_us > ts[-1]:
+    t_first, t_last = samples[0][0], samples[-1][0]
+    if a_us < t_first or b_us > t_last:
         raise AttributionError(
-            f"window [{a_us}, {b_us}] outside sampled range [{ts[0]}, {ts[-1]}]"
+            f"window [{a_us}, {b_us}] outside sampled range [{t_first}, {t_last}]"
         )
-    # ts[0] <= a_us < b_us <= ts[-1], so first and last are segments and
-    # last is the first segment at or after first that reaches b_us.
-    first = bisect_right(ts, a_us) - 1
-    last = bisect_left(ts, b_us, first + 1) - 1
+    # t_first <= a_us < b_us <= t_last, so samples k - 1 and k bound the
+    # segment holding a_us, and the walk stops at the segment reaching b_us.
+    k = bisect_right(samples, a_us, key=itemgetter(0))
+    t0, p0 = samples[k - 1]
+    t1, p1 = samples[k]
     total_mw_us = 0.0
-    t_lo, p_lo = a_us, _power_at(ts, ps, a_us, first)
-    if first < last:
-        total_mw_us += 0.5 * (p_lo + pe[first]) * (ts[first + 1] - t_lo)
-        for area in areas[first : last - 1]:
-            total_mw_us += area
-        t_lo, p_lo = ts[last], pe[last - 1]
-    p_hi = _power_at(ts, ps, b_us, last)
+    t_lo, p_lo = a_us, p0 + (p1 - p0) * ((a_us - t0) / (t1 - t0))
+    while t1 < b_us:
+        p_end = p0 + (p1 - p0)
+        total_mw_us += 0.5 * (p_lo + p_end) * (t1 - t_lo)
+        t_lo = t0 = t1
+        p_lo, p0 = p_end, p1
+        k += 1
+        t1, p1 = samples[k]
+    p_hi = p0 + (p1 - p0) * ((b_us - t0) / (t1 - t0))
     total_mw_us += 0.5 * (p_lo + p_hi) * (b_us - t_lo)
     return total_mw_us * MJ_PER_MW_US
 

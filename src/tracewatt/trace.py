@@ -20,7 +20,6 @@ only text that it accepts.
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -81,17 +80,9 @@ def _checked_method(package: str, class_name: str, method: str) -> MethodId:
     return MethodId(package, class_name, method)
 
 
-class EventKind(Enum):
-    ENTER = "E"
-    EXIT = "X"
-
-
-_EVENT_KINDS = {kind.value: kind for kind in EventKind}
-
-
 @dataclass(frozen=True)
 class TraceEvent:
-    kind: EventKind
+    kind: str  # the file's code: "E" enters, "X" exits
     method: MethodId
     thread: int
     t_ns: int
@@ -201,7 +192,6 @@ def _sequence_violations(events: Iterable[TraceEvent], top_level: dict) -> Itera
     """
     last_t: dict[int, int] = {}
     stacks: dict[int, list[tuple[MethodId, int, int, list[CallNode]]]] = {}
-    enter = EventKind.ENTER
     for idx, ev in enumerate(events):
         thread = ev.thread
         t_ns = ev.t_ns
@@ -213,7 +203,7 @@ def _sequence_violations(events: Iterable[TraceEvent], top_level: dict) -> Itera
         stack = stacks.get(thread)
         if stack is None:
             stack = stacks[thread] = []
-        if ev.kind is enter:
+        if ev.kind == "E":
             stack.append((ev.method, idx, t_ns, []))
         elif not stack:
             yield idx, (
@@ -262,10 +252,9 @@ def parse_trace(data: "bytes | str") -> TestTrace:
                 raise TraceFormatError(
                     f"expected 6 ;-separated fields, got {len(fields)}", line=lineno
                 )
-            kind_code, thread_s, t_s, package, class_name, method_name = fields
-            kind = _EVENT_KINDS.get(kind_code)
-            if kind is None:
-                raise TraceFormatError(f"unknown event kind {kind_code!r}", line=lineno)
+            kind, thread_s, t_s, package, class_name, method_name = fields
+            if kind not in ("E", "X"):
+                raise TraceFormatError(f"unknown event kind {kind!r}", line=lineno)
             try:
                 thread = _parse_uint(thread_s, "thread")
                 t_ns = _parse_uint(t_s, "timestamp")
@@ -295,7 +284,7 @@ def write_trace(trace: TestTrace) -> str:
         trace.test_name,
         trace.sample_index,
         (
-            (ev.kind.value, ev.thread, ev.t_ns, ev.method.package,
+            (ev.kind, ev.thread, ev.t_ns, ev.method.package,
              ev.method.class_name, ev.method.method)
             for ev in trace.events
         ),

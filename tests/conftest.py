@@ -5,7 +5,7 @@ import random
 
 from tracewatt.apimetric import ApiClassifier, ApiRule
 from tracewatt.callgraph import CallNode, CallTree
-from tracewatt.trace import EventKind, MethodId, TestTrace, TraceEvent
+from tracewatt.trace import MethodId, TestTrace, TraceEvent
 
 API_PACKAGES = ["android.util", "android.os", "java.util", "java.io"]
 INTERNAL_PACKAGES = ["com.app.core", "com.app.util", "org.lib.parser"]
@@ -39,14 +39,14 @@ def random_trace(
         while len(events) < budget:
             if stack and (rng.random() < 0.4 or len(events) + len(stack) >= budget):
                 method = stack.pop()
-                events.append(TraceEvent(EventKind.EXIT, method, thread, t))
+                events.append(TraceEvent("X", method, thread, t))
             else:
                 method = random_method(rng, api_prob)
                 stack.append(method)
-                events.append(TraceEvent(EventKind.ENTER, method, thread, t))
+                events.append(TraceEvent("E", method, thread, t))
             t += rng.randrange(0, 7)
         while stack:
-            events.append(TraceEvent(EventKind.EXIT, stack.pop(), thread, t))
+            events.append(TraceEvent("X", stack.pop(), thread, t))
             t += rng.randrange(0, 7)
         all_events.extend(events)
     all_events.sort(key=lambda ev: ev.t_ns)  # stable: per-thread order kept
@@ -129,7 +129,7 @@ def oracle_direct_call_counts(trace: TestTrace) -> list[tuple[int, int, str, int
     stacks: dict[int, list[list]] = {}
     for ev in trace.events:
         stack = stacks.setdefault(ev.thread, [])
-        if ev.kind is EventKind.ENTER:
+        if ev.kind == "E":
             if stack:
                 stack[-1][3] += 1
             stack.append([ev.thread, ev.t_ns, ev.method.canonical(), 0])

@@ -13,7 +13,6 @@ from tracewatt import trace as trace_module
 from tracewatt.apimetric import uapi
 from tracewatt.callgraph import build_call_trees, node_intervals
 from tracewatt.trace import (
-    EventKind,
     MethodId,
     TestTrace,
     TraceEvent,
@@ -76,7 +75,7 @@ def test_top_level_calls_are_roots_by_thread_then_enter_order():
 
 def test_invalid_trace_rejected():
     bad = TestTrace(
-        "a.B::m", 0, (TraceEvent(EventKind.EXIT, MethodId("p", "C", "m"), 1, 0),)
+        "a.B::m", 0, (TraceEvent("X", MethodId("p", "C", "m"), 1, 0),)
     )
     with pytest.raises(TraceFormatError) as exc:
         build_call_trees(bad)
@@ -89,16 +88,15 @@ def test_invalid_trace_rejected():
     "events, message",
     [
         (
-            [(EventKind.ENTER, "a", 1, 0), (EventKind.EXIT, "b", 1, 1)],
+            [("E", "a", 1, 0), ("X", "b", 1, 1)],
             "event 1: exit of p.C::b does not match open frame p.C::a on thread 1",
         ),
         (
-            [(EventKind.ENTER, "a", 1, 5), (EventKind.EXIT, "a", 1, 3)],
+            [("E", "a", 1, 5), ("X", "a", 1, 3)],
             "event 1: timestamp 3 before 5 on thread 1",
         ),
         (
-            [(EventKind.ENTER, "a", 1, 0), (EventKind.ENTER, "b", 2, 0),
-             (EventKind.EXIT, "b", 2, 1)],
+            [("E", "a", 1, 0), ("E", "b", 2, 0), ("X", "b", 2, 1)],
             "event 0: unbalanced trace: p.C::a entered on thread 1 is never exited",
         ),
     ],
@@ -206,7 +204,7 @@ def test_node_count_equals_enter_count_on_random_traces():
     for _ in range(200):
         trace = random_trace(rng, n_threads=rng.randrange(1, 4))
         tree = build_call_trees(trace)
-        enters = sum(1 for ev in trace.events if ev.kind is EventKind.ENTER)
+        enters = sum(1 for ev in trace.events if ev.kind == "E")
         assert tree.node_count == enters
         assert sum(_subtree_size(r) for r in tree.roots) == enters
 
@@ -246,7 +244,7 @@ def test_depths_and_root_uapi_match_the_event_stack_on_random_traces():
         open_frames: dict[int, int] = {}
         for ev in trace.events:
             depth = open_frames.get(ev.thread, 0)
-            if ev.kind is EventKind.ENTER:
+            if ev.kind == "E":
                 entered.setdefault(ev.thread, []).append((ev.method, ev.t_ns, depth))
                 open_frames[ev.thread] = depth + 1
             else:

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from bisect import bisect_right
+from dataclasses import fields
 
 import pytest
 
@@ -36,9 +38,9 @@ def _constant(power_mw, t_end_us, step=50.0):
 
 
 def _walk_integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
-    """Reference integral: walks the window's samples segment by segment,
-    rebuilding the sample lists on every call.  integrate must return
-    exactly this float."""
+    """Reference integral: copies the samples into lists and walks the
+    window's segments, interpolating the right end of every piece.
+    integrate must return exactly this float."""
     ts = [s.t_us for s in profile.samples]
     ps = [s.power_mw for s in profile.samples]
 
@@ -302,6 +304,17 @@ class TestIntegrate:
             for a, b in windows:
                 if a < b:
                     assert integrate(profile, a, b) == _walk_integrate(profile, a, b)
+
+    def test_reads_the_samples_in_place(self):
+        profile = _profile([(float(i), float(i % 7)) for i in range(100_000)])
+        tracemalloc.start()
+        try:
+            integrate(profile, 0.5, 99_998.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert vars(profile).keys() == {field.name for field in fields(profile)}
 
 
 class TestAttribute:

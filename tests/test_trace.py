@@ -5,7 +5,6 @@ import pytest
 from conftest import random_trace
 from tracewatt.energy import PowerFormatError, parse_power
 from tracewatt.trace import (
-    EventKind,
     MethodId,
     TestTrace,
     TraceEvent,
@@ -22,7 +21,7 @@ def test_parse_header_and_single_event():
     assert trace.test_name == "com.example.FooTest::testBar"
     assert trace.sample_index == 3
     assert trace.events[0] == TraceEvent(
-        EventKind.ENTER, MethodId("com.example.Foo", "Foo", "run"), 1, 0
+        "E", MethodId("com.example.Foo", "Foo", "run"), 1, 0
     )
 
 
@@ -220,7 +219,7 @@ def test_validate_reports_open_frames_innermost_first_at_their_enter():
     trace = TestTrace(
         "a.B::m",
         0,
-        (TraceEvent(EventKind.ENTER, a, 1, 0), TraceEvent(EventKind.ENTER, b, 1, 1)),
+        (TraceEvent("E", a, 1, 0), TraceEvent("E", b, 1, 1)),
     )
     assert validate_trace(trace) == [
         "event 1: unbalanced trace: p.C::b entered on thread 1 is never exited",
@@ -237,7 +236,7 @@ def test_write_rejects_invalid_nesting():
     trace = TestTrace(
         "a.B::m",
         0,
-        (TraceEvent(EventKind.EXIT, MethodId("p", "C", "m"), 1, 0),),
+        (TraceEvent("X", MethodId("p", "C", "m"), 1, 0),),
     )
     with pytest.raises(TraceFormatError, match="invalid trace"):
         write_trace(trace)
@@ -253,7 +252,7 @@ def test_write_rejects_invalid_nesting():
 )
 def test_write_refuses_what_parse_refuses(thread, t_ns, message):
     m = MethodId("p", "C", "m")
-    events = (TraceEvent(EventKind.ENTER, m, thread, t_ns), TraceEvent(EventKind.EXIT, m, 1, 3))
+    events = (TraceEvent("E", m, thread, t_ns), TraceEvent("X", m, 1, 3))
     with pytest.raises(TraceFormatError) as exc:
         write_trace(TestTrace("a.B::t", 0, events))
     assert str(exc.value) == f"invalid trace: line 2: {message}"
@@ -264,7 +263,7 @@ def test_write_refuses_what_parse_refuses(thread, t_ns, message):
 )
 def test_write_refuses_text_that_parses_to_another_trace(thread, sample_index):
     m = MethodId("p", "C", "m")
-    events = (TraceEvent(EventKind.ENTER, m, thread, 0), TraceEvent(EventKind.EXIT, m, thread, 3))
+    events = (TraceEvent("E", m, thread, 0), TraceEvent("X", m, thread, 3))
     with pytest.raises(TraceFormatError) as exc:
         write_trace(TestTrace("a.B::t", sample_index, events))
     assert str(exc.value) == "invalid trace: its text parses to a different trace"
@@ -272,7 +271,7 @@ def test_write_refuses_text_that_parses_to_another_trace(thread, sample_index):
 
 def test_write_accepts_events_as_a_list():
     m = MethodId("p", "C", "m")
-    events = [TraceEvent(EventKind.ENTER, m, 1, 0), TraceEvent(EventKind.EXIT, m, 1, 3)]
+    events = [TraceEvent("E", m, 1, 0), TraceEvent("X", m, 1, 3)]
     text = write_trace(TestTrace("a.B::t", 0, events))
     assert text == write_trace(TestTrace("a.B::t", 0, tuple(events)))
 
@@ -369,8 +368,8 @@ def test_validate_balanced_pair_is_clean():
         "a.B::m",
         0,
         (
-            TraceEvent(EventKind.ENTER, MethodId("p", "C", "m"), 1, 0),
-            TraceEvent(EventKind.EXIT, MethodId("p", "C", "m"), 1, 10),
+            TraceEvent("E", MethodId("p", "C", "m"), 1, 0),
+            TraceEvent("X", MethodId("p", "C", "m"), 1, 10),
         ),
     )
     assert validate_trace(trace) == []
@@ -380,7 +379,7 @@ def test_validate_exit_before_enter_cites_event_index():
     trace = TestTrace(
         "a.B::m",
         0,
-        (TraceEvent(EventKind.EXIT, MethodId("p", "C", "m"), 1, 0),),
+        (TraceEvent("X", MethodId("p", "C", "m"), 1, 0),),
     )
     violations = validate_trace(trace)
     assert len(violations) == 1
@@ -393,15 +392,15 @@ def test_validate_monotonicity_violation():
         "a.B::m",
         0,
         (
-            TraceEvent(EventKind.ENTER, m, 1, 5),
-            TraceEvent(EventKind.EXIT, m, 1, 3),
+            TraceEvent("E", m, 1, 5),
+            TraceEvent("X", m, 1, 3),
         ),
     )
     assert any("timestamp 3 before 5" in v for v in validate_trace(trace))
 
 
 def test_validate_never_mutates():
-    events = (TraceEvent(EventKind.ENTER, MethodId("p", "C", "m"), 1, 0),)
+    events = (TraceEvent("E", MethodId("p", "C", "m"), 1, 0),)
     trace = TestTrace("a.B::m", 0, events)
     validate_trace(trace)
     assert trace.events == events
