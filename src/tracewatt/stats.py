@@ -1,9 +1,13 @@
 """Small-sample statistics kernel: one-way ANOVA, F-distribution tail
 probabilities via the regularized incomplete beta function, the
-studentized range distribution via nested Gauss-Legendre quadrature
-(Copenhaver & Holland, 1988) that refines its inner and outer panels
-separately and skips points a pairwise tail bound already settles, and
-Tukey HSD (Tukey-Kramer for unequal group sizes) post-hoc tests.
+studentized range distribution, and Tukey HSD (Tukey-Kramer for unequal
+group sizes) post-hoc tests.
+
+The studentized range CDF integrates the normal range CDF R(w; k) over the
+density of the sample standard deviation (Copenhaver & Holland, 1988).  R
+is read from a piecewise Chebyshev table built on first use for each k, so
+the pairs of one Tukey family share one table; ``ptukey`` says where the
+integral is skipped.
 
 Everything here is pure and reentrant; no external numeric libraries.
 """
@@ -16,10 +20,9 @@ from typing import Iterable, Optional, Sequence
 
 BETA_CF_MAX_ITER = 300
 BETA_CF_REL_TOL = 1e-12
-PTUKEY_ABS_TOL = 1e-6
 PTUKEY_OUTER_ABS_TOL = 1e-10
-# per axis; two groups of two observations (k = 2, df = 2) need an eighth
-# outer doubling at some q between 600 and 1050
+# outer doublings before ConvergenceError; with the split at W_k / q, a scan
+# of k 3..100, df 1..1e7 and q up to 1e5 needs at most three
 PTUKEY_MAX_DOUBLINGS = 8
 PTUKEY_TAIL_CUT = 2.0**-53
 # Above this many error degrees of freedom the sample scale is taken as a
@@ -29,6 +32,9 @@ PTUKEY_TAIL_CUT = 2.0**-53
 # about 1.5e-8 (checked at k=2 against the exact t tail).
 PTUKEY_LARGE_DF = 2e7
 _GL_ORDER = 24  # Gauss-Legendre nodes per quadrature panel
+_RANGE_PANELS = 8  # panels of the range CDF quadrature behind the table
+_CHEB_PIECES = 14  # pieces of the range CDF table on [0, W_k]
+_CHEB_NODES = 20  # Chebyshev nodes per piece
 _Z_LIM = 8.5
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -132,6 +138,33 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
+# B_2n / (2n (2n - 1)): Stirling's series for ln Gamma(x) - ((x - 1/2) ln x
+# - x + ln(2 pi) / 2), within 1e-16 at x >= 10 with these seven terms
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_correction(x: float) -> float:
+    return float_sum(c / x ** (2 * n + 1) for n, c in enumerate(_STIRLING))
+
+
+def _ln_beta(a: float, b: float) -> float:
+    """ln B(a, b).  With the larger argument at 10 or more, Stirling's series
+    gives lgamma(hi) - lgamma(lo + hi) without subtracting two values near
+    hi ln hi (DiDonato & Morris, 1992), so the result keeps its accuracy at
+    large shape parameters."""
+    lo, hi = min(a, b), max(a, b)
+    if hi < 10.0:
+        return math.lgamma(lo) + math.lgamma(hi) - math.lgamma(lo + hi)
+    return (
+        math.lgamma(lo)
+        - (hi - 0.5) * math.log1p(lo / hi)
+        - lo * math.log(lo + hi)
+        + lo
+        + _stirling_correction(hi)
+        - _stirling_correction(lo + hi)
+    )
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if a <= 0 or b <= 0:
@@ -142,13 +175,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    ln_front = a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
     front = math.exp(ln_front)
     # evaluate on the side where the continued fraction converges fast
     if x < (a + 1.0) / (a + b + 2.0):
@@ -183,28 +210,63 @@ def _panel_nodes(lo: float, hi: float, panels: int) -> list[tuple[float, float]]
     ]
 
 
-@lru_cache(maxsize=8)
-def _range_cdf_nodes(panels: int) -> tuple:
-    """(z, weight*phi(z), Phi(z)) quadrature nodes for the standard-normal
-    range integral over [-Z_LIM, Z_LIM]."""
-    return tuple(
-        (z, w * _INV_SQRT_2PI * math.exp(-0.5 * z * z), normal_cdf(z))
-        for z, w in _panel_nodes(-_Z_LIM, _Z_LIM, panels)
-    )
-
-
-def _range_cdf(w: float, k: int, panels: int) -> float:
-    """P(range of k iid standard normals <= w)."""
-    if w <= 0.0:
-        return 0.0
+def _range_cdf(ws: Sequence[float], k: int, panels: int) -> list[float]:
+    """P(range of k iid standard normals <= w) for each w in ``ws``, by
+    Gauss-Legendre quadrature on ``panels`` panels over [-Z_LIM, Z_LIM]."""
+    nodes = [
+        (z, weight * _INV_SQRT_2PI * math.exp(-0.5 * z * z), normal_cdf(z))
+        for z, weight in _panel_nodes(-_Z_LIM, _Z_LIM, panels)
+    ]
     km1 = k - 1
     erfc = math.erfc
-    total = 0.0
-    for z, fw, cdf in _range_cdf_nodes(panels):
-        d = cdf - 0.5 * erfc((w - z) / _SQRT2)
-        if d > 0.0:
-            total += fw * d**km1
-    return min(1.0, k * total)
+    values = []
+    for w in ws:
+        total = 0.0
+        for z, fw, cdf in nodes:
+            d = cdf - 0.5 * erfc((w - z) / _SQRT2)
+            if d > 0.0:
+                total += fw * d**km1
+        values.append(min(1.0, k * total))
+    return values
+
+
+@lru_cache(maxsize=None)
+def _range_cdf_table(k: int) -> tuple[float, float, tuple[tuple[float, ...], ...]]:
+    """Piecewise Chebyshev interpolant of the range CDF R(w; k): (top,
+    piece width, coefficients per piece, highest order first).  It covers
+    [0, top], where k * erfc(top / (2 sqrt 2)) < 2**-53 bounds 1 - R(top)."""
+    top = 0.0
+    while k * math.erfc(top / (2.0 * _SQRT2)) >= PTUKEY_TAIL_CUT:
+        top += 0.125
+    h = top / _CHEB_PIECES
+    n = _CHEB_NODES
+    angles = [math.pi * (j + 0.5) / n for j in range(n)]
+    ws = [(p + 0.5 + 0.5 * math.cos(a)) * h for p in range(_CHEB_PIECES) for a in angles]
+    values = _range_cdf(ws, k, _RANGE_PANELS)
+    pieces = []
+    for p in range(_CHEB_PIECES):
+        f = values[p * n:(p + 1) * n]
+        pieces.append(tuple(
+            (2.0 - (m == 0)) / n * float_sum(v * math.cos(m * a) for v, a in zip(f, angles))
+            for m in reversed(range(n))
+        ))
+    return top, h, tuple(pieces)
+
+
+def _range_cdf_at(w: float, table: tuple) -> float:
+    """R(w; k) read from ``_range_cdf_table(k)`` by Clenshaw's recurrence;
+    exactly 1.0 past the table's top."""
+    top, h, pieces = table
+    if w >= top:
+        return 1.0
+    u = w / h
+    p = min(int(u), _CHEB_PIECES - 1)
+    x2 = 4.0 * (u - p) - 2.0
+    coeffs = pieces[p]
+    b1 = b2 = 0.0
+    for c in coeffs[:-1]:
+        b1, b2 = x2 * b1 - b2 + c, b1
+    return 0.5 * x2 * b1 - b2 + coeffs[-1]
 
 
 def ptukey(q: float, k: int, df: float) -> float:
@@ -213,16 +275,17 @@ def ptukey(q: float, k: int, df: float) -> float:
 
     Returns exactly 1.0, with no quadrature, when the pairwise Bonferroni
     bound C(k,2) * P(|T_df| > q/sqrt(2)) on 1 - P is at most 2**-53: the
-    exact answer rounds to 1.0 there.  Otherwise nested quadrature: the
-    outer integral runs over the scaled chi density of the sample standard
-    deviation, the inner over the normal range probability, both on
-    Gauss-Legendre panels.  The inner panels are doubled first, at two
-    outer panels, until two levels agree within PTUKEY_ABS_TOL; then the
-    outer panels, at that inner count, until two levels agree within
-    PTUKEY_OUTER_ABS_TOL, which is tighter because the outer axis converges
-    slowly at small df.  The finer level is returned.  An axis that does
-    not stabilize within PTUKEY_MAX_DOUBLINGS doublings raises
-    ConvergenceError.
+    exact answer rounds to 1.0 there.  For k = 2, Q = sqrt(2) |T_df|, so P
+    is the exact 1 - I(df/2, 1/2, df/(df + q^2/2)).  Otherwise P is the
+    integral of R(q s; k), the normal range CDF, over the scaled chi density
+    of the sample standard deviation s (Copenhaver & Holland, 1988).  R is
+    read from a piecewise Chebyshev table built once per k, which reads
+    exactly 1.0 past its top W_k; the s axis is split at W_k / q, so that
+    a rise of R at small s, as at large q and small df, lies in a part of
+    its own.  The outer Gauss-Legendre panels double until two levels
+    agree within PTUKEY_OUTER_ABS_TOL, and the finer level is returned;
+    ConvergenceError is raised if that takes more than PTUKEY_MAX_DOUBLINGS
+    doublings.  Above PTUKEY_LARGE_DF the result is R(q; k).
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
@@ -243,31 +306,30 @@ def ptukey(q: float, k: int, df: float) -> float:
         <= PTUKEY_TAIL_CUT
     ):
         return 1.0
-
-    def refine(evaluate, panels, tol, previous=None):
-        # double ``panels`` until two levels agree; return the finer one
-        if previous is None:
-            previous = evaluate(panels)
-        for _ in range(PTUKEY_MAX_DOUBLINGS):
-            panels *= 2
-            current = evaluate(panels)
-            if abs(current - previous) <= tol:
-                return panels, current
-            previous = current
-        raise ConvergenceError(
-            f"studentized range quadrature did not stabilize for q={q}, k={k}, df={df}",
-            PTUKEY_MAX_DOUBLINGS + 1,
-        )
-
     if df > PTUKEY_LARGE_DF:
-        return refine(lambda n: _range_cdf(q, k, n), 1, PTUKEY_ABS_TOL)[1]
-    inner, value = refine(lambda n: _ptukey_outer(q, k, df, n, 2), 1, PTUKEY_ABS_TOL)
-    return refine(
-        lambda n: _ptukey_outer(q, k, df, inner, n), 2, PTUKEY_OUTER_ABS_TOL, value
-    )[1]
+        return _range_cdf_at(q, _range_cdf_table(k))
+    if k == 2:
+        return _two_group_cdf(q, df)
+    panels = 2
+    previous = _ptukey_outer(q, k, df, panels)
+    for _ in range(PTUKEY_MAX_DOUBLINGS):
+        panels *= 2
+        current = _ptukey_outer(q, k, df, panels)
+        if abs(current - previous) <= PTUKEY_OUTER_ABS_TOL:
+            return current
+        previous = current
+    raise ConvergenceError(
+        f"studentized range quadrature did not stabilize for q={q}, k={k}, df={df}",
+        PTUKEY_MAX_DOUBLINGS + 1,
+    )
 
 
-def _ptukey_outer(q: float, k: int, df: float, inner_panels: int, outer_panels: int) -> float:
+def _two_group_cdf(q: float, df: float) -> float:
+    """Exact P(Q <= q) for k = 2, where Q = sqrt(2) |T_df|."""
+    return 1.0 - regularized_incomplete_beta(0.5 * df, 0.5, df / (df + 0.5 * q * q))
+
+
+def _ptukey_outer(q: float, k: int, df: float, panels: int) -> float:
     # outer integrand: density of s = sqrt(chi2_df / df), which is
     # c * s^(df-1) * exp(-df s^2 / 2), times the conditional range CDF
     ln_const = (
@@ -278,12 +340,17 @@ def _ptukey_outer(q: float, k: int, df: float, inner_panels: int, outer_panels: 
     sd = 1.0 / math.sqrt(2.0 * df)
     lo = max(0.0, 1.0 - 12.0 * sd - 1.5 / df)
     hi = 1.0 + 12.0 * sd + 4.0 / math.sqrt(df) + 3.0 / df
+    table = _range_cdf_table(k)
+    split = table[0] / q
+    edges = (lo, split, hi) if lo < split < hi else (lo, hi)
     total = 0.0
-    for s, w in _panel_nodes(lo, hi, outer_panels):
-        ln_density = ln_const + (df - 1.0) * math.log(s) - 0.5 * df * s * s
-        if ln_density < -745.0:
-            continue
-        total += w * math.exp(ln_density) * _range_cdf(q * s, k, inner_panels)
+    for a, b in zip(edges, edges[1:]):
+        for s, w in _panel_nodes(a, b, panels):
+            ln_density = ln_const + (df - 1.0) * math.log(s) - 0.5 * df * s * s
+            # together such nodes add less than 1e-20, and R needs no read
+            if ln_density < -50.0:
+                continue
+            total += w * math.exp(ln_density) * _range_cdf_at(q * s, table)
     return min(1.0, total)
 
 

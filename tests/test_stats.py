@@ -43,11 +43,28 @@ PTUKEY_REFERENCE = {
 }
 
 # Frozen scipy 1.17 values at df = 1, where the outer axis needs its
-# seventh doubling.
+# seventh doubling; at large q and small df, where the range CDF rises at
+# small s; and near 1 at moderate df, where an inner tolerance of 1e-6
+# left errors of 1e-8.  (2000, 2, 2) is the exact 1 - I(1, 1/2, 2/(2 + 2e6)).
 PTUKEY_EXTREME_REFERENCE = {
     (40.0, 30, 1): 0.9186595413517228,
     (50.0, 30, 1): 0.9348833613708168,
     (50.0, 20, 1): 0.9404606764825929,
+    (1000.0, 30, 1): 0.9967402351908754,
+    (2000.0, 2, 2): 0.999999500000375,
+    (10.0, 20, 50): 0.9999991743904891,
+    (10.0, 20, 88): 0.9999999349132498,
+    (10.0, 20, 200): 0.9999999952354698,
+}
+
+# Frozen scipy 1.17 betainc(a, 1/2, x) at x = df / (df + q^2 / 2), df = 2a,
+# q in {1, 2}: large shape parameters, where ln B(a, b) from lgamma
+# differences lost 1e-9.
+BETAINC_LARGE_A_REFERENCE = {
+    (5e5, 0.99999950000025): 0.4795002869377675,
+    (5e5, 0.999998000004): 0.15729951837803532,
+    (5e6, 0.9999999500000025): 0.479500138770985,
+    (5e6, 0.99999980000004): 0.1572992381442081,
 }
 
 F_SF_REFERENCE = {
@@ -213,6 +230,10 @@ class TestFUpperTail:
         with pytest.raises(ValueError):
             f_upper_tail(1.0, 0, 2)
 
+    def test_incomplete_beta_at_large_shape_parameter(self):
+        for (a, x), expected in BETAINC_LARGE_A_REFERENCE.items():
+            assert regularized_incomplete_beta(a, 0.5, x) == pytest.approx(expected, rel=1e-13)
+
     def test_incomplete_beta_bounds(self):
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
         assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
@@ -254,11 +275,14 @@ class TestPtukey:
                 return pairs * math.erfc(0.5 * q)
             return pairs * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + 0.5 * q * q))
 
+        # past the cut, k = 2 takes the exact two-group value and larger k
+        # read the range CDF table
         calls = []
-        range_cdf = stats._range_cdf
-        monkeypatch.setattr(
-            stats, "_range_cdf", lambda *args: calls.append(args) or range_cdf(*args)
-        )
+        for name in ("_range_cdf_at", "_two_group_cdf"):
+            spied = getattr(stats, name)
+            monkeypatch.setattr(
+                stats, name, lambda *args, f=spied: calls.append(args) or f(*args)
+            )
         for k in (2, 3, 8, 30):
             for df in (1, 2, 5, 10, 88, 978, 10000, 3e7):
                 lo, hi = 1.0, 2.0
@@ -276,6 +300,20 @@ class TestPtukey:
                 # the quadrature's own floor near 1 is about 1e-14, above 2**-52
                 assert ptukey(lo, k, df) >= 1.0 - 1e-13
                 assert calls
+
+    @pytest.mark.parametrize("k", [3, 8, 30, 60])
+    def test_table_matches_the_range_quadrature_at_doubled_panels(self, k):
+        table = stats._range_cdf_table(k)
+        rng = random.Random(k)
+        ws = [rng.uniform(0.0, table[0]) for _ in range(2000)]
+        finer = stats._range_cdf(ws, k, 2 * stats._RANGE_PANELS)
+        assert max(abs(stats._range_cdf_at(w, table) - r) for w, r in zip(ws, finer)) <= 1e-13
+
+    def test_table_reads_one_past_its_top(self):
+        for k in (2, 3, 8, 30):
+            table = stats._range_cdf_table(k)
+            assert k * math.erfc(table[0] / (2.0 * math.sqrt(2.0))) < 2.0**-53
+            assert stats._range_cdf_at(table[0], table) == 1.0
 
     def test_large_df_matches_normal_range_identity(self):
         # for k=2: P(Q <= q) = P(|Z1 - Z2| <= q) = 2 Phi(q / sqrt 2) - 1
@@ -351,6 +389,21 @@ class TestTukeyHsd:
         assert pairs[0].group_a == "old"
         assert pairs[0].group_b == "new"
         assert pairs[0].mean_diff == pytest.approx(2.0)
+
+    def test_family_of_the_same_k_reuses_the_range_table(self, monkeypatch):
+        calls = []
+        range_cdf = stats._range_cdf
+        monkeypatch.setattr(
+            stats, "_range_cdf", lambda *args: calls.append(args) or range_cdf(*args)
+        )
+        rng = random.Random(11)
+        groups = [[rng.gauss(0.3 * i, 1.0) for _ in range(4)] for i in range(5)]
+        tukey_hsd(groups, anova(groups))
+        calls.clear()
+        shifted = [[x + 0.1 * i for x in g] for i, g in enumerate(groups)]
+        pairs = tukey_hsd(shifted, anova(shifted))
+        assert any(0.0 < p.p_adj < 1.0 for p in pairs)
+        assert not calls
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(ValueError):
