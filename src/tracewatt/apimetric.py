@@ -31,7 +31,8 @@ class ApiClassifier:
     the same method the longest prefix wins (so ``java.util.`` can carve a
     sub-API out of ``java.``); equal lengths keep the earlier rule.
     Construction is the one check of the rules: at least one, each with a
-    non-empty prefix and label, no prefix twice.
+    non-empty prefix and label, no prefix twice.  A label depends only on
+    the package, so each package is matched once and its label kept.
     """
 
     def __init__(self, rules: Iterable[ApiRule]):
@@ -54,14 +55,17 @@ class ApiClassifier:
             for r in self.rules
         ]
         self._matchers = sorted(normalized, key=lambda item: -len(item[0]))
+        self._labels: dict[str, Optional[str]] = {}
 
     def classify(self, method: MethodId) -> Optional[str]:
         """Label of the longest matching prefix rule, or None."""
-        probe = method.package + "."
-        for prefix, label in self._matchers:
-            if probe.startswith(prefix):
-                return label
-        return None
+        package = method.package
+        if package not in self._labels:
+            probe = package + "."
+            self._labels[package] = next(
+                (label for prefix, label in self._matchers if probe.startswith(prefix)), None
+            )
+        return self._labels[package]
 
 
 @dataclass

@@ -13,6 +13,15 @@ every ``repr`` of a finite float (``1e-05``, ``1.5e+20``, ``-0.0``) and
 plain integers such as ``20000``.  Other spellings ``float()`` accepts
 (``1_0``, `` 5``, ``+.5``, ``5.``, ``1E5``, ``nan``) are rejected.
 
+Parsing is one bulk pass per file: a line-anchored regex checks that
+every line is a sample line, ``split`` and ``map(float, ...)`` read every
+value, and ``min``, ``max`` and one pairwise comparison check sign,
+finiteness and order.  Only a file with comment lines or a bad line is
+read line by line, which names the first bad line.  Transient memory is
+linear in the file; one ``fullmatch`` of a repeated line pattern over the
+whole text would keep a regex backtracking entry per line, tens of times
+more.
+
 Energy is the trapezoidal integral of power over a time window: mW times
 seconds gives millijoules.  A window is integrated straight from the
 profile's samples: one bisection finds its first segment, O(log S) for S
@@ -30,7 +39,8 @@ the cost is O(E log S + S) for E call boundaries.
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, lt
 from typing import Iterable, NamedTuple
 
 from .callgraph import CallNode
@@ -41,9 +51,11 @@ _HEADER_MAGIC = "#power"
 
 MJ_PER_MW_US = 1e-6
 
-_NUMERAL = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
+# (?:x|) is (?:x)? spelled as a branch, which the regex engine matches
+# faster than an optional repeat.
+_NUMERAL = r"-?[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)"
 _NUMERAL_RE = re.compile(_NUMERAL)
-_SAMPLE_LINE_RE = re.compile(f"({_NUMERAL});({_NUMERAL})")
+_SAMPLE_LINE_RE = re.compile(f"^{_NUMERAL};{_NUMERAL}\n", re.M)
 _INF = float("inf")
 
 
@@ -78,26 +90,26 @@ def _parse_float(text: str, what: str) -> float:
     return value
 
 
-def _sample_line_error(line: str, prev_t: float) -> str:
-    """Why a sample line that the fast path in parse_power refused is bad."""
+def _checked_sample(line: str, prev_t: float) -> tuple[float, float]:
+    """The (t_us, power_mw) of a sample line that follows a sample at
+    ``prev_t``; raises ValueError naming the first thing wrong with it."""
     fields = line.split(";")
     if len(fields) != 2:
-        return f"expected 2 ;-separated fields, got {len(fields)}"
-    try:
-        t_us = _parse_float(fields[0], "timestamp")
-        power_mw = _parse_float(fields[1], "power")
-    except ValueError as exc:
-        return str(exc)
+        raise ValueError(f"expected 2 ;-separated fields, got {len(fields)}")
+    t_us = _parse_float(fields[0], "timestamp")
+    power_mw = _parse_float(fields[1], "power")
     if power_mw < 0:
-        return f"negative power {power_mw}"
-    return f"timestamp {t_us} not after {prev_t}"
+        raise ValueError(f"negative power {power_mw}")
+    if not t_us > prev_t:
+        raise ValueError(f"timestamp {t_us} not after {prev_t}")
+    return t_us, power_mw
 
 
 def parse_power(data: "bytes | str") -> PowerProfile:
     """Parse power-format text; rejects non-canonical numerals,
     non-increasing timestamps and negative power with the offending line
     number."""
-    test_name, sample_index, (rate_text,), lines = _read_line_file(
+    test_name, sample_index, (rate_text,), body = _read_line_file(
         data, _HEADER_MAGIC, POWER_VERSION, 4, PowerFormatError
     )
     try:
@@ -107,27 +119,34 @@ def parse_power(data: "bytes | str") -> PowerProfile:
     except ValueError as exc:
         raise PowerFormatError(str(exc), line=1) from None
 
+    # Each match is one whole line, LF included, so the body is sample lines
+    # only iff removing them leaves nothing; else the loop below names the
+    # first bad line.
+    if not _SAMPLE_LINE_RE.sub("", body):
+        fields = body.replace("\n", ";").split(";")
+        fields.pop()  # the empty text after the last LF
+        values = list(map(float, fields))
+        del fields  # the largest transient: one str per field
+        ts, ps = values[0::2], values[1::2]
+        if not ts or (
+            -_INF < ts[0] and ts[-1] < _INF and 0.0 <= min(ps) and max(ps) < _INF
+            and all(map(lt, ts, ts[1:]))
+        ):
+            # tuple.__new__ builds each PowerSample without the Python-level
+            # call of its generated __new__.
+            samples = tuple(map(tuple.__new__, repeat(PowerSample), zip(ts, ps)))
+            return PowerProfile(test_name, sample_index, rate_hz, samples)
+
     samples = []
     prev_t = -_INF
-    fullmatch = _SAMPLE_LINE_RE.fullmatch
-    # tuple.__new__ builds each PowerSample without the Python-level call
-    # of its generated __new__, a sixth of the per-line parse cost.
-    new_sample = tuple.__new__
-    for lineno, line in enumerate(lines, start=2):
-        match = fullmatch(line)
-        if match is None:
-            if line.startswith("#"):
-                continue
-            raise PowerFormatError(_sample_line_error(line, prev_t), line=lineno)
-        t_text, p_text = match.groups()
-        t_us = float(t_text)
-        power_mw = float(p_text)
-        # One chained test for the common case: finite, increasing
-        # timestamp and finite, non-negative power.
-        if not (prev_t < t_us < _INF and 0.0 <= power_mw < _INF):
-            raise PowerFormatError(_sample_line_error(line, prev_t), line=lineno)
-        prev_t = t_us
-        samples.append(new_sample(PowerSample, (t_us, power_mw)))
+    for lineno, line in enumerate(body.split("\n")[:-1], start=2):
+        if line.startswith("#"):
+            continue
+        try:
+            prev_t, power_mw = _checked_sample(line, prev_t)
+        except ValueError as exc:
+            raise PowerFormatError(str(exc), line=lineno) from None
+        samples.append(PowerSample(prev_t, power_mw))
     return PowerProfile(test_name, sample_index, rate_hz, tuple(samples))
 
 

@@ -12,6 +12,7 @@ writes to ``methods.csv``, runs only when the caller asks for rows.
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -67,7 +68,8 @@ def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
 
     def scan(directory: Path, suffix: str) -> dict[tuple[str, int], Path]:
         found = {}
-        for entry in sorted(directory.iterdir()):
+        # One directory's entries: sorting by name gives the Path order.
+        for entry in sorted(directory.iterdir(), key=attrgetter("name")):
             if not entry.is_file():
                 continue
             parts = entry.name.rsplit(".", 2)

@@ -16,18 +16,32 @@ single dots.  The records check nothing: :func:`parse_trace` checks
 every field and the sequence rules and nests the events into
 :class:`CallNode` trees in one walk, and :func:`write_trace` returns
 only text that it accepts.
+
+Parsing is one bulk pass per file: one ``findall`` of the event-line
+regex checks every field, one :class:`MethodId` is made per distinct
+method and one loop builds the events for the sequence walk.  Only a
+file with a bad line or a sequence violation is read again line by line,
+to name the first bad line.  Transient memory is linear in the file.
 """
 
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 TRACE_VERSION = "v1"
 _HEADER_MAGIC = "#trace"
 _UINT_RE = re.compile("0|[1-9][0-9]*")
 _NAME_RE = re.compile(r"[^;:.\s]+")
 _PACKAGE_RE = re.compile(rf"{_NAME_RE.pattern}(?:\.{_NAME_RE.pattern})*")
+# The field patterns joined into one event line, with the method's three
+# fields as one group: a line matches iff the per-field checks accept it.
+# [0-9], not \d, which also matches digits such as "\u0661" that int() reads.
+_EVENT_LINE_RE = re.compile(
+    rf"^([EX]);({_UINT_RE.pattern});({_UINT_RE.pattern});"
+    rf"({_PACKAGE_RE.pattern};{_NAME_RE.pattern};{_NAME_RE.pattern})$",
+    re.M,
+)
 
 
 class LineFormatError(ValueError):
@@ -80,8 +94,7 @@ def _checked_method(package: str, class_name: str, method: str) -> MethodId:
     return MethodId(package, class_name, method)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     kind: str  # the file's code: "E" enters, "X" exits
     method: MethodId
     thread: int
@@ -144,11 +157,12 @@ def _parse_uint(text: str, what: str) -> int:
 def _read_line_file(
     data: "bytes | str", magic: str, version: str, n_fields: int,
     error: "type[LineFormatError]",
-) -> tuple[str, int, list[str], list[str]]:
+) -> tuple[str, int, list[str], str]:
     """Decode a ``<magic> <version>;<test_name>;<sample_index>[;...]`` file:
     check UTF-8 and the header, raising ``error`` with the line number.
     Returns the test name, the sample index, the header's remaining fields
-    and the lines after the header.
+    and the text after the header: empty, or lines that each end in LF
+    (a missing final LF is added), the first of them line 2.
     """
     if isinstance(data, bytes):
         try:
@@ -158,17 +172,16 @@ def _read_line_file(
             raise error(f"not valid UTF-8: {exc}", line=line) from None
     else:
         text = data
-
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text:
         raise error("empty input, expected a header line", line=1)
+    if not text.endswith("\n"):
+        text += "\n"
 
-    header = lines[0].split(";")
+    header_line, _, body = text.partition("\n")
+    header = header_line.split(";")
     magic_version = header[0].split(" ")
     if len(magic_version) != 2 or magic_version[0] != magic:
-        raise error(f"bad header {lines[0]!r}", line=1)
+        raise error(f"bad header {header_line!r}", line=1)
     if magic_version[1] != version:
         raise error(f"unknown format version {magic_version[1]!r}", line=1)
     if len(header) != n_fields:
@@ -179,7 +192,7 @@ def _read_line_file(
         sample_index = _parse_uint(header[2], "sample_index")
     except ValueError as exc:
         raise error(str(exc), line=1) from None
-    return test_name, sample_index, header[3:], lines[1:]
+    return test_name, sample_index, header[3:], body
 
 
 def _sequence_violations(events: Iterable[TraceEvent], top_level: dict) -> Iterator[tuple[int, str]]:
@@ -237,14 +250,39 @@ def parse_trace(data: "bytes | str") -> TestTrace:
     unbalanced or mismatched Enter/Exit nesting; the first bad line wins.
     Never raises anything else on arbitrary input bytes.
     """
-    test_name, sample_index, _, lines = _read_line_file(
+    test_name, sample_index, _, body = _read_line_file(
         data, _HEADER_MAGIC, TRACE_VERSION, 3, TraceFormatError
     )
+    rows = _EVENT_LINE_RE.findall(body)
+    # Each match is one whole line, and no comment line matches, so every
+    # line matched iff the counts agree.
+    comments = body.startswith("#") + body.count("\n#")
+    if len(rows) != body.count("\n") - comments:
+        _raise_first_bad_line(body)
+    methods: dict[str, MethodId] = {}
     events = []
+    new_event = tuple.__new__
+    for kind, thread, t_ns, key in rows:
+        method = methods.get(key)
+        if method is None:
+            method = methods[key] = MethodId(*key.split(";"))
+        events.append(new_event(TraceEvent, (kind, method, int(thread), int(t_ns))))
     top_level: dict[int, list[CallNode]] = {}
+    for _ in _sequence_violations(events, top_level):
+        _raise_first_bad_line(body)
+    trace = TestTrace(test_name, sample_index, tuple(events))
+    vars(trace)["top_level_calls"] = top_level  # the walk above nested the events
+    return trace
+
+
+def _raise_first_bad_line(body: str) -> None:
+    """Raise the TraceFormatError of the first bad line of a trace body
+    that the bulk pass of parse_trace refused.  Lines are read and walked
+    one at a time, so a sequence violation before a malformed line wins."""
+    event_lines = []
 
     def scan() -> Iterator[TraceEvent]:
-        for lineno, line in enumerate(lines, start=2):
+        for lineno, line in enumerate(body.split("\n")[:-1], start=2):
             if line.startswith("#"):
                 continue
             fields = line.split(";")
@@ -261,18 +299,11 @@ def parse_trace(data: "bytes | str") -> TestTrace:
                 method = _checked_method(package, class_name, method_name)
             except ValueError as exc:
                 raise TraceFormatError(str(exc), line=lineno) from None
-            event = TraceEvent(kind, method, thread, t_ns)
-            events.append(event)
-            yield event
+            event_lines.append(lineno)
+            yield TraceEvent(kind, method, thread, t_ns)
 
-    for idx, message in _sequence_violations(scan(), top_level):
-        event_lines = [
-            n for n, line in enumerate(lines, start=2) if not line.startswith("#")
-        ]
+    for idx, message in _sequence_violations(scan(), {}):
         raise TraceFormatError(message, line=event_lines[idx])
-    trace = TestTrace(test_name, sample_index, tuple(events))
-    vars(trace)["top_level_calls"] = top_level  # the walk above nested the events
-    return trace
 
 
 def write_trace(trace: TestTrace) -> str:

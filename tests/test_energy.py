@@ -21,6 +21,7 @@ from tracewatt.energy import (
 from tracewatt.trace import MethodId, parse_trace
 
 from conftest import random_call_tree, random_trace
+from reference_parsers import parity_difference, reference_parse_power
 from test_golden import MULTI_ROOT_POWER, MULTI_ROOT_TRACE
 
 M = MethodId("com.app", "C", "m")
@@ -167,6 +168,92 @@ class TestParsePower:
             accepted += 1
             assert parse_power(write_power(profile)) == profile
         assert accepted >= 100
+
+
+def _power_mutants(rng: random.Random, text: str, n: int):
+    """The two mutation streams of TestParsePower.test_fuzz_mutations_never_crash,
+    n of each, with the same draws from ``rng``: byte mutants, then field
+    mutants."""
+    base = text.encode()
+    for _ in range(n):
+        data = bytearray(base)
+        for _ in range(rng.randrange(1, 6)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        yield bytes(data)
+    for _ in range(n):
+        lines = text.splitlines()
+        for _ in range(rng.randrange(1, 6)):
+            _mutate_power_fields(rng, lines)
+        yield "\n".join(lines) + "\n"
+
+
+_H = "#power v1;a.B::m;0;20000\n"
+
+
+class TestBulkParsePower:
+    def test_matches_the_per_line_reference_on_fuzz_mutants(self):
+        rng = random.Random(11)
+        text = write_power(_random_profile(rng, n_max=30))
+        for data in _power_mutants(rng, text, 500):
+            difference = parity_difference(parse_power, reference_parse_power, data)
+            assert difference is None, difference
+
+    @pytest.mark.parametrize(
+        "text, bad_line",
+        [
+            (_H + "0;1.0\n# note\n50;2.0\n", None),
+            (_H + "0;1.0\n# note\n50;-2.0\n", 4),
+            (_H + "0;1.0\n\n50;2.0\n", 3),
+            (_H + "0;1.0\n50;2.0\n\n", 4),
+            (_H + "\n", 2),
+            (_H + "0;1.0\n50;2.0", None),
+            (_H[:-1], None),
+            ("#power v1;a.B::m;0;20000\r\n0;1.0\r\n", 1),
+            (_H + "0;1.0\r\n50;2.0\r\n", 2),
+            (_H + "\u0661;1.0\n", 2),
+            (_H + "0;1.0\n50;1\u0662\n", 3),
+            (_H + "0;1e+999\n", 2),
+            (_H + "0;1.0\n1e+999;1.0\n", 3),
+            (_H + "-1e+999;1.0\n0;1.0\n", 2),
+            (_H + "5;1.0\n3;1.0\nbad\n", 3),
+            (_H + "0;-1.0\nbad\n", 2),
+            (_H + "0;1.0\n0;1.0\n", 3),
+            (_H + "0;1.0;2.0\n", 2),
+            (_H + "-0.0;-0.0\n1;0\n", None),
+        ],
+        ids=["comment-mid", "comment-then-negative", "empty-line", "empty-last-line",
+             "only-empty-line", "no-final-lf", "header-only-no-final-lf", "crlf",
+             "crlf-body", "unicode-digit-time", "unicode-digit-power", "infinite-power",
+             "infinite-time", "minus-infinite-time", "regression-before-malformed",
+             "negative-before-malformed", "repeated-time", "three-fields", "minus-zero"],
+    )
+    def test_matches_the_per_line_reference(self, text, bad_line):
+        difference = parity_difference(parse_power, reference_parse_power, text)
+        assert difference is None, difference
+        if bad_line is None:
+            parse_power(text)
+        else:
+            with pytest.raises(PowerFormatError) as exc:
+                parse_power(text)
+            assert exc.value.line == bad_line
+
+    def test_sample_lines_take_the_bulk_path(self, monkeypatch):
+        monkeypatch.setattr(energy, "_checked_sample", None)  # a call would raise
+        text = write_power(_random_profile(random.Random(5)))
+        assert parse_power(text) == reference_parse_power(text)
+
+    def test_peak_memory_is_a_small_multiple_of_the_text(self):
+        # A single fullmatch of a repeated line pattern over the whole text
+        # keeps a backtracking entry per line, tens of times the text.
+        text = _H + "".join(f"{i * 50.0!r};{100.0 + i % 97 / 7!r}\n" for i in range(100_000))
+        tracemalloc.start()
+        try:
+            profile = parse_power(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(profile.samples) == 100_000
+        assert peak < 12 * len(text)
 
 
 # Characters a field mutation writes into a numeral: digits keep it a

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from conftest import random_trace
+from reference_parsers import parity_difference, reference_parse_trace
+from tracewatt import trace as trace_module
 from tracewatt.energy import PowerFormatError, parse_power
 from tracewatt.trace import (
     MethodId,
@@ -361,6 +363,86 @@ def test_fuzz_mutations_never_crash():
         assert validate_trace(trace) == []
         assert parse_trace(write_trace(trace)) == trace
     assert accepted >= 50
+
+
+def _trace_mutants(rng: random.Random, text: str, n: int):
+    """The two mutation streams of test_fuzz_mutations_never_crash, n of
+    each, with the same draws from ``rng``: byte mutants, then field
+    mutants."""
+    base = text.encode()
+    for _ in range(n):
+        data = bytearray(base)
+        for _ in range(rng.randrange(1, 6)):
+            pos = rng.randrange(len(data))
+            data[pos] = rng.randrange(256)
+        yield bytes(data)
+    for _ in range(n):
+        lines = text.splitlines()
+        for _ in range(rng.randrange(1, 6)):
+            _mutate_fields(rng, lines)
+        yield "\n".join(lines) + "\n"
+
+
+def test_bulk_parse_matches_the_per_line_reference_on_fuzz_mutants():
+    rng = random.Random(7)
+    text = write_trace(random_trace(rng, max_events_per_thread=20))
+    for data in _trace_mutants(rng, text, 500):
+        difference = parity_difference(parse_trace, reference_parse_trace, data)
+        assert difference is None, difference
+
+
+_H = "#trace v1;a.B::m;0\n"
+
+
+@pytest.mark.parametrize(
+    "text, bad_line",
+    [
+        (_H + "E;1;0;p;C;m\n# note\nX;1;2;p;C;m\n", None),
+        (_H + "E;1;0;p;C;m\n# note\nX;1;2;p;C;m;\n", 4),
+        (_H + "# note\nE;1;5;p;C;m\nX;1;3;p;C;m\n", 4),
+        (_H + "E;1;0;p;C;a\n# note\nE;1;1;p;C;b\n", 4),
+        (_H + "E;1;0;p;C;m\n\nX;1;2;p;C;m\n", 3),
+        (_H + "E;1;0;p;C;m\nX;1;2;p;C;m\n\n", 4),
+        (_H + "\n", 2),
+        (_H + "E;1;0;p;C;m\nX;1;2;p;C;m", None),
+        (_H[:-1], None),
+        ("#trace v1;a.B::m;0\r\nE;1;0;p;C;m\r\nX;1;2;p;C;m\r\n", 1),
+        (_H + "E;1;0;p;C;m\r\nX;1;2;p;C;m\r\n", 2),
+        (_H + "E;\u0661;0;p;C;m\nX;\u0661;2;p;C;m\n", 2),
+        (_H + "E;1;0;p;C;m\nX;1;1\u0662;p;C;m\n", 3),
+        (_H + "E;1;0;p;C;m\x85\nX;1;2;p;C;m\x85\n", 2),
+        (_H + "E;1;0;p\u00e9.q;C;m\nX;1;2;p\u00e9.q;C;m\n", None),
+        (_H + "E;1;5;p;C;m\nX;1;3;p;C;m\nE;1;x;p;C;m\n", 3),
+    ],
+    ids=["comment-mid", "comment-then-malformed", "comment-then-regression",
+         "comment-then-unbalanced", "empty-line", "empty-last-line", "only-empty-line",
+         "no-final-lf", "header-only-no-final-lf", "crlf", "crlf-body",
+         "unicode-digit-thread", "unicode-digit-timestamp", "nel-in-name",
+         "non-ascii-package", "sequence-before-malformed"],
+)
+def test_bulk_parse_matches_the_per_line_reference(text, bad_line):
+    difference = parity_difference(parse_trace, reference_parse_trace, text)
+    assert difference is None, difference
+    if bad_line is None:
+        parse_trace(text)
+    else:
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(text)
+        assert exc.value.line == bad_line
+
+
+def test_valid_trace_with_comments_takes_the_bulk_path(monkeypatch):
+    monkeypatch.setattr(trace_module, "_raise_first_bad_line", None)  # a call would raise
+    text = write_trace(random_trace(random.Random(5), n_threads=2))
+    text = text.replace("\n", "\n# note\n", 2)
+    assert parse_trace(text) == reference_parse_trace(text)
+
+
+def test_bulk_parse_makes_one_method_id_per_distinct_method():
+    trace = parse_trace(_H + "E;1;0;p;C;m\nE;1;1;p;C;n\nX;1;2;p;C;n\nX;1;3;p;C;m\n")
+    enter_m, enter_n, exit_n, exit_m = trace.events
+    assert enter_m.method is exit_m.method and enter_n.method is exit_n.method
+    assert type(enter_m) is TraceEvent
 
 
 def test_validate_balanced_pair_is_clean():
