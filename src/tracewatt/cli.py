@@ -22,8 +22,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
-import operator
 import os
 import sys
 from pathlib import Path
@@ -34,7 +32,7 @@ from .energy import AttributionError
 from .evolution import (
     AnalysisError, ComparisonReport, ExecutionRecord, ProxyScore, RevisionSummary,
 )
-from .ingest import LayoutError, MethodRow, RevisionAnalysis, analyze_revision
+from .ingest import METHOD_COLUMNS, LayoutError, analyze_revision
 from .stats import ConvergenceError, TukeyPair
 from .trace import LineFormatError
 
@@ -49,28 +47,13 @@ REPORT_NAME = "report.json"
 SUMMARIES_CSV = "revision_summaries.csv"
 
 
-def _fmt(value) -> str:
-    """Stable text form for CSV cells: shortest round-trip floats, empty
-    string for absent values."""
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: "list[str] | tuple[str, ...]", rows: list) -> None:
+    """csv.writer's cells are stable text: None is an empty cell and a
+    float its shortest round-trip repr (``inf`` included)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def _load_analysis_config(config_file: "str | None") -> AnalysisConfig:
@@ -111,28 +94,18 @@ def _out_dir(args, default: "Path | str" = "tracewatt-out") -> Path:
     return out_dir
 
 
-def _write_analysis(analysis: RevisionAnalysis, out_dir: Path) -> None:
-    fields = _columns(MethodRow)
-    at = fields.index("method")
-    row_values = operator.attrgetter(*fields)
-    method_rows = []
-    for row in analysis.method_rows:
-        values = list(row_values(row))
-        m = values[at]
-        values[at:at + 1] = m.package, m.class_name, m.method
-        method_rows.append(values)
-    header = [*fields[:at], "package", "class", "method", *fields[at + 1:]]
-    _write_csv(out_dir / "methods.csv", header, method_rows)
-    _write_records(out_dir / "tests.csv", ExecutionRecord, analysis.dataset.records)
-
-
 def _write_report_files(report: ComparisonReport, out_dir: Path) -> None:
     payload = evolution.report_to_json_dict(report)
     (out_dir / REPORT_NAME).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     for metric, comparison in report.metrics.items():
-        _write_records(out_dir / f"pairwise_{metric}.csv", TukeyPair, comparison.pairs)
+        _write_csv(
+            out_dir / f"pairwise_{metric}.csv",
+            _columns(TukeyPair),
+            [(p.group_a, p.group_b, p.mean_diff, p.q, p.p_adj,
+              "true" if p.significant else "false") for p in comparison.pairs],
+        )
     _write_csv(
         out_dir / "proxy_scores.csv",
         ["target", *_columns(ProxyScore)],
@@ -148,7 +121,7 @@ def _summary_text(report: ComparisonReport) -> str:
         f" of {len(report.aligned_tests)} aligned",
         f"observations per metric: {report.n_observations}"
         f" ({report.observation_unit})",
-        f"alpha: {_fmt(report.alpha)}",
+        f"alpha: {report.alpha!r}",
         "",
     ]
     if not report.metrics:
@@ -192,12 +165,13 @@ def cmd_analyze(args) -> int:
     if not revision_dir.is_dir():
         raise LayoutError(f"{revision_dir} is not a directory")
     (executions,) = _scan_revisions(config, [revision_dir])
-    analysis = analyze_revision(revision_dir.name, executions, config, with_rows=True)
+    dataset, method_rows = analyze_revision(revision_dir.name, executions, config, with_rows=True)
     out_dir = _out_dir(args)
-    _write_analysis(analysis, out_dir)
+    _write_csv(out_dir / "methods.csv", METHOD_COLUMNS, method_rows)
+    _write_records(out_dir / "tests.csv", ExecutionRecord, dataset.records)
     print(
-        f"analyzed revision {analysis.dataset.revision}: "
-        f"{len(analysis.dataset.records)} executions -> {out_dir}"
+        f"analyzed revision {dataset.revision}: "
+        f"{len(dataset.records)} executions -> {out_dir}"
     )
     return EXIT_OK
 
@@ -217,7 +191,7 @@ def cmd_evolve(args) -> int:
         )
     scans = _scan_revisions(config, revision_dirs)
     datasets = [
-        analyze_revision(rev_dir.name, executions, config, with_rows=False).dataset
+        analyze_revision(rev_dir.name, executions, config, with_rows=False)[0]
         for rev_dir, executions in zip(revision_dirs, scans)
     ]
     report = evolution.compare(datasets, config)

@@ -6,15 +6,14 @@ files named ``<test_name>.<sample_index>.trace`` / ``.power``; every trace
 must have its matching power file and vice versa.
 
 Each execution yields one ExecutionRecord: its test-window energy and U,
-all that ``evolve`` reads.  Per-method attribution, whose rows ``analyze``
-writes to ``methods.csv``, runs only when the caller asks for rows.
+all that ``evolve`` reads.  Per-method attribution runs only when the
+caller asks for rows: one flat tuple per call occurrence, in the column
+order of METHOD_COLUMNS, which ``analyze`` writes to ``methods.csv``.
 """
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional
 
 from .apimetric import uapi
 from .callgraph import build_call_trees, node_intervals
@@ -28,28 +27,12 @@ class LayoutError(ValueError):
     """The on-disk revision layout is broken (missing or mispaired files)."""
 
 
-@dataclass(frozen=True)
-class MethodRow:
-    """One per-occurrence output row of an analyzed execution."""
-
-    test_name: str
-    sample_index: int
-    thread: int
-    depth: int
-    t_start_ns: int
-    duration_ns: int
-    method: MethodId
-    api_label: Optional[str]
-    u_value: int
-    energy_mj_inclusive: float
-    energy_mj_exclusive: float
-    avg_power_mw: float
-
-
-@dataclass
-class RevisionAnalysis:
-    dataset: RevisionDataset
-    method_rows: list[MethodRow]
+# The columns of methods.csv; analyze_execution builds its rows in this order.
+METHOD_COLUMNS = (
+    "test_name", "sample_index", "thread", "depth", "t_start_ns", "duration_ns",
+    "package", "class", "method", "api_label", "u_value",
+    "energy_mj_inclusive", "energy_mj_exclusive", "avg_power_mw",
+)
 
 
 def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
@@ -110,17 +93,17 @@ def analyze_execution(
     power_path: Path,
     config: AnalysisConfig,
     with_rows: bool,
-) -> tuple[ExecutionRecord, list[MethodRow]]:
+) -> tuple[ExecutionRecord, list[tuple]]:
     """Analyze one (test, sample) execution: build the call tree, compute
     U values and integrate the test window's energy.
 
     Only ``with_rows`` (``analyze``) attributes energy to each call
-    occurrence, one MethodRow per node; ``evolve`` reads the record alone.
-    Attribution integrates only stretches inside the test window, so a
-    power file fails with rows or without them alike.  The record's rU is
-    NaN until normalize_ruapi sets it, because N sums over every execution
-    of the same sample run.  A parse or attribution error is raised again,
-    once, naming the file it came from.
+    occurrence, one METHOD_COLUMNS row per node; ``evolve`` reads the
+    record alone.  Attribution integrates only stretches inside the test
+    window, so a power file fails with rows or without them alike.  The
+    record's rU is NaN until normalize_ruapi sets it, because N sums over
+    every execution of the same sample run.  A parse or attribution error
+    is raised again, once, naming the file it came from.
     """
     try:
         trace = parse_trace(trace_path.read_bytes())
@@ -151,18 +134,11 @@ def analyze_execution(
         raise type(exc)(f"{path}: {exc}") from None
 
     rows = [
-        MethodRow(
-            test_name,
-            sample_index,
-            node.thread,
-            depth,
-            node.t_start_ns,
-            node.duration_ns,
-            node.method,
-            config.classifier.classify(node.method),
-            metric.node_values.get(node, 0),
-            inclusive,
-            exclusive,
+        (
+            test_name, sample_index, node.thread, depth, node.t_start_ns,
+            node.duration_ns, node.method.package, node.method.class_name,
+            node.method.method, config.classifier.classify(node.method),
+            metric.node_values.get(node, 0), inclusive, exclusive,
             inclusive / (node.duration_ns * 1e-9) if node.duration_ns > 0 else 0.0,
         )
         for (node, depth), (inclusive, exclusive) in zip(intervals, energies)
@@ -185,15 +161,15 @@ def analyze_execution(
 def analyze_revision(
     revision: str, executions: list[tuple[str, int, Path, Path]], config: AnalysisConfig,
     with_rows: bool,
-) -> RevisionAnalysis:
+) -> tuple[RevisionDataset, list[tuple]]:
     """Analyze every execution that scan_revision_dir found in a revision
     directory, in its (test_name, sample_index) order, with rU normalized
-    over all of its tests.  ``method_rows`` is filled only ``with_rows``."""
+    over all of its tests.  Returns the dataset and the methods.csv rows,
+    which are filled only ``with_rows``."""
     records = []
     method_rows = []
     for name, sample, trace_path, power_path in executions:
         record, rows = analyze_execution(name, sample, trace_path, power_path, config, with_rows)
         records.append(record)
         method_rows.extend(rows)
-    dataset = normalize_ruapi(revision, records, {r.test_name for r in records})
-    return RevisionAnalysis(dataset, method_rows)
+    return normalize_ruapi(revision, records, {r.test_name for r in records}), method_rows

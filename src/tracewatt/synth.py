@@ -207,20 +207,13 @@ def test_method_name(index: int) -> str:
     return f"com.fixture.suite.GeneratedSuite::test{index:03d}"
 
 
-@dataclass
-class _Materialized:
-    trace_rows: list[tuple]
-    api_intervals: list[tuple[int, int]]
-    end_us: int
-
-
 def _materialize(
     spec: SynthSpec, skeleton: list[tuple[int, int]], multiplier: float,
     test_method: str,
-) -> _Materialized:
+) -> tuple[list[tuple], list[tuple[int, int]], int]:
     """Lay the skeleton out on the timeline for one revision; returns
-    trace event rows (for trace._render_trace) plus API windows in
-    microseconds.
+    trace event rows (for trace._render_trace), the API windows and the
+    root's exit time, both in microseconds.
 
     A frame's children are laid out one after another, each entered one
     pad after the previous one's exit; then its API calls; then its own
@@ -259,20 +252,21 @@ def _materialize(
         rows.append(("E", 1, cursor * 1000, *name))
         open_frames.append((depth, *name, counts[index]))
         cursor += pad
-    return _Materialized(rows, intervals, end_us)
+    return rows, intervals, end_us
 
 
 def _power_samples(
-    spec: SynthSpec, rev: RevisionSpec, mat: _Materialized, rng: SplitMix64
+    spec: SynthSpec, rev: RevisionSpec, api_intervals: list[tuple[int, int]],
+    end_us: int, rng: SplitMix64,
 ) -> Iterator[tuple[float, float]]:
     """The (t_us, power_mw) samples of one execution's power stream."""
     period = spec.sample_period_us
     interval_idx = 0
     active_until = -1
-    for i in range(mat.end_us // period + 3):
+    for i in range(end_us // period + 3):
         t = i * period
-        while interval_idx < len(mat.api_intervals) and mat.api_intervals[interval_idx][0] <= t:
-            active_until = max(active_until, mat.api_intervals[interval_idx][1])
+        while interval_idx < len(api_intervals) and api_intervals[interval_idx][0] <= t:
+            active_until = max(active_until, api_intervals[interval_idx][1])
             interval_idx += 1
         power = rev.base_power_mw
         if t < active_until:
@@ -317,22 +311,22 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
         energy_mj = 0.0
         for test_idx in range(spec.tests):
             test_name = test_method_name(test_idx)
-            mat = _materialize(
+            trace_rows, api_intervals, end_us = _materialize(
                 spec, skeletons[test_idx], rev.api_call_multiplier,
                 f"test{test_idx:03d}",
             )
-            total_api += len(mat.api_intervals)
-            api_time_us = sum(b - a for a, b in mat.api_intervals)
+            total_api += len(api_intervals)
+            api_time_us = sum(b - a for a, b in api_intervals)
             energy_mj += (
-                rev.base_power_mw * mat.end_us + rev.api_cost_mw * api_time_us
+                rev.base_power_mw * end_us + rev.api_cost_mw * api_time_us
             ) * 1e-6
             for sample in range(spec.samples_per_test):
                 trace_name = f"{test_name}.{sample}.trace"
                 power_name = f"{test_name}.{sample}.power"
-                trace_text = _render_trace(test_name, sample, mat.trace_rows)
+                trace_text = _render_trace(test_name, sample, trace_rows)
                 (traces_dir / trace_name).write_text(trace_text, encoding="utf-8")
                 samples = _power_samples(
-                    spec, rev, mat,
+                    spec, rev, api_intervals, end_us,
                     _stream(spec.seed, "power", rev.label, test_idx, sample),
                 )
                 power_text = _render_power(test_name, sample, float(spec.rate_hz), samples)
@@ -341,7 +335,7 @@ def generate(spec: SynthSpec, out_dir: "Path | str") -> dict:
                     "kind": "trace",
                     "test": test_name,
                     "sample": sample,
-                    "api_interactions": len(mat.api_intervals),
+                    "api_interactions": len(api_intervals),
                 }
                 files[f"{rev.label}/power/{power_name}"] = {
                     "kind": "power",

@@ -14,7 +14,7 @@ test; ``tests/test_trace.py``, ``tests/test_energy.py`` and
 import re
 from typing import Callable, Iterator, Optional
 
-from tracewatt.energy import PowerFormatError, PowerProfile, PowerSample
+from tracewatt.energy import PowerFormatError, PowerProfile
 from tracewatt.trace import (
     LineFormatError,
     MethodId,
@@ -148,7 +148,7 @@ def reference_parse_power(data: "bytes | str") -> PowerProfile:
         if not (prev_t < t_us < _INF and 0.0 <= power_mw < _INF):
             raise PowerFormatError(_sample_line_error(line, prev_t), line=lineno)
         prev_t = t_us
-        samples.append(PowerSample(t_us, power_mw))
+        samples.append((t_us, power_mw))
     return PowerProfile(test_name, sample_index, rate_hz, tuple(samples))
 
 

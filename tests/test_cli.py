@@ -565,6 +565,24 @@ class TestReportCommand:
         assert cli.main(["report", str(tmp_path)]) == 0
         assert "energy_mj" in capsys.readouterr().out
 
+    def test_csv_cells_spell_inf_booleans_none_and_round_trip_floats(self, tmp_path):
+        payload = _with_energy_metric(
+            _single_revision_payload(), pair={"q": "inf"}, proxy={"precision": None},
+        )
+        pairs = payload["metrics"]["energy_mj"]["pairs"]
+        pairs.append({**pairs[0], "mean_diff": 0.1 + 0.2, "q": 1e-05,
+                      "p_adj": 1.5e+20, "significant": True})
+        cli._write_report_files(evolution.report_from_json_dict(payload), tmp_path)
+        assert (tmp_path / "pairwise_energy_mj.csv").read_text() == (
+            "group_a,group_b,mean_diff,q,p_adj,significant\n"
+            "1.0,1.1,0.5,inf,0.2,false\n"
+            "1.0,1.1,0.30000000000000004,1e-05,1.5e+20,true\n"
+        )
+        assert (tmp_path / "proxy_scores.csv").read_text() == (
+            "target,tp,fp,fn,tn,accuracy,precision,recall,f1\n"
+            "energy_mj,0,0,0,1,1.0,,,\n"
+        )
+
 
 def _with_energy_metric(payload: dict, anova=(), pair=(), proxy=()) -> dict:
     """``payload`` with one energy_mj comparison and its proxy score, the

@@ -11,7 +11,6 @@ from tracewatt.energy import (
     AttributionError,
     PowerFormatError,
     PowerProfile,
-    PowerSample,
     attribute,
     integrate,
     parse_power,
@@ -28,9 +27,7 @@ M = MethodId("com.app", "C", "m")
 
 
 def _profile(samples, rate=20000.0) -> PowerProfile:
-    return PowerProfile(
-        "com.app.S::t", 0, rate, tuple(PowerSample(t, p) for t, p in samples)
-    )
+    return PowerProfile("com.app.S::t", 0, rate, tuple(map(tuple, samples)))
 
 
 def _constant(power_mw, t_end_us, step=50.0):
@@ -42,8 +39,8 @@ def _walk_integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
     """Reference integral: copies the samples into lists and walks the
     window's segments, interpolating the right end of every piece.
     integrate must return exactly this float."""
-    ts = [s.t_us for s in profile.samples]
-    ps = [s.power_mw for s in profile.samples]
+    ts = [t for t, _ in profile.samples]
+    ps = [p for _, p in profile.samples]
 
     def power_at(t: float, seg: int) -> float:
         t0, t1 = ts[seg], ts[seg + 1]
@@ -80,7 +77,7 @@ class TestParsePower:
         assert profile.test_name == "a.B::m"
         assert profile.sample_index == 2
         assert profile.nominal_rate_hz == 20000.0
-        assert profile.samples == (PowerSample(0.0, 100.0), PowerSample(50.0, 100.0))
+        assert profile.samples == ((0.0, 100.0), (50.0, 100.0))
 
     def test_duplicate_timestamp_rejected(self):
         with pytest.raises(PowerFormatError, match="not after"):
@@ -119,8 +116,8 @@ class TestParsePower:
         text = "#power v1;a.B::m;0;1e+16\n-0.0;1e-05\n1e-05;0.0\n1.5e+20;-0.0\n"
         assert write_power(parse_power(text)) == text
         assert parse_power("#power v1;a.B::m;0;20000\n0;7\n50;100.0\n").samples == (
-            PowerSample(0.0, 7.0),
-            PowerSample(50.0, 100.0),
+            (0.0, 7.0),
+            (50.0, 100.0),
         )
 
     def test_malformed_line_number(self):
@@ -238,9 +235,15 @@ class TestBulkParsePower:
             assert exc.value.line == bad_line
 
     def test_sample_lines_take_the_bulk_path(self, monkeypatch):
-        monkeypatch.setattr(energy, "_checked_sample", None)  # a call would raise
+        monkeypatch.setattr(energy, "_raise_first_bad_line", None)  # a call would raise
         text = write_power(_random_profile(random.Random(5)))
         assert parse_power(text) == reference_parse_power(text)
+        lines = text.splitlines(keepends=True)
+        lines[1:1] = ["# first\n"]
+        lines[3:3] = ["# mid\n", "#\n"]
+        commented = "".join(lines) + "# last, no final LF"
+        assert parse_power(commented) == reference_parse_power(commented)
+        assert parse_power(commented).samples == parse_power(text).samples
 
     def test_peak_memory_is_a_small_multiple_of_the_text(self):
         # A single fullmatch of a repeated line pattern over the whole text
@@ -373,7 +376,7 @@ class TestIntegrate:
         rng = random.Random(2024)
         for _ in range(200):
             profile = _random_profile(rng)
-            ts = [s.t_us for s in profile.samples]
+            ts = [t for t, _ in profile.samples]
             k = rng.randrange(len(ts) - 1)
             mid = rng.uniform(ts[k], ts[k + 1])
             windows = [
@@ -585,7 +588,7 @@ def test_exclusive_plus_unattributed_is_the_test_energy(trace, profile):
 def test_shift_profile_moves_clock():
     profile = _profile([(0.0, 1.0), (50.0, 2.0)])
     shifted = shift_profile(profile, 25.0)
-    assert [s.t_us for s in shifted.samples] == [25.0, 75.0]
+    assert shifted.samples == ((25.0, 1.0), (75.0, 2.0))
     assert shift_profile(profile, 0.0) is profile
 
 
