@@ -8,15 +8,13 @@ a U value by the total interaction count N of the run it belongs to, is
 set by ``evolution.normalize_ruapi``.
 """
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .callgraph import CallNode, CallTree
 from .trace import MethodId
 
 
-@dataclass(frozen=True)
-class ApiRule:
+class ApiRule(NamedTuple):
     """One package-prefix rule; the label names the API group it belongs to."""
 
     prefix: str
@@ -68,8 +66,7 @@ class ApiClassifier:
         return self._labels[package]
 
 
-@dataclass
-class UapiProfile:
+class UapiProfile(NamedTuple):
     """Per-tree utilization results for one execution.
 
     ``node_values`` maps every traversed node (API subtrees are pruned, so
@@ -79,8 +76,8 @@ class UapiProfile:
     """
 
     root_uapi: int
-    node_values: dict[CallNode, int] = field(default_factory=dict)
-    total_api_interactions: int = 0
+    node_values: dict[CallNode, int]
+    total_api_interactions: int
 
 
 def uapi(tree: CallTree, classifier: ApiClassifier) -> UapiProfile:

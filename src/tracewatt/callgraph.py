@@ -5,15 +5,15 @@ checks the trace.  A tree's roots are the trace's top-level calls,
 ordered by thread id and then in Enter order.
 """
 
-from dataclasses import dataclass
-
 from .trace import CallNode, TestTrace
 from .trace import validate_trace  # noqa: F401  bench/tracer.py wraps it under this module
 
 
-@dataclass(eq=False)
 class CallTree:
-    roots: tuple[CallNode, ...] = ()
+    __slots__ = ("roots",)
+
+    def __init__(self, roots: tuple[CallNode, ...] = ()):
+        self.roots = roots
 
     @property
     def node_count(self) -> int:

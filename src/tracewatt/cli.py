@@ -20,7 +20,6 @@ does not converge).
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -78,13 +77,9 @@ def _scan_revisions(
     return scans
 
 
-def _columns(record_type: type) -> list[str]:
-    return [f.name for f in dataclasses.fields(record_type)]
-
-
 def _write_records(path: Path, record_type: type, records) -> None:
-    """One CSV row per dataclass record, one column per field."""
-    _write_csv(path, _columns(record_type), [dataclasses.astuple(r) for r in records])
+    """One CSV row per NamedTuple record, one column per field."""
+    _write_csv(path, record_type._fields, records)
 
 
 def _out_dir(args, default: "Path | str" = "tracewatt-out") -> Path:
@@ -102,14 +97,14 @@ def _write_report_files(report: ComparisonReport, out_dir: Path) -> None:
     for metric, comparison in report.metrics.items():
         _write_csv(
             out_dir / f"pairwise_{metric}.csv",
-            _columns(TukeyPair),
+            TukeyPair._fields,
             [(p.group_a, p.group_b, p.mean_diff, p.q, p.p_adj,
               "true" if p.significant else "false") for p in comparison.pairs],
         )
     _write_csv(
         out_dir / "proxy_scores.csv",
-        ["target", *_columns(ProxyScore)],
-        [[t, *dataclasses.astuple(s)] for t, s in report.proxy.items()],
+        ["target", *ProxyScore._fields],
+        [[t, *s] for t, s in report.proxy.items()],
     )
     _write_records(out_dir / SUMMARIES_CSV, RevisionSummary, report.summaries)
 
@@ -179,7 +174,8 @@ def cmd_analyze(args) -> int:
 def cmd_evolve(args) -> int:
     config = _load_analysis_config(args.config)
     if args.alpha is not None:
-        config = dataclasses.replace(config, alpha=args.alpha)
+        # built anew, not by _replace, which would skip the config's checks
+        config = AnalysisConfig(**{**config._asdict(), "alpha": args.alpha})
     root = Path(args.root_dir)
     if not root.is_dir():
         raise LayoutError(f"{root} is not a directory")

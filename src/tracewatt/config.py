@@ -21,11 +21,9 @@ The synth spec format shares this dialect through ``read_ini`` and
 ``section_values``: unknown keys and non-finite numbers are rejected.
 """
 
-import configparser
-import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union, get_args, get_origin
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .apimetric import ApiClassifier, ApiRule
 from .trace import MethodId
@@ -45,16 +43,20 @@ class ConfigError(ValueError):
     """The configuration file is malformed or holds an invalid value."""
 
 
-@dataclass
-class AnalysisConfig:
+class _AnalysisFields(NamedTuple):
     api_rules: tuple[ApiRule, ...] = DEFAULT_API_RULES
     alpha: float = 0.05
     aggregation: str = "mean"
     observation_unit: str = "per_sample"
     top_k_tests: Optional[int] = None
-    power_clock_offset_us: dict[str, float] = field(default_factory=dict)
+    power_clock_offset_us: Mapping[str, float] = MappingProxyType({})  # shared, so read-only
 
-    def __post_init__(self):
+
+class AnalysisConfig(_AnalysisFields):
+    """The checked configuration: building one checks every field."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.aggregation not in AGGREGATIONS:
@@ -76,10 +78,13 @@ class AnalysisConfig:
                 raise ConfigError(
                     f"[power_clock_offset_us] key {test_name!r} is not a test name: {exc}"
                 ) from None
+        return self
 
 
 def read_ini(text: str) -> dict[str, dict[str, str]]:
     """The sections of INI text in file order, each a key -> raw value dict."""
+    import configparser  # only INI input needs it, so it stays off start-up
+
     parser = configparser.RawConfigParser(
         delimiters=("=",), comment_prefixes=("#",), strict=True
     )
@@ -104,18 +109,19 @@ def _convert_value(section: str, key: str, raw: str, kind: type):
 
 
 def section_values(cls: type, section: str, items: Mapping[str, str], **fixed) -> dict:
-    """Keyword arguments for dataclass ``cls`` from one INI section.
+    """Keyword arguments for NamedTuple record ``cls`` from one INI section.
 
     The keys are the int, float and str fields of ``cls`` (or Optional
     ones) not given in ``fixed``; a missing key keeps the field's default.
     """
     kinds = {}
-    for f in dataclasses.fields(cls):
-        kind = get_args(f.type)[0] if get_origin(f.type) is Union else f.type
-        if kind in (int, float, str) and f.name not in fixed:
-            kinds[f.name] = kind
-            if f.default is dataclasses.MISSING and f.name not in items:
-                raise ConfigError(f"[{section}] is missing {f.name}")
+    hints = get_type_hints(cls)
+    for name in cls._fields:
+        kind = get_args(hints[name])[0] if get_origin(hints[name]) is Union else hints[name]
+        if kind in (int, float, str) and name not in fixed:
+            kinds[name] = kind
+            if name not in cls._field_defaults and name not in items:
+                raise ConfigError(f"[{section}] is missing {name}")
     unknown = set(items) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")

@@ -38,9 +38,8 @@ the cost is O(E log S + S) for E call boundaries.
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter, lt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .callgraph import CallNode
 from .trace import LineFormatError, _read_line_file
@@ -68,8 +67,7 @@ class AttributionError(ValueError):
     window that is empty or outside the sampled range."""
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(NamedTuple):
     test_name: str
     sample_index: int
     nominal_rate_hz: float

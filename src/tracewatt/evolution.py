@@ -9,12 +9,10 @@ reported as accuracy and F1 with "significant change" as the positive
 class.
 """
 
-import dataclasses
 import math
-import statistics
-from dataclasses import dataclass
 from typing import (
-    Collection, Iterable, Mapping, Optional, Sequence, Union, get_args, get_origin,
+    Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union, get_args,
+    get_origin, get_type_hints,
 )
 
 from .config import AnalysisConfig
@@ -30,8 +28,7 @@ class AnalysisError(ValueError):
     tests, or too few observations per revision)."""
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
+class ExecutionRecord(NamedTuple):
     """One recorded execution of one test in one revision.
 
     root_uapi and api_interactions are the raw per-tree counts; ruapi is
@@ -49,12 +46,16 @@ class ExecutionRecord:
     ruapi: float
 
 
-@dataclass
-class RevisionDataset:
+class _DatasetFields(NamedTuple):
     revision: str
     records: tuple[ExecutionRecord, ...]
 
-    def __post_init__(self):
+
+class RevisionDataset(_DatasetFields):
+    __slots__ = ()
+
+    def __new__(cls, revision: str, records: tuple[ExecutionRecord, ...]):
+        self = super().__new__(cls, revision, records)
         seen = set()
         for r in self.records:
             key = (r.test_name, r.sample_index)
@@ -63,21 +64,20 @@ class RevisionDataset:
                     f"revision {self.revision}: duplicate record for {key}"
                 )
             seen.add(key)
+        return self
 
     def test_names(self) -> set[str]:
         return {r.test_name for r in self.records}
 
 
-@dataclass(frozen=True)
-class RevisionSummary:
+class RevisionSummary(NamedTuple):
     revision: str
     mean_energy_mj: float
     mean_power_mw: float
     sum_ruapi: float
 
 
-@dataclass(frozen=True)
-class ProxyScore:
+class ProxyScore(NamedTuple):
     """Agreement of proxy significance with target significance over all
     revision pairs; the positive class is "significant change"."""
 
@@ -91,14 +91,12 @@ class ProxyScore:
     f1: Optional[float]
 
 
-@dataclass
-class MetricComparison:
+class MetricComparison(NamedTuple):
     anova: AnovaResult
     pairs: list[TukeyPair]
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     alpha: float
     observation_unit: str
     revisions: list[str]
@@ -196,10 +194,22 @@ def normalize_ruapi(
     return RevisionDataset(
         revision,
         tuple(
-            dataclasses.replace(r, ruapi=r.root_uapi / (n_by_sample[r.sample_index] + 1))
+            r._replace(ruapi=r.root_uapi / (n_by_sample[r.sample_index] + 1))
             for r in kept
         ),
     )
+
+
+def _mean(xs: Sequence[float]) -> float:
+    """statistics.fmean: the correctly rounded sum over the count."""
+    return math.fsum(xs) / len(xs)
+
+
+def _median(xs: Sequence[float]) -> float:
+    """statistics.median: the middle value, or the mean of the two."""
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
 
 def _observations(rev: RevisionDataset, metric: str, config: AnalysisConfig) -> list[float]:
@@ -207,7 +217,7 @@ def _observations(rev: RevisionDataset, metric: str, config: AnalysisConfig) -> 
     values.sort(key=lambda v: (v[0], v[1]))
     if config.observation_unit == "per_sample":
         return [v[2] for v in values]
-    collapse = statistics.fmean if config.aggregation == "mean" else statistics.median
+    collapse = _mean if config.aggregation == "mean" else _median
     by_test: dict[str, list[float]] = {}
     for name, _, x in values:
         by_test.setdefault(name, []).append(x)
@@ -306,17 +316,24 @@ def compare(
 _INF_FIELDS = ("F", "q")
 
 
-def _json_fields(items: list) -> dict:
+def _json_value(value):
+    """``value`` with every record made a dict of its fields, recursively."""
+    if isinstance(value, list):
+        return [_json_value(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _json_value(x) for key, x in value.items()}
+    if not isinstance(value, tuple):
+        return value
     return {
-        name: "inf" if name in _INF_FIELDS and math.isinf(value) else value
-        for name, value in items
+        name: "inf" if name in _INF_FIELDS and math.isinf(x) else _json_value(x)
+        for name, x in zip(value._fields, value)
     }
 
 
 def report_to_json_dict(report: ComparisonReport) -> dict:
     """Plain-dict form of a report, stable for JSON serialization: every
-    dataclass becomes a dict of its fields."""
-    return dataclasses.asdict(report, dict_factory=_json_fields)
+    NamedTuple record becomes a dict of its fields."""
+    return _json_value(report)
 
 
 # The JSON value types each scalar annotation accepts: a bool is no int.
@@ -328,8 +345,8 @@ def _from_json(kind, data):
     raises TypeError naming the field of any value of the wrong JSON type.
     ``null`` is taken only for an Optional field, ``"inf"`` only in F and q.
     """
-    if dataclasses.is_dataclass(kind):
-        field_types = {f.name: f.type for f in dataclasses.fields(kind)}
+    if hasattr(kind, "_fields"):  # a NamedTuple record
+        field_types = get_type_hints(kind)
         if not isinstance(data, dict) or data.keys() != field_types.keys():
             raise TypeError(f"{kind.__name__} needs keys {sorted(field_types)}")
         values = {}
@@ -372,6 +389,7 @@ def report_from_json_dict(data: dict) -> ComparisonReport:
         )
         return {name: mapping[name] for name in names}
 
-    report.metrics = canonical(report.metrics, METRICS)
-    report.proxy = canonical(report.proxy, PROXY_TARGETS)
-    return report
+    return report._replace(
+        metrics=canonical(report.metrics, METRICS),
+        proxy=canonical(report.proxy, PROXY_TARGETS),
+    )

@@ -14,9 +14,8 @@ Everything here is pure and reentrant; no external numeric libraries.
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 BETA_CF_MAX_ITER = 300
 BETA_CF_REL_TOL = 1e-12
@@ -48,8 +47,7 @@ class ConvergenceError(ArithmeticError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class AnovaResult:
+class AnovaResult(NamedTuple):
     F: float
     p: float
     df_between: int
@@ -59,8 +57,7 @@ class AnovaResult:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class TukeyPair:
+class TukeyPair(NamedTuple):
     """One pairwise comparison; mean_diff is mean(group_b) - mean(group_a)."""
 
     group_a: str

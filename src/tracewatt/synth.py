@@ -22,9 +22,8 @@ integral of a noise-free stream then equals the analytic step integral.
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .apimetric import ApiClassifier, ApiRule, uapi
 from .callgraph import build_call_trees
@@ -79,15 +78,19 @@ def _stream(seed: int, *coordinates) -> SplitMix64:
     return SplitMix64(seed ^ _fnv1a64(tag))
 
 
-@dataclass(frozen=True)
-class RevisionSpec:
+class _RevisionFields(NamedTuple):
     label: str
     api_call_multiplier: float = 1.0
     base_power_mw: float = 100.0
     api_cost_mw: float = 50.0
     noise_stddev_mw: float = 0.0
 
-    def __post_init__(self):
+
+class RevisionSpec(_RevisionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.label in ("", ".", "..") or "/" in self.label or any(map(str.isspace, self.label)):
             raise ValueError(f"bad revision label {self.label!r}")
         if self.api_call_multiplier <= 0:
@@ -98,10 +101,10 @@ class RevisionSpec:
             raise ValueError(f"revision {self.label}: power levels must be >= 0")
         if self.noise_stddev_mw < 0:
             raise ValueError(f"revision {self.label}: noise_stddev_mw must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class _SynthFields(NamedTuple):
     seed: int
     revisions: tuple[RevisionSpec, ...]
     tests: int = 10
@@ -113,7 +116,12 @@ class SynthSpec:
     api_call_us: int = 400
     frame_pad_us: int = 100
 
-    def __post_init__(self):
+
+class SynthSpec(_SynthFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.revisions:
             raise ValueError("spec needs at least one revision")
         labels = [r.label for r in self.revisions]
@@ -137,6 +145,7 @@ class SynthSpec:
                     f"{name} must be a positive multiple of the {period} us "
                     f"sample period, got {value}"
                 )
+        return self
 
     @property
     def sample_period_us(self) -> int:

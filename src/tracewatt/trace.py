@@ -25,7 +25,6 @@ to name the first bad line.  Transient memory is linear in the file.
 """
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -58,8 +57,7 @@ class TraceFormatError(LineFormatError):
     """A trace file or trace value violates the format or its invariants."""
 
 
-@dataclass(frozen=True)
-class MethodId:
+class MethodId(NamedTuple):
     """Fully qualified method identity: ``package.class::method``."""
 
     package: str
@@ -101,23 +99,27 @@ class TraceEvent(NamedTuple):
     t_ns: int
 
 
-@dataclass(eq=False)
 class CallNode:
     """One call occurrence. Identity (not structure) keyed, so repeated
     identical calls remain distinct nodes."""
 
-    method: MethodId
-    thread: int
-    t_start_ns: int
-    duration_ns: int
-    children: tuple["CallNode", ...] = ()
+    __slots__ = ("method", "thread", "t_start_ns", "duration_ns", "children")
+
+    def __init__(
+        self, method: MethodId, thread: int, t_start_ns: int, duration_ns: int,
+        children: tuple["CallNode", ...] = (),
+    ):
+        self.method = method
+        self.thread = thread
+        self.t_start_ns = t_start_ns
+        self.duration_ns = duration_ns
+        self.children = children
 
     @property
     def t_end_ns(self) -> int:
         return self.t_start_ns + self.duration_ns
 
 
-@dataclass(frozen=True)
 class TestTrace:
     """All events recorded for one execution of one test.
 
@@ -131,9 +133,23 @@ class TestTrace:
 
     __test__ = False  # keep pytest from collecting the Test* name
 
-    test_name: str
-    sample_index: int
-    events: tuple[TraceEvent, ...] = ()
+    def __init__(self, test_name: str, sample_index: int, events: tuple[TraceEvent, ...] = ()):
+        self.test_name = test_name
+        self.sample_index = sample_index
+        self.events = events
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.test_name, self.sample_index, self.events) == (
+            other.test_name, other.sample_index, other.events
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TestTrace(test_name={self.test_name!r}, "
+            f"sample_index={self.sample_index!r}, events={self.events!r})"
+        )
 
     @cached_property
     def top_level_calls(self) -> dict[int, list[CallNode]]:

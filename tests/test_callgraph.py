@@ -12,6 +12,7 @@ from conftest import (
 from tracewatt import trace as trace_module
 from tracewatt.apimetric import uapi
 from tracewatt.callgraph import build_call_trees, node_intervals
+from tracewatt.energy import PowerProfile, attribute
 from tracewatt.trace import (
     MethodId,
     TestTrace,
@@ -32,6 +33,28 @@ A_B_TRACE = _trace(
     "X;1;5;p;C;b\n"
     "X;1;9;p;C;a\n"
 )
+
+
+def test_identical_calls_stay_distinct_nodes():
+    """Two zero-length calls with equal fields are two occurrences: each
+    has its own U value and its own attribution pair."""
+    trace = _trace(
+        "E;1;0;a;B;t\n"
+        "E;1;5;java.util;L;m\nX;1;5;java.util;L;m\n"
+        "E;1;5;java.util;L;m\nX;1;5;java.util;L;m\n"
+        "X;1;10;a;B;t\n"
+    )
+    tree = build_call_trees(trace)
+    first, second = tree.roots[0].children
+    assert first is not second and first != second
+    metric = uapi(tree, DEFAULT_CLASSIFIER)
+    assert (metric.root_uapi, metric.total_api_interactions) == (3, 2)
+    assert len(metric.node_values) == 3
+    nodes = [node for node, _ in node_intervals(tree)]
+    profile = PowerProfile("a.B::t", 0, 1000.0, ((0.0, 100.0), (0.01, 100.0)))
+    pairs = attribute(nodes, profile)
+    assert len(pairs) == 3
+    assert [exclusive for _, exclusive in pairs[1:]] == [0.0, 0.0]
 
 
 def test_nested_pair_builds_parent_child():

@@ -336,6 +336,19 @@ class TestEvolveCommand:
         payload = json.loads((out / "report.json").read_text())
         assert payload["alpha"] == 0.1
 
+    @pytest.mark.parametrize(
+        "flags, variable, shown", [(["--alpha", "1.5"], None, "1.5"), ([], "0", "0.0")]
+    )
+    def test_alpha_outside_the_open_unit_interval_exits_2_writing_nothing(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, flags, variable, shown
+    ):
+        if variable is not None:
+            monkeypatch.setenv("TRACEWATT_ALPHA", variable)
+        out = tmp_path / "out"
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: alpha must be in (0, 1), got {shown}\n"
+        assert not out.exists()
+
     def test_malformed_env_var_exits_2(self, fixture_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TRACEWATT_ALPHA", "lots")
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 2
@@ -693,6 +706,18 @@ def test_cli_import_leaves_the_generator_unloaded():
         [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
     )
     assert run.stdout == "False\n"
+
+
+def test_cli_import_leaves_the_costly_stdlib_modules_unloaded():
+    """Every run pays for what the CLI imports: dataclasses (which loads
+    inspect), statistics and configparser are off its import path."""
+    src = Path(cli.__file__).resolve().parents[1]
+    costly = ("dataclasses", "inspect", "statistics", "configparser")
+    probe = f"import sys, tracewatt.cli; print([m for m in {costly!r} if m in sys.modules])"
+    run = subprocess.run(  # -S: no site hook can load one first
+        [sys.executable, "-S", "-c", probe], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
 
 
 ONE_TRACE = "#trace v1;a.B::t;0\nE;1;0;a;B;t\nX;1;2000;a;B;t\n"

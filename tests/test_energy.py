@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from bisect import bisect_right
-from dataclasses import fields
 
 import pytest
 
@@ -404,7 +403,7 @@ class TestIntegrate:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert vars(profile).keys() == {field.name for field in fields(profile)}
+        assert not hasattr(profile, "__dict__")  # nothing can be cached on it
 
 
 class TestAttribute:

@@ -1,11 +1,14 @@
 import json
 import math
 import random
+import statistics
 
 import pytest
 
 from tracewatt.config import AnalysisConfig
 from tracewatt.evolution import (
+    _mean,
+    _median,
     AnalysisError,
     ComparisonReport,
     ExecutionRecord,
@@ -22,7 +25,7 @@ from tracewatt.evolution import (
     select_top_energy_tests,
     version_key,
 )
-from tracewatt.stats import AnovaResult, TukeyPair, anova
+from tracewatt.stats import AnovaResult, TukeyPair, anova, float_sum
 
 
 def _record(test, sample, energy, power=100.0, uapi=4, api=2, ruapi=None):
@@ -150,6 +153,19 @@ class TestRevisionSummaries:
             _dataset("1.9", ["a.B::x"]),
         ]
         assert [s.revision for s in revision_summaries(revs)] == ["1.2", "1.9", "1.10"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 31, 40])
+def test_mean_and_median_are_bit_equal_to_statistics(n):
+    """Odd and even lengths, also where values of both signs near 1e16 make
+    a left-to-right sum drop the small ones that fsum keeps."""
+    rng = random.Random(n)
+    plain = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+    mixed = [1e16, *plain, -1e16]
+    assert float_sum(mixed) != math.fsum(mixed)
+    for xs in (plain, mixed):
+        assert _mean(xs).hex() == statistics.fmean(xs).hex()
+        assert _median(xs).hex() == statistics.median(xs).hex()
 
 
 def test_version_key_ordering():
