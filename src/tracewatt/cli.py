@@ -20,19 +20,14 @@ does not converge).
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import evolution, ingest
+from . import ingest
 from .config import AnalysisConfig, ConfigError, parse_config
 from .energy import AttributionError
-from .evolution import (
-    AnalysisError, ComparisonReport, ExecutionRecord, ProxyScore, RevisionSummary,
-)
-from .ingest import METHOD_COLUMNS, LayoutError, analyze_revision
-from .stats import ConvergenceError, TukeyPair
+from .ingest import METHOD_COLUMNS, ExecutionRecord, LayoutError, analyze_revision
 from .trace import LineFormatError
 
 EXIT_OK = 0
@@ -89,7 +84,10 @@ def _out_dir(args, default: "Path | str" = "tracewatt-out") -> Path:
     return out_dir
 
 
-def _write_report_files(report: ComparisonReport, out_dir: Path) -> None:
+def _write_report_files(report: "evolution.ComparisonReport", out_dir: Path) -> None:
+    import json
+    from . import evolution
+
     payload = evolution.report_to_json_dict(report)
     (out_dir / REPORT_NAME).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -97,19 +95,19 @@ def _write_report_files(report: ComparisonReport, out_dir: Path) -> None:
     for metric, comparison in report.metrics.items():
         _write_csv(
             out_dir / f"pairwise_{metric}.csv",
-            TukeyPair._fields,
+            evolution.TukeyPair._fields,
             [(p.group_a, p.group_b, p.mean_diff, p.q, p.p_adj,
               "true" if p.significant else "false") for p in comparison.pairs],
         )
     _write_csv(
         out_dir / "proxy_scores.csv",
-        ["target", *ProxyScore._fields],
+        ["target", *evolution.ProxyScore._fields],
         [[t, *s] for t, s in report.proxy.items()],
     )
-    _write_records(out_dir / SUMMARIES_CSV, RevisionSummary, report.summaries)
+    _write_records(out_dir / SUMMARIES_CSV, evolution.RevisionSummary, report.summaries)
 
 
-def _summary_text(report: ComparisonReport) -> str:
+def _summary_text(report: "evolution.ComparisonReport") -> str:
     lines = [
         f"revisions: {len(report.revisions)} ({', '.join(report.revisions)})",
         f"analyzed tests: {len(report.analysis_tests)}"
@@ -172,6 +170,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from . import evolution  # and stats: analyze runs no statistics
+
     config = _load_analysis_config(args.config)
     if args.alpha is not None:
         # built anew, not by _replace, which would skip the config's checks
@@ -219,13 +219,16 @@ def cmd_report(args) -> int:
     report_path = in_dir / REPORT_NAME
     if not report_path.is_file():
         raise LayoutError(f"{report_path} does not exist (run evolve first)")
+    import json
+    from . import evolution
+
     try:  # bytes decoded here: json.loads would take UTF-16 and UTF-32 too
         payload = json.loads(report_path.read_bytes().decode("utf-8"))
         report = evolution.report_from_json_dict(payload)
     except (ValueError, TypeError, RecursionError) as exc:
         raise LineFormatError(f"corrupt report file {report_path}: {exc}") from None
     out_dir = _out_dir(args, in_dir)
-    _write_records(out_dir / SUMMARIES_CSV, RevisionSummary, report.summaries)
+    _write_records(out_dir / SUMMARIES_CSV, evolution.RevisionSummary, report.summaries)
     text = _summary_text(report)
     (out_dir / "summary.txt").write_text(text, encoding="utf-8")
     print(text, end="")
@@ -281,6 +284,17 @@ def _apply_env(args) -> None:
                 raise ConfigError(f"{ENV_PREFIX}ALPHA = {raw!r} is not a number") from None
 
 
+def _stats_errors() -> tuple:
+    """AnalysisError and ConvergenceError, the errors that exit 5, from
+    the modules only evolve and report import: one never imported raised
+    nothing."""
+    return tuple(
+        getattr(sys.modules[f"{__package__}.{module}"], name)
+        for module, name in (("evolution", "AnalysisError"), ("stats", "ConvergenceError"))
+        if f"{__package__}.{module}" in sys.modules
+    )
+
+
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args, unknown = parser.parse_known_args(argv)
@@ -295,7 +309,7 @@ def main(argv=None) -> int:
     except AttributionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ATTRIBUTION
-    except (AnalysisError, ConvergenceError) as exc:
+    except _stats_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATS
     except (LayoutError, ConfigError, OSError, ValueError) as exc:

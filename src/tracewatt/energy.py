@@ -23,23 +23,29 @@ repeated line pattern over the whole text would keep a regex
 backtracking entry per line, tens of times more.
 
 Energy is the trapezoidal integral of power over a time window: mW times
-seconds gives millijoules.  A window is integrated straight from the
-profile's samples: one bisection finds its first segment, O(log S) for S
-samples, and the walk then takes one step per segment it covers.
+seconds gives millijoules.  ``integrate`` takes an increasing sequence of
+times and returns the energy of the window they span and of each piece
+between two consecutive times, straight from the profile's samples: one
+bisection finds the first segment, O(log S) for S samples, and one walk
+takes one step per segment and per time.  Each result is the float that
+a walk over its own span alone would give.
 
 Attribution integrates each stretch of an execution once.  A frame owns
 the stretches of its window that its children leave; a stretch owned by
 the frames of c concurrent threads is split equally among them; a stretch
 that no frame owns is left unattributed.  So exclusive energies are sums
 of non-negative shares, and they plus the unattributed stretches add up
-to the test window's energy.  The stretches tile the test window, so
-the cost is O(E log S + S) for E call boundaries.
+to the test window's energy.  The stretches and the gaps between them
+tile the test window, so one ``integrate`` call per execution gives every
+stretch and the window itself.  The cost is O(E log E + S) for E call
+boundaries: the sort of the boundaries and the walk over the samples,
+with no bisection per stretch.
 """
 
 import re
 from bisect import bisect_right
 from operator import itemgetter, lt
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .callgraph import CallNode
 from .trace import LineFormatError, _read_line_file
@@ -173,15 +179,9 @@ def shift_profile(profile: PowerProfile, offset_us: float) -> PowerProfile:
     )
 
 
-def integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
-    """Trapezoidal energy over [a_us, b_us] in millijoules.
-
-    Power is linearly interpolated at the window edges; the window must
-    lie within the sampled range.  Exact for piecewise-linear power.
-    Each piece's right-end power is interpolated too, ``p0 + (p1 - p0)``,
-    which need not equal ``p1`` in floats, and carried to the next piece.
-    """
-    samples = profile.samples
+def _check_window(samples: "tuple[tuple[float, float], ...]", a_us: float, b_us: float) -> None:
+    """Raise the AttributionError of a window [a_us, b_us] that cannot be
+    integrated from ``samples``."""
     if len(samples) < 2:
         raise AttributionError(
             f"need at least 2 power samples to integrate, got {len(samples)}"
@@ -193,34 +193,82 @@ def integrate(profile: PowerProfile, a_us: float, b_us: float) -> float:
         raise AttributionError(
             f"window [{a_us}, {b_us}] outside sampled range [{t_first}, {t_last}]"
         )
+
+
+def integrate(profile: PowerProfile, times: "Sequence[float]") -> tuple[float, list[float]]:
+    """Trapezoidal energy in millijoules over the window [times[0],
+    times[-1]] and over each piece [times[i], times[i + 1]], in one walk.
+
+    ``times`` must increase, and the window must lie within the sampled
+    range.  Power is linearly interpolated, so the result is exact for
+    piecewise-linear power.  The window and each piece get the float of a
+    walk over their own span alone: segment by segment, left to right,
+    from where a bisection of the span's left end puts it, carrying each
+    segment's right-end power ``p0 + (p1 - p0)``, which need not equal
+    ``p1`` in floats.  So the window need not equal the sum of the pieces.
+    """
+    samples = profile.samples
+    a_us, b_us = times[0], times[-1]
+    _check_window(samples, a_us, b_us)
+    ends = times[1:]  # of the pieces
+    if not all(map(lt, times, ends)):
+        raise AttributionError("times must increase")
     # t_first <= a_us < b_us <= t_last, so samples k - 1 and k bound the
     # segment holding a_us, and the walk stops at the segment reaching b_us.
     k = bisect_right(samples, a_us, key=itemgetter(0))
     t0, p0 = samples[k - 1]
     t1, p1 = samples[k]
-    total_mw_us = 0.0
-    t_lo, p_lo = a_us, p0 + (p1 - p0) * ((a_us - t0) / (t1 - t0))
-    while t1 < b_us:
-        p_end = p0 + (p1 - p0)
-        total_mw_us += 0.5 * (p_lo + p_end) * (t1 - t_lo)
-        t_lo = t0 = t1
-        p_lo, p0 = p_end, p1
-        k += 1
-        t1, p1 = samples[k]
-    p_hi = p0 + (p1 - p0) * ((b_us - t0) / (t1 - t0))
-    total_mw_us += 0.5 * (p_lo + p_hi) * (b_us - t_lo)
-    return total_mw_us * MJ_PER_MW_US
+    window_mw_us = piece_mw_us = 0.0
+    pieces = []
+    # (t_win, p_win) and (t_lo, p_lo) start the window's and the piece's
+    # part of the current segment.  The first piece starts with the window,
+    # so it shares the window's sum, and two times keep one accumulator.
+    t_win = a_us
+    p_win = p0 + (p1 - p0) * ((a_us - t0) / (t1 - t0))
+    for t_hi in ends:
+        while t1 < t_hi:
+            p_end = p0 + (p1 - p0)
+            window_mw_us += 0.5 * (p_win + p_end) * (t1 - t_win)
+            if pieces:
+                piece_mw_us += 0.5 * (p_lo + p_end) * (t1 - t_lo)
+                t_lo, p_lo = t1, p_end
+            t_win = t0 = t1
+            p_win, p0 = p_end, p1
+            k += 1
+            t1, p1 = samples[k]
+        p_hi = p0 + (p1 - p0) * ((t_hi - t0) / (t1 - t0))
+        if not pieces:
+            t_lo, p_lo, piece_mw_us = t_win, p_win, window_mw_us
+        pieces.append((piece_mw_us + 0.5 * (p_lo + p_hi) * (t_hi - t_lo)) * MJ_PER_MW_US)
+        piece_mw_us = 0.0
+        if t_hi == t1 < b_us:  # a bisection puts the next piece in the next segment
+            p_end = p0 + (p1 - p0)
+            window_mw_us += 0.5 * (p_win + p_end) * (t1 - t_win)
+            t_win = t0 = t1
+            p_win, p0 = p_end, p1
+            k += 1
+            t1, p1 = samples[k]
+        t_lo, p_lo = t_hi, p0 + (p1 - p0) * ((t_hi - t0) / (t1 - t0))
+    window_mw_us += 0.5 * (p_win + p_hi) * (b_us - t_win)
+    return window_mw_us * MJ_PER_MW_US, pieces
 
 
-def attribute(nodes: "list[CallNode]", profile: PowerProfile) -> list[tuple[float, float]]:
+def attribute(
+    nodes: "list[CallNode]", profile: PowerProfile
+) -> tuple[list[tuple[float, float]], float]:
     """Attribute energy to call occurrences: one (inclusive, exclusive) pair
     in millijoules per node, in input order, from one sweep over the call
     boundaries of every thread (see the module docstring).  Inclusive
     energy is exclusive energy plus the children's inclusive energy.  Every
     child of a listed node must be listed too; the order is not read.
+
+    Also returns the energy of the test window, from the earliest start to
+    the latest end of the top-level nodes; 0.0 if that window is empty.
     """
     inner = {child for node in nodes for child in node.children}
     order = [node for node in nodes if node not in inner]
+    start_ns = min((node.t_start_ns for node in order), default=0)
+    end_ns = max((node.t_end_ns for node in order), default=0)
     bounds = []  # (t_ns, starts, frame): a stretch that the frame owns starts or ends
     for node in order:  # read as it grows, so children follow their parents
         order.extend(node.children)
@@ -233,25 +281,50 @@ def attribute(nodes: "list[CallNode]", profile: PowerProfile) -> list[tuple[floa
             bounds += ((t_ns, True, node), (node.t_end_ns, False, node))
     bounds.sort(key=itemgetter(0, 1))  # at one time, stretches end before others start
 
-    exclusive = dict.fromkeys(order, 0.0)
+    # The owned stretches and the gaps between them tile the window, so one
+    # walk integrates them all.  A gap too short to change the float time
+    # is dropped; an owned stretch that short fails, as on its own.
+    times = [start_ns / 1000.0]
+    stretches = []  # (index of its start in times, its owners) per owned stretch
     owners: dict[CallNode, None] = {}  # the frames that own the stretch ending at t_ns
-    last_ns = 0
+    last_ns = start_ns
     for t_ns, starts, node in bounds:
-        if owners and last_ns < t_ns:
-            try:
-                share = integrate(profile, last_ns / 1000.0, t_ns / 1000.0) / len(owners)
-            except AttributionError as exc:
-                raise AttributionError(f"{next(iter(owners)).method.canonical()}: {exc}") from None
-            for owner in owners:
-                exclusive[owner] += share
+        if last_ns < t_ns:
+            if owners:
+                stretches.append((len(times) - 1, tuple(owners)))
+            if owners or times[-1] < t_ns / 1000.0:
+                times.append(t_ns / 1000.0)
         last_ns = t_ns
         if starts:
             owners[node] = None
         else:
             del owners[node]
+    if times[-1] < end_ns / 1000.0:
+        times.append(end_ns / 1000.0)
+
+    exclusive = dict.fromkeys(order, 0.0)
+    window_mj = 0.0
+    if start_ns < end_ns:
+        try:
+            window_mj, pieces = integrate(profile, times)
+        except AttributionError:
+            # the first owned stretch that cannot be integrated names its
+            # owner; else the window's own error stands
+            for i, stretch_owners in stretches:
+                try:
+                    _check_window(profile.samples, times[i], times[i + 1])
+                except AttributionError as exc:
+                    raise AttributionError(
+                        f"{stretch_owners[0].method.canonical()}: {exc}"
+                    ) from None
+            raise
+        for i, stretch_owners in stretches:
+            share = pieces[i] / len(stretch_owners)
+            for owner in stretch_owners:
+                exclusive[owner] += share
 
     inclusive = dict(exclusive)
     for node in reversed(order):
         for child in node.children:
             inclusive[node] += inclusive[child]
-    return [(inclusive[node], exclusive[node]) for node in nodes]
+    return [(inclusive[node], exclusive[node]) for node in nodes], window_mj

@@ -11,11 +11,11 @@ class.
 
 import math
 from typing import (
-    Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union, get_args,
-    get_origin, get_type_hints,
+    Mapping, NamedTuple, Optional, Sequence, Union, get_args, get_origin, get_type_hints,
 )
 
 from .config import AnalysisConfig
+from .ingest import ExecutionRecord, RevisionDataset, normalize_ruapi  # noqa: F401  ExecutionRecord is re-exported
 from .stats import AnovaResult, TukeyPair, anova, float_sum, tukey_hsd
 
 METRICS = ("energy_mj", "avg_power_mw", "ruapi")
@@ -26,48 +26,6 @@ PROXY_TARGETS = ("energy_mj", "avg_power_mw")
 class AnalysisError(ValueError):
     """The data cannot support the statistical comparison (no common
     tests, or too few observations per revision)."""
-
-
-class ExecutionRecord(NamedTuple):
-    """One recorded execution of one test in one revision.
-
-    root_uapi and api_interactions are the raw per-tree counts; ruapi is
-    the normalized value U / (N + 1) where N sums api_interactions over
-    all analyzed tests of the same sample run (see normalize_ruapi).
-    """
-
-    test_name: str
-    sample_index: int
-    energy_mj: float
-    avg_power_mw: float
-    duration_ms: float
-    root_uapi: int
-    api_interactions: int
-    ruapi: float
-
-
-class _DatasetFields(NamedTuple):
-    revision: str
-    records: tuple[ExecutionRecord, ...]
-
-
-class RevisionDataset(_DatasetFields):
-    __slots__ = ()
-
-    def __new__(cls, revision: str, records: tuple[ExecutionRecord, ...]):
-        self = super().__new__(cls, revision, records)
-        seen = set()
-        for r in self.records:
-            key = (r.test_name, r.sample_index)
-            if key in seen:
-                raise ValueError(
-                    f"revision {self.revision}: duplicate record for {key}"
-                )
-            seen.add(key)
-        return self
-
-    def test_names(self) -> set[str]:
-        return {r.test_name for r in self.records}
 
 
 class RevisionSummary(NamedTuple):
@@ -178,26 +136,6 @@ def proxy_eval(
     recall = tp / (tp + fn) if tp + fn > 0 else None
     f1 = 2.0 * tp / (2 * tp + fp + fn) if tp + fp + fn > 0 else None
     return ProxyScore(tp, fp, fn, tn, accuracy, precision, recall, f1)
-
-
-def normalize_ruapi(
-    revision: str, records: Iterable[ExecutionRecord], tests: Collection[str]
-) -> RevisionDataset:
-    """Keep the records of ``tests`` and set rU = U / (N + 1), where N
-    sums the API interactions of the kept records of the same sample run."""
-    kept = [r for r in records if r.test_name in tests]
-    n_by_sample: dict[int, int] = {}
-    for r in kept:
-        n_by_sample[r.sample_index] = (
-            n_by_sample.get(r.sample_index, 0) + r.api_interactions
-        )
-    return RevisionDataset(
-        revision,
-        tuple(
-            r._replace(ruapi=r.root_uapi / (n_by_sample[r.sample_index] + 1))
-            for r in kept
-        ),
-    )
 
 
 def _mean(xs: Sequence[float]) -> float:

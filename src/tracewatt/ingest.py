@@ -9,22 +9,90 @@ Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
 caller asks for rows: one flat tuple per call occurrence, in the column
 order of METHOD_COLUMNS, which ``analyze`` writes to ``methods.csv``.
+
+The records and their one rU normalization live here, beside the code
+that produces them.  So ``analyze`` loads this module and the parser,
+call-graph, U and energy modules it imports, and no statistics:
+``evolution`` and ``stats`` load only with ``evolve`` and ``report``,
+and ``evolution`` imports the records from here.
 """
 
 import math
 from operator import attrgetter
 from pathlib import Path
+from typing import Collection, Iterable, NamedTuple
 
 from .apimetric import uapi
 from .callgraph import build_call_trees, node_intervals
 from .config import AnalysisConfig
 from .energy import AttributionError, attribute, integrate, parse_power, shift_profile
-from .evolution import ExecutionRecord, RevisionDataset, normalize_ruapi
 from .trace import LineFormatError, MethodId, TraceFormatError, _parse_uint, parse_trace
 
 
 class LayoutError(ValueError):
     """The on-disk revision layout is broken (missing or mispaired files)."""
+
+
+class ExecutionRecord(NamedTuple):
+    """One recorded execution of one test in one revision.
+
+    root_uapi and api_interactions are the raw per-tree counts; ruapi is
+    the normalized value U / (N + 1) where N sums api_interactions over
+    all analyzed tests of the same sample run (see normalize_ruapi).
+    """
+
+    test_name: str
+    sample_index: int
+    energy_mj: float
+    avg_power_mw: float
+    duration_ms: float
+    root_uapi: int
+    api_interactions: int
+    ruapi: float
+
+
+class _DatasetFields(NamedTuple):
+    revision: str
+    records: tuple[ExecutionRecord, ...]
+
+
+class RevisionDataset(_DatasetFields):
+    __slots__ = ()
+
+    def __new__(cls, revision: str, records: tuple[ExecutionRecord, ...]):
+        self = super().__new__(cls, revision, records)
+        seen = set()
+        for r in self.records:
+            key = (r.test_name, r.sample_index)
+            if key in seen:
+                raise ValueError(
+                    f"revision {self.revision}: duplicate record for {key}"
+                )
+            seen.add(key)
+        return self
+
+    def test_names(self) -> set[str]:
+        return {r.test_name for r in self.records}
+
+
+def normalize_ruapi(
+    revision: str, records: Iterable[ExecutionRecord], tests: Collection[str]
+) -> RevisionDataset:
+    """Keep the records of ``tests`` and set rU = U / (N + 1), where N
+    sums the API interactions of the kept records of the same sample run."""
+    kept = [r for r in records if r.test_name in tests]
+    n_by_sample: dict[int, int] = {}
+    for r in kept:
+        n_by_sample[r.sample_index] = (
+            n_by_sample.get(r.sample_index, 0) + r.api_interactions
+        )
+    return RevisionDataset(
+        revision,
+        tuple(
+            r._replace(ruapi=r.root_uapi / (n_by_sample[r.sample_index] + 1))
+            for r in kept
+        ),
+    )
 
 
 # The columns of methods.csv; analyze_execution builds its rows in this order.
@@ -98,9 +166,11 @@ def analyze_execution(
     U values and integrate the test window's energy.
 
     Only ``with_rows`` (``analyze``) attributes energy to each call
-    occurrence, one METHOD_COLUMNS row per node; ``evolve`` reads the
-    record alone.  Attribution integrates only stretches inside the test
-    window, so a power file fails with rows or without them alike.  The
+    occurrence, one METHOD_COLUMNS row per node, and takes the test
+    window's energy from the same walk over the samples; ``evolve``
+    integrates the window alone and reads the record alone.  Every
+    stretch lies inside the test window, so a power file fails with rows
+    or without them alike.  The
     record's rU is NaN until normalize_ruapi sets it, because N sums over
     every execution of the same sample run.  A parse or attribution error
     is raised again, once, naming the file it came from.
@@ -118,17 +188,16 @@ def analyze_execution(
 
         tree = build_call_trees(trace)
         metric = uapi(tree, config.classifier)
-        if with_rows:
-            intervals = node_intervals(tree)
-            energies = attribute([node for node, _ in intervals], profile)
         start_ns = min((r.t_start_ns for r in tree.roots), default=0)
         end_ns = max((r.t_end_ns for r in tree.roots), default=0)
-        if end_ns > start_ns:
-            energy_mj = integrate(profile, start_ns / 1000.0, end_ns / 1000.0)
-            avg_power_mw = energy_mj / ((end_ns - start_ns) * 1e-9)
+        if with_rows:
+            intervals = node_intervals(tree)
+            energies, energy_mj = attribute([node for node, _ in intervals], profile)
+        elif end_ns > start_ns:
+            energy_mj, _ = integrate(profile, (start_ns / 1000.0, end_ns / 1000.0))
         else:
             energy_mj = 0.0
-            avg_power_mw = 0.0
+        avg_power_mw = energy_mj / ((end_ns - start_ns) * 1e-9) if end_ns > start_ns else 0.0
     except (LineFormatError, AttributionError) as exc:
         path = trace_path if isinstance(exc, TraceFormatError) else power_path
         raise type(exc)(f"{path}: {exc}") from None

@@ -70,10 +70,10 @@ def test_criterion_3_energy_integration():
     with criterion(3, "energy integration analytic cases and conservation"):
         # constant power: P mW over 10 ms is exactly P/100 mJ
         const = _profile([(i * 50.0, 100.0) for i in range(401)])
-        assert integrate(const, 0.0, 10_000.0) == pytest.approx(1.0, rel=1e-9)
+        assert integrate(const, (0.0, 10_000.0))[0] == pytest.approx(1.0, rel=1e-9)
         # linear ramp 0 -> 100 mW over 10 ms: trapezoid is exact
         ramp = _profile([(0.0, 0.0), (10_000.0, 100.0)])
-        assert integrate(ramp, 0.0, 10_000.0) == pytest.approx(0.5, rel=1e-9)
+        assert integrate(ramp, (0.0, 10_000.0))[0] == pytest.approx(0.5, rel=1e-9)
         # window additivity
         rng = random.Random(3)
         for _ in range(200):
@@ -87,8 +87,8 @@ def test_criterion_3_energy_integration():
             b = rng.uniform(a + 0.1, c)
             if not a < b < c:
                 continue
-            assert integrate(profile, a, b) + integrate(profile, b, c) == pytest.approx(
-                integrate(profile, a, c), rel=1e-9, abs=1e-15
+            assert integrate(profile, (a, b))[0] + integrate(profile, (b, c))[0] == pytest.approx(
+                integrate(profile, (a, c))[0], rel=1e-9, abs=1e-15
             )
         # tree conservation on random nested intervals
         for _ in range(200):
@@ -100,7 +100,7 @@ def test_criterion_3_energy_integration():
             profile = _profile(
                 [(t * 5.0, 80.0 + (t % 11) * 7.0) for t in range(end_ns // 5_000 + 2)]
             )
-            energies = attribute([node for node, _ in intervals], profile)
+            energies, _ = attribute([node for node, _ in intervals], profile)
             total_exclusive = sum(exclusive for _, exclusive in energies)
             roots_inclusive = sum(
                 inclusive

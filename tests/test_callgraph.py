@@ -52,7 +52,7 @@ def test_identical_calls_stay_distinct_nodes():
     assert len(metric.node_values) == 3
     nodes = [node for node, _ in node_intervals(tree)]
     profile = PowerProfile("a.B::t", 0, 1000.0, ((0.0, 100.0), (0.01, 100.0)))
-    pairs = attribute(nodes, profile)
+    pairs, _ = attribute(nodes, profile)
     assert len(pairs) == 3
     assert [exclusive for _, exclusive in pairs[1:]] == [0.0, 0.0]
 

@@ -724,6 +724,70 @@ ONE_TRACE = "#trace v1;a.B::t;0\nE;1;0;a;B;t\nX;1;2000;a;B;t\n"
 ONE_POWER = "#power v1;a.B::t;0;1000.0\n0.0;100.0\n10.0;100.0\n"
 
 
+def _one_execution_revision(root: Path, trace: str = ONE_TRACE, power: str = ONE_POWER) -> Path:
+    rev = root / "1.0"
+    (rev / "traces").mkdir(parents=True)
+    (rev / "power").mkdir()
+    (rev / "traces" / "a.B::t.0.trace").write_text(trace)
+    (rev / "power" / "a.B::t.0.power").write_text(power)
+    return rev
+
+
+def test_analyze_leaves_the_statistics_and_json_unloaded(tmp_path):
+    """analyze runs no comparison, so it imports neither the statistics
+    nor the report writer."""
+    src = Path(cli.__file__).resolve().parents[1]
+    rev = _one_execution_revision(tmp_path)
+    unused = ("tracewatt.stats", "tracewatt.evolution", "json")
+    probe = (
+        "import sys; from tracewatt.cli import main; "
+        f"code = main(['analyze', {str(rev)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        f"print(code, [m for m in {unused!r} if m in sys.modules])"
+    )
+    run = subprocess.run(  # -S: no site hook can load one first
+        [sys.executable, "-S", "-c", probe], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.endswith("\n0 []\n")
+    assert (tmp_path / "out" / "methods.csv").is_file()
+
+
+# id -> (trace body, power body, the message after "error: <power file>: "),
+# each message as the per-stretch attribution wrote it
+ATTRIBUTION_ERRORS = {
+    "stretch-before-the-first-sample": (
+        "E;1;0;a;B;t\nX;1;2000;a;B;t\n", "1.0;100.0\n10.0;100.0\n",
+        "a.B::t: window [0.0, 2.0] outside sampled range [1.0, 10.0]",
+    ),
+    "first-stretch-past-the-last-sample": (
+        "E;1;0;a;B;t\nE;1;2000;p;C;m\nX;1;4000;p;C;m\nE;1;6000;p;C;n\n"
+        "X;1;15000;p;C;n\nX;1;20000;a;B;t\n",
+        "0.0;100.0\n10.0;100.0\n",
+        "p.C::n: window [6.0, 15.0] outside sampled range [0.0, 10.0]",
+    ),
+    "one-sample": (
+        "E;1;0;a;B;t\nX;1;2000;a;B;t\n", "0.0;100.0\n",
+        "a.B::t: need at least 2 power samples to integrate, got 1",
+    ),
+    "zero-length-root-beyond-the-samples": (
+        "E;1;0;a;B;t\nX;1;2000;a;B;t\nE;1;50000;a;B;u\nX;1;50000;a;B;u\n",
+        "0.0;100.0\n10.0;100.0\n",
+        "window [0.0, 50.0] outside sampled range [0.0, 10.0]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "trace, power, message", ATTRIBUTION_ERRORS.values(), ids=ATTRIBUTION_ERRORS.keys()
+)
+def test_attribution_errors_keep_their_text(tmp_path, capsys, trace, power, message):
+    rev = _one_execution_revision(
+        tmp_path, "#trace v1;a.B::t;0\n" + trace, "#power v1;a.B::t;0;1000.0\n" + power
+    )
+    assert cli.main(["analyze", str(rev), "--out", str(tmp_path / "out")]) == 4
+    power_path = rev / "power" / "a.B::t.0.power"
+    assert capsys.readouterr().err == f"error: {power_path}: {message}\n"
+
+
 # Each helper changes the one-execution revision ``rev`` and returns the
 # command's arguments.
 def _write(rev: Path, name: str, text: str) -> list[str]:
@@ -823,11 +887,7 @@ FAILURE_PATHS = {
 def test_each_failure_path_exits_with_its_code_and_no_traceback(
     tmp_path, capsys, command, arguments, code, err, check
 ):
-    rev = tmp_path / "1.0"
-    (rev / "traces").mkdir(parents=True)
-    (rev / "power").mkdir()
-    (rev / "traces" / "a.B::t.0.trace").write_text(ONE_TRACE)
-    (rev / "power" / "a.B::t.0.power").write_text(ONE_POWER)
+    rev = _one_execution_revision(tmp_path)
     out = tmp_path / "out"
     assert cli.main([command, *arguments(rev), "--out", str(out)]) == code
     stderr = capsys.readouterr().err

@@ -86,7 +86,7 @@ class TestParsePower:
         profile = parse_power("#power v1;a.B::m;0;20000\n")
         assert profile.samples == ()
         with pytest.raises(AttributionError):
-            integrate(profile, 0.0, 1.0)
+            integrate(profile, (0.0, 1.0))
 
     def test_negative_power_rejected(self):
         with pytest.raises(PowerFormatError, match="negative power"):
@@ -310,23 +310,23 @@ class TestWritePower:
 class TestIntegrate:
     def test_constant_power_window(self):
         profile = _constant(100.0, 20000.0)
-        assert integrate(profile, 0.0, 10000.0) == pytest.approx(1.0, rel=1e-9)
+        assert integrate(profile, (0.0, 10000.0))[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_linear_ramp_is_exact(self):
         profile = _profile([(0.0, 0.0), (10000.0, 100.0)])
-        assert integrate(profile, 0.0, 10000.0) == pytest.approx(0.5, rel=1e-9)
+        assert integrate(profile, (0.0, 10000.0))[0] == pytest.approx(0.5, rel=1e-9)
 
     def test_window_outside_range(self):
         profile = _constant(100.0, 1000.0)
         with pytest.raises(AttributionError, match="outside sampled range"):
-            integrate(profile, -5.0, 5.0)
+            integrate(profile, (-5.0, 5.0))
         with pytest.raises(AttributionError, match="outside sampled range"):
-            integrate(profile, 500.0, 2000.0)
+            integrate(profile, (500.0, 2000.0))
 
     def test_degenerate_window(self):
         profile = _constant(100.0, 1000.0)
         with pytest.raises(AttributionError, match="bad window"):
-            integrate(profile, 10.0, 10.0)
+            integrate(profile, (10.0, 10.0))
 
     def test_additivity(self):
         rng = random.Random(5)
@@ -343,8 +343,8 @@ class TestIntegrate:
             b = rng.uniform(a, c)
             if not a < b < c:
                 continue
-            whole = integrate(profile, a, c)
-            split = integrate(profile, a, b) + integrate(profile, b, c)
+            whole = integrate(profile, (a, c))[0]
+            split = integrate(profile, (a, b))[0] + integrate(profile, (b, c))[0]
             assert split == pytest.approx(whole, rel=1e-9, abs=1e-15)
 
     def test_matches_closed_form_on_piecewise_linear(self):
@@ -368,7 +368,7 @@ class TestIntegrate:
                 intercept = p0 - slope * t0
                 expected += slope / 2 * (hi * hi - lo * lo) + intercept * (hi - lo)
             expected *= 1e-6
-            assert integrate(profile, a, b) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+            assert integrate(profile, (a, b))[0] == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
     def test_bit_identical_to_sample_walk(self):
@@ -392,13 +392,44 @@ class TestIntegrate:
                 windows.append((mid, rng.uniform(ts[k + 1], ts[k + 2])))
             for a, b in windows:
                 if a < b:
-                    assert integrate(profile, a, b) == _walk_integrate(profile, a, b)
+                    assert integrate(profile, (a, b))[0] == _walk_integrate(profile, a, b)
+
+    def test_every_piece_and_the_window_are_bit_identical_to_sample_walks(self):
+        rng = random.Random(2025)
+        for _ in range(300):
+            profile = _random_profile(rng)
+            ts = [t for t, _ in profile.samples]
+            k = rng.randrange(len(ts) - 1)
+            points = {
+                *rng.sample(ts, rng.randrange(min(len(ts), 6) + 1)),  # on samples
+                *(rng.uniform(ts[k], ts[k + 1]) for _ in range(rng.randrange(4))),  # one segment
+                *(rng.uniform(ts[0], ts[-1]) for _ in range(rng.randrange(6))),  # anywhere
+            }
+            times = sorted(points)
+            if len(times) < 2:
+                continue
+            window, pieces = integrate(profile, times)
+            assert window == _walk_integrate(profile, times[0], times[-1])
+            assert pieces == [_walk_integrate(profile, a, b) for a, b in zip(times, times[1:])]
+
+    def test_two_times_give_one_piece_equal_to_the_window(self):
+        profile = _random_profile(random.Random(3))
+        ts = [t for t, _ in profile.samples]
+        window, pieces = integrate(profile, (ts[0], ts[-1]))
+        assert pieces == [window]
+
+    def test_times_that_do_not_increase(self):
+        profile = _constant(100.0, 1000.0)
+        with pytest.raises(AttributionError, match="^times must increase$"):
+            integrate(profile, (0.0, 5.0, 5.0, 10.0))
+        with pytest.raises(AttributionError, match="^times must increase$"):
+            integrate(profile, (0.0, 7.0, 5.0, 10.0))
 
     def test_reads_the_samples_in_place(self):
         profile = _profile([(float(i), float(i % 7)) for i in range(100_000)])
         tracemalloc.start()
         try:
-            integrate(profile, 0.5, 99_998.5)
+            integrate(profile, (0.5, 99_998.5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -410,27 +441,30 @@ class TestAttribute:
     def test_constant_power_parent_child(self):
         profile = _constant(100.0, 20000.0)
         child = CallNode(MethodId("com.app", "C", "child"), 1, 2_000_000, 4_000_000)
-        energies = attribute([CallNode(M, 1, 0, 10_000_000, (child,)), child], profile)
+        energies, window = attribute([CallNode(M, 1, 0, 10_000_000, (child,)), child], profile)
+        assert window == integrate(profile, (0.0, 10_000.0))[0]
         assert energies[0][0] == pytest.approx(1.0, rel=1e-9)
         assert energies[1][0] == pytest.approx(0.4, rel=1e-9)
         assert energies[0][1] == pytest.approx(0.6, rel=1e-9)
 
     def test_zero_duration_leaf(self):
         profile = _constant(100.0, 1000.0)
-        assert attribute([CallNode(M, 1, 5000, 0)], profile) == [(0.0, 0.0)]
+        assert attribute([CallNode(M, 1, 5000, 0)], profile) == ([(0.0, 0.0)], 0.0)
+        assert attribute([], profile) == ([], 0.0)
 
     def test_concurrent_threads_split_a_stretch_equally(self):
         profile = _constant(100.0, 2000.0)
         ui, worker = CallNode(M, 1, 0, 1_000_000), CallNode(M, 2, 0, 1_000_000)
-        half = integrate(profile, 0.0, 1000.0) / 2
-        assert attribute([ui, worker], profile) == [(half, half), (half, half)]
+        whole = integrate(profile, (0.0, 1000.0))[0]
+        half = whole / 2
+        assert attribute([ui, worker], profile) == ([(half, half), (half, half)], whole)
 
     def test_siblings_tiling_parent_leave_zero_exclusive(self):
         profile = _constant(200.0, 2000.0)
         left = CallNode(M, 1, 0, 500_000)
         right = CallNode(M, 1, 500_000, 500_000)
         parent = CallNode(M, 1, 0, 1_000_000, (left, right))
-        energies = attribute([parent, left, right], profile)
+        energies, _ = attribute([parent, left, right], profile)
         assert energies[0][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_parent_of_tiling_children_is_their_exact_sum(self):
@@ -442,8 +476,8 @@ class TestAttribute:
         x = CallNode(MethodId("com.app", "C", "x"), 1, 0, 3901)
         y = CallNode(MethodId("com.app", "C", "y"), 1, 3901, 1986)
         parent = CallNode(M, 1, 0, 5887, (x, y))
-        energies = attribute([parent, x, y], profile)
-        assert integrate(profile, 0.0, 5.887) != energies[1][0] + energies[2][0]
+        energies, _ = attribute([parent, x, y], profile)
+        assert integrate(profile, (0.0, 5.887))[0] != energies[1][0] + energies[2][0]
         assert energies[0] == (energies[1][0] + energies[2][0], 0.0)
 
     def test_interval_outside_profile(self):
@@ -462,7 +496,7 @@ class TestAttribute:
             profile = _profile(
                 [(t * 10.0, 50.0 + (t % 7) * 13.0) for t in range(end_ns // 10_000 + 2)]
             )
-            energies = attribute([node for node, _ in intervals], profile)
+            energies, _ = attribute([node for node, _ in intervals], profile)
             total_exclusive = sum(exclusive for _, exclusive in energies)
             roots_inclusive = sum(
                 inclusive
@@ -480,13 +514,15 @@ class TestAttribute:
                 continue
             end_ns = max(node.t_end_ns for node in nodes)
             profile = _profile([(t * 0.01, 40.0 + (t % 5) * 9.0) for t in range(end_ns // 10 + 2)])
-            expected = dict(zip(nodes, attribute(nodes, profile)))
+            energies, window = attribute(nodes, profile)
+            expected = dict(zip(nodes, energies))
             shuffled = nodes[:]
             rng.shuffle(shuffled)
-            energies = attribute(shuffled, profile)
+            energies, shuffled_window = attribute(shuffled, profile)
+            assert shuffled_window == window
             assert energies == [expected[node] for node in shuffled]
 
-    def test_bit_identical_to_sample_walk(self, monkeypatch):
+    def test_bit_identical_to_sample_walk(self):
         rng = random.Random(78)
         cases = []
         for _ in range(40):
@@ -501,12 +537,39 @@ class TestAttribute:
                 t += rng.random() * 0.02 + 1e-4
             samples.append((t, rng.random() * 300))
             cases.append((nodes, _profile(samples)))
-        expected = []
-        with monkeypatch.context() as patch:
-            patch.setattr(energy, "integrate", _walk_integrate)
-            for nodes, profile in cases:
-                expected.append(attribute(nodes, profile))
-        assert [attribute(n, p) for n, p in cases] == expected
+        for seed in range(20):  # three threads; samples on the ns grid of the boundaries
+            rng = random.Random(seed)
+            trace = random_trace(rng, n_threads=3)
+            nodes = [node for node, _ in node_intervals(build_call_trees(trace))]
+            end_ns = max(ev.t_ns for ev in trace.events)
+            grid = sorted({0, end_ns, *rng.sample(range(end_ns + 1), min(end_ns + 1, 20))})
+            cases.append((nodes, _profile([(t_ns / 1000.0, rng.random() * 300) for t_ns in grid])))
+        cases += [
+            ([node for node, _ in node_intervals(build_call_trees(trace))], profile)
+            for trace, profile in _conservation_inputs()
+        ]
+        for nodes, profile in cases:
+            pairs, window = attribute(nodes, profile)
+            assert pairs == _per_stretch_attribute(nodes, profile)
+            roots = _roots(nodes)
+            start_us = min(node.t_start_ns for node in roots) / 1000.0
+            end_us = max(node.t_end_ns for node in roots) / 1000.0
+            assert window == _walk_integrate(profile, start_us, end_us)
+
+    def test_boundaries_one_float_time_apart(self):
+        # past 2**53 ns, ns / 1000.0 maps neighbouring nanoseconds to one
+        # microsecond float: an unowned gap that short is left out, and an
+        # owned stretch that short fails as on its own
+        t_ns = 2**60
+        profile = _profile([(t_ns / 1000.0 - 50.0, 10.0), (t_ns / 1000.0 + 50.0, 30.0)])
+        first, second = CallNode(M, 1, t_ns, 5000), CallNode(M, 1, t_ns + 5001, 5000)
+        assert t_ns / 1000.0 + 5.0 == (t_ns + 5001) / 1000.0
+        pairs, window = attribute([first, second], profile)
+        assert pairs == _per_stretch_attribute([first, second], profile)
+        assert window == _walk_integrate(profile, t_ns / 1000.0, (t_ns + 10_001) / 1000.0)
+        with pytest.raises(AttributionError) as exc:
+            attribute([CallNode(M, 1, t_ns, 1)], profile)
+        assert str(exc.value) == f"{M.canonical()}: bad window [{t_ns / 1000.0}, {t_ns / 1000.0}]"
 
     def test_each_instant_is_integrated_once_at_any_depth(self, monkeypatch):
         # a 2000-deep chain, each frame 1 us inside its parent on both sides
@@ -518,16 +581,63 @@ class TestAttribute:
             nodes.append(node)
         width_us = node.duration_ns / 1000.0
         profile = _profile([(float(t), 100.0 + t % 3) for t in range(int(width_us) + 1)])
-        widths = []
+        calls = []
 
-        def counting_integrate(profile, a_us, b_us):
-            widths.append(b_us - a_us)
-            return integrate(profile, a_us, b_us)
+        def counting_integrate(profile, times):
+            calls.append(list(times))
+            return integrate(profile, times)
 
         monkeypatch.setattr(energy, "integrate", counting_integrate)
-        energies = attribute(nodes, profile)
-        assert sum(widths) <= width_us
-        assert energies[-1][0] == pytest.approx(integrate(profile, 0.0, width_us), rel=1e-12)
+        energies, window = attribute(nodes, profile)
+        assert len(calls) == 1
+        (times,) = calls
+        assert (times[0], times[-1]) == (0.0, width_us)
+        assert len(times) == 2 * depth + 2  # every frame's two edges, each once
+        assert sum(b - a for a, b in zip(times, times[1:])) == pytest.approx(width_us, rel=1e-12)
+        assert energies[-1][0] == pytest.approx(window, rel=1e-12)
+        assert window == integrate(profile, (0.0, width_us))[0]
+
+
+def _roots(nodes):
+    """The listed nodes that are no listed node's child."""
+    inner = {child for node in nodes for child in node.children}
+    return [node for node in nodes if node not in inner]
+
+
+def _per_stretch_attribute(nodes, profile):
+    """attribute as it was before its one walk: each owned stretch
+    integrated on its own, by _walk_integrate, in the order of one sweep
+    over the call boundaries."""
+    order = _roots(nodes)
+    bounds = []
+    for node in order:
+        order.extend(node.children)
+        t_ns = node.t_start_ns
+        for child in node.children:
+            if t_ns < child.t_start_ns:
+                bounds += ((t_ns, True, node), (child.t_start_ns, False, node))
+            t_ns = child.t_start_ns + child.duration_ns
+        if t_ns < node.t_end_ns:
+            bounds += ((t_ns, True, node), (node.t_end_ns, False, node))
+    bounds.sort(key=lambda bound: bound[:2])
+    exclusive = dict.fromkeys(order, 0.0)
+    owners = {}
+    last_ns = 0
+    for t_ns, starts, node in bounds:
+        if owners and last_ns < t_ns:
+            share = _walk_integrate(profile, last_ns / 1000.0, t_ns / 1000.0) / len(owners)
+            for owner in owners:
+                exclusive[owner] += share
+        last_ns = t_ns
+        if starts:
+            owners[node] = None
+        else:
+            del owners[node]
+    inclusive = dict(exclusive)
+    for node in reversed(order):
+        for child in node.children:
+            inclusive[node] += inclusive[child]
+    return [(inclusive[node], exclusive[node]) for node in nodes]
 
 
 def _idle_energy(profile: PowerProfile, roots, start_ns: int, end_ns: int) -> float:
@@ -536,7 +646,7 @@ def _idle_energy(profile: PowerProfile, roots, start_ns: int, end_ns: int) -> fl
     idle, t_ns = 0.0, start_ns
     for root in sorted(roots, key=lambda node: node.t_start_ns):
         if t_ns < root.t_start_ns:
-            idle += integrate(profile, t_ns / 1000.0, root.t_start_ns / 1000.0)
+            idle += integrate(profile, (t_ns / 1000.0, root.t_start_ns / 1000.0))[0]
         t_ns = max(t_ns, root.t_end_ns)
     return idle
 
@@ -577,8 +687,10 @@ def test_exclusive_plus_unattributed_is_the_test_energy(trace, profile):
     nodes = [node for node, _ in node_intervals(tree)]
     start_ns = min(root.t_start_ns for root in tree.roots)
     end_ns = max(root.t_end_ns for root in tree.roots)
-    test_energy = integrate(profile, start_ns / 1000.0, end_ns / 1000.0)
-    exclusive = [e for _, e in attribute(nodes, profile)]
+    test_energy = integrate(profile, (start_ns / 1000.0, end_ns / 1000.0))[0]
+    energies, window = attribute(nodes, profile)
+    assert window == test_energy
+    exclusive = [e for _, e in energies]
     assert min(exclusive) >= 0.0
     total = sum(exclusive) + _idle_energy(profile, tree.roots, start_ns, end_ns)
     assert total == pytest.approx(test_energy, rel=1e-9)
@@ -595,5 +707,5 @@ def test_unit_sanity_constant_power():
     # P mW over d ms must give exactly P*d/1000 mJ
     for power, d_ms in [(1.0, 1.0), (250.0, 8.0), (3.3, 12.0)]:
         profile = _constant(power, d_ms * 1000 + 100)
-        energy = integrate(profile, 0.0, d_ms * 1000)
+        energy = integrate(profile, (0.0, d_ms * 1000))[0]
         assert energy == pytest.approx(power * d_ms / 1000.0, rel=1e-12)

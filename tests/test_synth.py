@@ -203,7 +203,7 @@ class TestGenerate:
                 )
                 trace = parse_trace((tmp_path / trace_rel).read_bytes())
                 end_ns = max(ev.t_ns for ev in trace.events)
-                measured += integrate(profile, 0.0, end_ns / 1000.0)
+                measured += integrate(profile, (0.0, end_ns / 1000.0))[0]
             assert measured == pytest.approx(entry["expected_energy_mj"], rel=1e-6)
 
 
