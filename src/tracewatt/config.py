@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .apimetric import ApiClassifier, ApiRule
-from .trace import MethodId
+from .trace import _checked_test_name
 
 DEFAULT_API_RULES = (
     ApiRule("android.", "android"),
@@ -73,7 +73,7 @@ class AnalysisConfig(_AnalysisFields):
             raise ConfigError(str(exc)) from None
         for test_name in self.power_clock_offset_us:
             try:
-                MethodId.from_canonical(test_name)
+                _checked_test_name(test_name)
             except ValueError as exc:
                 raise ConfigError(
                     f"[power_clock_offset_us] key {test_name!r} is not a test name: {exc}"

@@ -3,7 +3,9 @@ and assembly of revision datasets.
 
 A revision directory holds ``traces/`` and ``power/`` subdirectories with
 files named ``<test_name>.<sample_index>.trace`` / ``.power``; every trace
-must have its matching power file and vice versa.
+must have its matching power file and vice versa.  Discovery lists each
+subdirectory with one ``os.scandir``, with no ``stat`` per plain file, and
+checks each distinct test name once per process (``trace``'s cache).
 
 Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
@@ -18,6 +20,7 @@ and ``evolution`` imports the records from here.
 """
 
 import math
+import os
 from operator import attrgetter
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple
@@ -26,7 +29,7 @@ from .apimetric import uapi
 from .callgraph import build_call_trees, node_intervals
 from .config import AnalysisConfig
 from .energy import AttributionError, attribute, integrate, parse_power, shift_profile
-from .trace import LineFormatError, MethodId, TraceFormatError, _parse_uint, parse_trace
+from .trace import LineFormatError, TraceFormatError, _checked_test_name, _parse_uint, parse_trace
 
 
 class LayoutError(ValueError):
@@ -103,6 +106,14 @@ METHOD_COLUMNS = (
 )
 
 
+def _is_file(entry: os.DirEntry) -> bool:
+    """Path.is_file() of a directory entry, with no stat for a plain file."""
+    try:
+        return entry.is_file()
+    except OSError:  # a symlink loop, say, which Path.is_file() reads as False
+        return Path(entry.path).is_file()
+
+
 def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
     """Discover (test_name, sample_index, trace_path, power_path) tuples.
 
@@ -119,21 +130,23 @@ def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
 
     def scan(directory: Path, suffix: str) -> dict[tuple[str, int], Path]:
         found = {}
-        # One directory's entries: sorting by name gives the Path order.
-        for entry in sorted(directory.iterdir(), key=attrgetter("name")):
-            if not entry.is_file():
+        with os.scandir(directory) as listing:
+            entries = sorted(listing, key=attrgetter("name"))  # the Path order
+        for entry in entries:
+            if not _is_file(entry):
                 continue
+            path = directory / entry.name
             parts = entry.name.rsplit(".", 2)
             if len(parts) != 3 or parts[2] != suffix:
                 raise LayoutError(
-                    f"{entry}: expected <test_name>.<sample_index>.{suffix}"
+                    f"{path}: expected <test_name>.<sample_index>.{suffix}"
                 )
             try:
-                MethodId.from_canonical(parts[0])
+                _checked_test_name(parts[0])
                 sample = _parse_uint(parts[1], "sample_index")
             except ValueError as exc:
-                raise LayoutError(f"{entry}: {exc}") from None
-            found[(parts[0], sample)] = entry
+                raise LayoutError(f"{path}: {exc}") from None
+            found[(parts[0], sample)] = path
         return found
 
     traces = scan(traces_dir, "trace")

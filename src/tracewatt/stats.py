@@ -5,9 +5,9 @@ group sizes) post-hoc tests.
 
 The studentized range CDF integrates the normal range CDF R(w; k) over the
 density of the sample standard deviation (Copenhaver & Holland, 1988).  R
-is read from a piecewise Chebyshev table built on first use for each k, so
-the pairs of one Tukey family share one table; ``ptukey`` says where the
-integral is skipped.
+is read from a piecewise Chebyshev table kept per k for the process, so
+the pairs of one Tukey family share one table, and each piece is built on
+its first read; ``ptukey`` says where the integral is skipped.
 
 Everything here is pure and reentrant; no external numeric libraries.
 """
@@ -207,13 +207,19 @@ def _panel_nodes(lo: float, hi: float, panels: int) -> list[tuple[float, float]]
     ]
 
 
+@lru_cache(maxsize=None)
+def _range_nodes(panels: int) -> tuple[tuple[float, float, float], ...]:
+    """(z, weight times the normal density, normal CDF) per node of _range_cdf."""
+    return tuple(
+        (z, weight * _INV_SQRT_2PI * math.exp(-0.5 * z * z), normal_cdf(z))
+        for z, weight in _panel_nodes(-_Z_LIM, _Z_LIM, panels)
+    )
+
+
 def _range_cdf(ws: Sequence[float], k: int, panels: int) -> list[float]:
     """P(range of k iid standard normals <= w) for each w in ``ws``, by
     Gauss-Legendre quadrature on ``panels`` panels over [-Z_LIM, Z_LIM]."""
-    nodes = [
-        (z, weight * _INV_SQRT_2PI * math.exp(-0.5 * z * z), normal_cdf(z))
-        for z, weight in _panel_nodes(-_Z_LIM, _Z_LIM, panels)
-    ]
+    nodes = _range_nodes(panels)
     km1 = k - 1
     erfc = math.erfc
     values = []
@@ -228,38 +234,41 @@ def _range_cdf(ws: Sequence[float], k: int, panels: int) -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def _range_cdf_table(k: int) -> tuple[float, float, tuple[tuple[float, ...], ...]]:
+def _range_cdf_table(k: int) -> tuple[float, float, int, list]:
     """Piecewise Chebyshev interpolant of the range CDF R(w; k): (top,
-    piece width, coefficients per piece, highest order first).  It covers
-    [0, top], where k * erfc(top / (2 sqrt 2)) < 2**-53 bounds 1 - R(top)."""
+    piece width, k, coefficients per piece).  It covers [0, top], where
+    k * erfc(top / (2 sqrt 2)) < 2**-53 bounds 1 - R(top).  A piece is
+    None until its first read builds it (``_range_cdf_piece``)."""
     top = 0.0
     while k * math.erfc(top / (2.0 * _SQRT2)) >= PTUKEY_TAIL_CUT:
         top += 0.125
-    h = top / _CHEB_PIECES
+    return top, top / _CHEB_PIECES, k, [None] * _CHEB_PIECES
+
+
+def _range_cdf_piece(table: tuple, p: int) -> tuple[float, ...]:
+    """Build and store piece ``p`` of ``table``: the coefficients, highest
+    order first, of R's interpolant at the piece's Chebyshev points."""
+    _, h, k, pieces = table
     n = _CHEB_NODES
     angles = [math.pi * (j + 0.5) / n for j in range(n)]
-    ws = [(p + 0.5 + 0.5 * math.cos(a)) * h for p in range(_CHEB_PIECES) for a in angles]
-    values = _range_cdf(ws, k, _RANGE_PANELS)
-    pieces = []
-    for p in range(_CHEB_PIECES):
-        f = values[p * n:(p + 1) * n]
-        pieces.append(tuple(
-            (2.0 - (m == 0)) / n * float_sum(v * math.cos(m * a) for v, a in zip(f, angles))
-            for m in reversed(range(n))
-        ))
-    return top, h, tuple(pieces)
+    f = _range_cdf([(p + 0.5 + 0.5 * math.cos(a)) * h for a in angles], k, _RANGE_PANELS)
+    pieces[p] = tuple(
+        (2.0 - (m == 0)) / n * float_sum(v * math.cos(m * a) for v, a in zip(f, angles))
+        for m in reversed(range(n))
+    )
+    return pieces[p]
 
 
 def _range_cdf_at(w: float, table: tuple) -> float:
     """R(w; k) read from ``_range_cdf_table(k)`` by Clenshaw's recurrence;
     exactly 1.0 past the table's top."""
-    top, h, pieces = table
+    top, h, _, pieces = table
     if w >= top:
         return 1.0
     u = w / h
     p = min(int(u), _CHEB_PIECES - 1)
     x2 = 4.0 * (u - p) - 2.0
-    coeffs = pieces[p]
+    coeffs = pieces[p] or _range_cdf_piece(table, p)
     b1 = b2 = 0.0
     for c in coeffs[:-1]:
         b1, b2 = x2 * b1 - b2 + c, b1
@@ -276,10 +285,10 @@ def ptukey(q: float, k: int, df: float) -> float:
     is the exact 1 - I(df/2, 1/2, df/(df + q^2/2)).  Otherwise P is the
     integral of R(q s; k), the normal range CDF, over the scaled chi density
     of the sample standard deviation s (Copenhaver & Holland, 1988).  R is
-    read from a piecewise Chebyshev table built once per k, which reads
-    exactly 1.0 past its top W_k; the s axis is split at W_k / q, so that
-    a rise of R at small s, as at large q and small df, lies in a part of
-    its own.  The outer Gauss-Legendre panels double until two levels
+    read from a piecewise Chebyshev table kept per k, each piece built on
+    its first read, which reads exactly 1.0 past its top W_k; the s axis
+    is split at W_k / q, so that a rise of R at small s, as at large q and
+    small df, lies in a part of its own.  The outer Gauss-Legendre panels double until two levels
     agree within PTUKEY_OUTER_ABS_TOL, and the finer level is returned;
     ConvergenceError is raised if that takes more than PTUKEY_MAX_DOUBLINGS
     doublings.  Above PTUKEY_LARGE_DF the result is R(q; k).

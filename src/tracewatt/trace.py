@@ -14,18 +14,19 @@ comments.  Fields are ``;``-separated, so no escaping is needed: class
 and method names match ``[^;:.\s]+``, packages are such names joined by
 single dots.  The records check nothing: :func:`parse_trace` checks
 every field and the sequence rules and nests the events into
-:class:`CallNode` trees in one walk, and :func:`write_trace` returns
-only text that it accepts.
+:class:`CallNode` trees in one walk.
 
 Parsing is one bulk pass per file: one ``findall`` of the event-line
-regex checks every field, one :class:`MethodId` is made per distinct
-method and one loop builds the events for the sequence walk.  Only a
-file with a bad line or a sequence violation is read again line by line,
-to name the first bad line.  Transient memory is linear in the file.
+regex checks kinds, threads and timestamps, and one loop builds the
+events for the sequence walk.  Names are checked once per process:
+bounded caches map each distinct ``package;class;method`` key to its
+:class:`MethodId` (or None if it is bad) and check each test name.  Only
+a file with a bad line or a sequence violation is read again line by
+line, to name the first bad line.  Transient memory is linear in the file.
 """
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 TRACE_VERSION = "v1"
@@ -33,14 +34,12 @@ _HEADER_MAGIC = "#trace"
 _UINT_RE = re.compile("0|[1-9][0-9]*")
 _NAME_RE = re.compile(r"[^;:.\s]+")
 _PACKAGE_RE = re.compile(rf"{_NAME_RE.pattern}(?:\.{_NAME_RE.pattern})*")
-# The field patterns joined into one event line, with the method's three
-# fields as one group: a line matches iff the per-field checks accept it.
-# [0-9], not \d, which also matches digits such as "\u0661" that int() reads.
-_EVENT_LINE_RE = re.compile(
-    rf"^([EX]);({_UINT_RE.pattern});({_UINT_RE.pattern});"
-    rf"({_PACKAGE_RE.pattern};{_NAME_RE.pattern};{_NAME_RE.pattern})$",
-    re.M,
-)
+_METHOD_KEY_RE = re.compile(rf"{_PACKAGE_RE.pattern};{_NAME_RE.pattern};{_NAME_RE.pattern}")
+# An event line's checked kind, thread and timestamp, and the rest of the
+# line as the method key.  [0-9], not \d, which also matches digits such as
+# "\u0661" that int() reads.
+_EVENT_LINE_RE = re.compile(rf"^([EX]);({_UINT_RE.pattern});({_UINT_RE.pattern});(.*)$", re.M)
+_NAME_CACHE_SIZE = 4096  # distinct names per cache; past it, names are checked again
 
 
 class LineFormatError(ValueError):
@@ -90,6 +89,20 @@ def _checked_method(package: str, class_name: str, method: str) -> MethodId:
         if pattern.fullmatch(value) is None:
             raise ValueError(f"{what} {value!r} does not match {pattern.pattern}")
     return MethodId(package, class_name, method)
+
+
+@lru_cache(maxsize=_NAME_CACHE_SIZE)
+def _method_of_key(key: str) -> "MethodId | None":
+    """The MethodId of an event line's ``package;class;method`` key, or
+    None if the key breaks the identifier grammar."""
+    if _METHOD_KEY_RE.fullmatch(key) is None:
+        return None
+    return MethodId(*key.split(";"))
+
+
+# The check of a test name read from text: a header, a file name or a
+# config key.  A ValueError is not cached, so it is raised on every call.
+_checked_test_name = lru_cache(maxsize=_NAME_CACHE_SIZE)(MethodId.from_canonical)
 
 
 class TraceEvent(NamedTuple):
@@ -204,7 +217,7 @@ def _read_line_file(
         raise error(f"header needs {n_fields} ;-separated fields", line=1)
     try:
         test_name = header[1]
-        MethodId.from_canonical(test_name)
+        _checked_test_name(test_name)
         sample_index = _parse_uint(header[2], "sample_index")
     except ValueError as exc:
         raise error(str(exc), line=1) from None
@@ -275,13 +288,12 @@ def parse_trace(data: "bytes | str") -> TestTrace:
     comments = body.startswith("#") + body.count("\n#")
     if len(rows) != body.count("\n") - comments:
         _raise_first_bad_line(body)
-    methods: dict[str, MethodId] = {}
     events = []
     new_event = tuple.__new__
     for kind, thread, t_ns, key in rows:
-        method = methods.get(key)
+        method = _method_of_key(key)
         if method is None:
-            method = methods[key] = MethodId(*key.split(";"))
+            _raise_first_bad_line(body)
         events.append(new_event(TraceEvent, (kind, method, int(thread), int(t_ns))))
     top_level: dict[int, list[CallNode]] = {}
     for _ in _sequence_violations(events, top_level):
@@ -320,31 +332,6 @@ def _raise_first_bad_line(body: str) -> None:
 
     for idx, message in _sequence_violations(scan(), {}):
         raise TraceFormatError(message, line=event_lines[idx])
-
-
-def write_trace(trace: TestTrace) -> str:
-    """Render a TestTrace to canonical trace-format text, returned only if
-    parse_trace gives the same trace back; else raises TraceFormatError
-    ``invalid trace: line N: ...`` or ``invalid trace: its text parses to
-    a different trace`` (a thread ``"1"`` parses as ``1``)."""
-    text = _render_trace(
-        trace.test_name,
-        trace.sample_index,
-        (
-            (ev.kind, ev.thread, ev.t_ns, ev.method.package,
-             ev.method.class_name, ev.method.method)
-            for ev in trace.events
-        ),
-    )
-    try:
-        same = parse_trace(text) == TestTrace(
-            trace.test_name, trace.sample_index, tuple(trace.events)
-        )
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"invalid trace: {exc}") from None
-    if not same:
-        raise TraceFormatError("invalid trace: its text parses to a different trace")
-    return text
 
 
 def _render_trace(test_name: str, sample_index: int, rows: Iterable[tuple]) -> str:

@@ -5,6 +5,7 @@ random power profile, writes them, and feeds ``parse_trace`` and
 ``parse_power`` the two mutation streams of their
 ``test_fuzz_mutations_never_crash`` tests (byte mutants, then
 field-preserving mutants): 20,000 mutants per parser in all.  Each mutant
+is parsed with the name caches emptied and again with them warm, and both
 must give the value that ``tests/reference_parsers.py`` gives, or the
 same error class, message and line.  The script prints the first few
 differences and exits 1 if there is any.
@@ -23,8 +24,9 @@ from conftest import random_trace
 from reference_parsers import parity_difference, reference_parse_power, reference_parse_trace
 from test_energy import _power_mutants, _random_profile
 from test_trace import _trace_mutants
-from tracewatt.energy import parse_power, write_power
-from tracewatt.trace import parse_trace, write_trace
+from tracewatt.energy import parse_power
+from tracewatt.trace import parse_trace
+from writers import write_power, write_trace
 
 SEEDS = (101, 202, 303, 404)
 MUTANTS_PER_STREAM = 2_500  # x 2 streams x 4 seeds = 20,000 per parser

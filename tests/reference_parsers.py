@@ -6,14 +6,17 @@ then one line and one field at a time.  They share only the trace field
 checks (``_parse_uint``, ``_checked_method``) and the sequence walk with
 ``tracewatt``, so a difference in how the bulk passes split, match,
 count or convert lines shows up as a difference in the value or in the
-error (class, message and line).  Nothing here is a
-test; ``tests/test_trace.py``, ``tests/test_energy.py`` and
+error (class, message and line).  The bulk parsers check names through
+per-process caches, so ``parity_difference`` parses each input with the
+caches emptied and again with them warm.  Nothing here is a test;
+``tests/test_trace.py``, ``tests/test_energy.py`` and
 ``tests/fuzz_parsers.py`` compare against it with ``parity_difference``.
 """
 
 import re
 from typing import Callable, Iterator, Optional
 
+from tracewatt import trace
 from tracewatt.energy import PowerFormatError, PowerProfile
 from tracewatt.trace import (
     LineFormatError,
@@ -163,11 +166,22 @@ def _outcome(parse: Callable, data) -> tuple:
     return ("value", value, repr(value))
 
 
+def clear_name_caches() -> None:
+    """Empty the per-process caches of checked method keys and test names."""
+    trace._method_of_key.cache_clear()
+    trace._checked_test_name.cache_clear()
+
+
 def parity_difference(parse: Callable, reference: Callable, data) -> Optional[str]:
     """None if ``parse`` and ``reference`` both return equal values for
     ``data``, or both raise the same LineFormatError class with the same
-    message and line; else a description of the difference."""
-    got, want = _outcome(parse, data), _outcome(reference, data)
-    if got == want and got[0] != "crash":
+    message and line; else a description of the difference.  ``parse``
+    runs twice, with the name caches emptied and then holding what the
+    first run put there, and both runs must agree with ``reference``."""
+    clear_name_caches()
+    cold = _outcome(parse, data)
+    warm = _outcome(parse, data)
+    want = _outcome(reference, data)
+    if cold == warm == want and cold[0] != "crash":
         return None
-    return f"input {data!r}:\n  got  {got}\n  want {want}"
+    return f"input {data!r}:\n  cold {cold}\n  warm {warm}\n  want {want}"

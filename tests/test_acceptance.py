@@ -19,12 +19,13 @@ from test_apimetric import _attach_api_leaf
 from tracewatt import cli
 from tracewatt.apimetric import uapi
 from tracewatt.callgraph import node_intervals
-from tracewatt.energy import attribute, integrate, parse_power, write_power
+from tracewatt.energy import attribute, integrate, parse_power
 from tracewatt.evolution import report_from_json_dict, report_to_json_dict
 from tracewatt.stats import anova, normal_cdf, ptukey, tukey_hsd
-from tracewatt.trace import parse_trace, write_trace
+from tracewatt.trace import parse_trace
 from test_energy import _profile
 from test_stats import TK_GROUPS, TK_REFERENCE_P
+from writers import write_power, write_trace
 
 
 @contextmanager

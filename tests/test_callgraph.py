@@ -19,8 +19,8 @@ from tracewatt.trace import (
     TraceEvent,
     TraceFormatError,
     parse_trace,
-    write_trace,
 )
+from writers import write_trace
 
 
 def _trace(lines: str) -> TestTrace:

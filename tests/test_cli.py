@@ -733,6 +733,18 @@ def _one_execution_revision(root: Path, trace: str = ONE_TRACE, power: str = ONE
     return rev
 
 
+def test_scan_reads_only_files_and_follows_symlinks_to_them(tmp_path):
+    rev = _one_execution_revision(tmp_path)
+    traces, power = rev / "traces", rev / "power" / "a.B::t.0.power"
+    (traces / "x.0.trace").mkdir()
+    (traces / "a.B::u.0.trace").symlink_to(tmp_path / "missing")
+    (traces / "a.B::v.0.trace").symlink_to("a.B::v.0.trace")  # a loop
+    target = tmp_path / "elsewhere"
+    power.rename(target)
+    power.symlink_to(target)
+    assert ingest.scan_revision_dir(rev) == [("a.B::t", 0, traces / "a.B::t.0.trace", power)]
+
+
 def test_analyze_leaves_the_statistics_and_json_unloaded(tmp_path):
     """analyze runs no comparison, so it imports neither the statistics
     nor the report writer."""

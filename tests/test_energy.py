@@ -14,9 +14,9 @@ from tracewatt.energy import (
     integrate,
     parse_power,
     shift_profile,
-    write_power,
 )
 from tracewatt.trace import MethodId, parse_trace
+from writers import write_power
 
 from conftest import random_call_tree, random_trace
 from reference_parsers import parity_difference, reference_parse_power

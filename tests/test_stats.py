@@ -7,6 +7,7 @@ from tracewatt import stats
 from tracewatt.stats import (
     anova,
     f_upper_tail,
+    float_sum,
     normal_cdf,
     ptukey,
     regularized_incomplete_beta,
@@ -243,6 +244,38 @@ class TestFUpperTail:
             regularized_incomplete_beta(1.0, 1.0, 1.5)
 
 
+def _eager_range_cdf_table(k):
+    """The range CDF table with every piece built at once from one list of
+    points, as stats built it before its pieces were built on first read."""
+    top = 0.0
+    while k * math.erfc(top / (2.0 * stats._SQRT2)) >= stats.PTUKEY_TAIL_CUT:
+        top += 0.125
+    h = top / stats._CHEB_PIECES
+    n = stats._CHEB_NODES
+    angles = [math.pi * (j + 0.5) / n for j in range(n)]
+    ws = [(p + 0.5 + 0.5 * math.cos(a)) * h for p in range(stats._CHEB_PIECES) for a in angles]
+    nodes = [
+        (z, weight * stats._INV_SQRT_2PI * math.exp(-0.5 * z * z), normal_cdf(z))
+        for z, weight in stats._panel_nodes(-stats._Z_LIM, stats._Z_LIM, stats._RANGE_PANELS)
+    ]
+    values = []
+    for w in ws:
+        total = 0.0
+        for z, fw, cdf in nodes:
+            d = cdf - 0.5 * math.erfc((w - z) / stats._SQRT2)
+            if d > 0.0:
+                total += fw * d ** (k - 1)
+        values.append(min(1.0, k * total))
+    pieces = []
+    for p in range(stats._CHEB_PIECES):
+        f = values[p * n:(p + 1) * n]
+        pieces.append(tuple(
+            (2.0 - (m == 0)) / n * float_sum(v * math.cos(m * a) for v, a in zip(f, angles))
+            for m in reversed(range(n))
+        ))
+    return top, h, tuple(pieces)
+
+
 class TestPtukey:
     def test_zero_and_infinite_q(self):
         assert ptukey(0.0, 4, 10) == 0.0
@@ -308,6 +341,24 @@ class TestPtukey:
         ws = [rng.uniform(0.0, table[0]) for _ in range(2000)]
         finer = stats._range_cdf(ws, k, 2 * stats._RANGE_PANELS)
         assert max(abs(stats._range_cdf_at(w, table) - r) for w, r in zip(ws, finer)) <= 1e-13
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("k", [3, 6, 8, 30])
+    def test_pieces_built_on_first_read_match_the_table_built_at_once(self, k, order):
+        stats._range_cdf_table.cache_clear()
+        table = stats._range_cdf_table(k)
+        top, h, _, pieces = table
+        first_reads = list(reversed(range(stats._CHEB_PIECES)))
+        if order == "shuffled":
+            random.Random(k).shuffle(first_reads)
+        for p in first_reads:
+            assert pieces[p] is None
+            stats._range_cdf_at((p + 0.5) * h, table)
+        eager_top, eager_h, eager_pieces = _eager_range_cdf_table(k)
+        assert (top.hex(), h.hex()) == (eager_top.hex(), eager_h.hex())
+        assert [[c.hex() for c in piece] for piece in pieces] == [
+            [c.hex() for c in piece] for piece in eager_pieces
+        ]
 
     def test_table_reads_one_past_its_top(self):
         for k in (2, 3, 8, 30):

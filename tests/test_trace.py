@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_trace
-from reference_parsers import parity_difference, reference_parse_trace
+from reference_parsers import clear_name_caches, parity_difference, reference_parse_trace
 from tracewatt import trace as trace_module
 from tracewatt.energy import PowerFormatError, parse_power
 from tracewatt.trace import (
@@ -13,8 +13,8 @@ from tracewatt.trace import (
     TraceFormatError,
     parse_trace,
     validate_trace,
-    write_trace,
 )
+from writers import write_trace
 
 
 def test_parse_header_and_single_event():
@@ -429,6 +429,24 @@ def test_bulk_parse_matches_the_per_line_reference(text, bad_line):
         with pytest.raises(TraceFormatError) as exc:
             parse_trace(text)
         assert exc.value.line == bad_line
+
+
+@pytest.mark.parametrize(
+    "key", ["p;C;m;x", "p;C", "p;C;", "p..q;C;m", "p;C:D;m", "p;C;m\r", "p;C;m n"]
+)
+def test_bad_method_key_fails_alike_with_the_cache_cold_or_warm(key):
+    good = _H + "E;1;0;p;C;m\nX;1;2;p;C;m\n"
+    bad = _H + f"E;1;0;p;C;m\nE;1;1;{key}\nX;1;2;p;C;m\n"
+    clear_name_caches()
+    before = parse_trace(good)
+    errors = []
+    for _ in range(2):  # the cache first meets the key, then knows it
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(bad)
+        errors.append((str(exc.value), exc.value.line))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 3
+    assert parse_trace(good) == before
 
 
 def test_valid_trace_with_comments_takes_the_bulk_path(monkeypatch):
