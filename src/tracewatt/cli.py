@@ -12,6 +12,11 @@ when the command takes that flag; flags win):
     --alpha X       significance level override (evolve)
     --out DIR       output directory (analyze, evolve, report)
 
+analyze and evolve analyze their executions on every CPU the process
+may run on: one forked child per CPU but the first, results merged in
+scan order, so outputs, exit codes and error lines are those of a run on
+one CPU (``taskset -c 0``, or a platform without fork, runs no child).
+
 Exit codes: 0 success; 2 layout/configuration errors; 3 parse errors;
 4 attribution errors; 5 statistical degeneracy (no common tests, top-k
 selection leaving no test, too few observations, or quadrature that
@@ -61,12 +66,13 @@ def _load_analysis_config(config_file: "str | None") -> AnalysisConfig:
 
 def _scan_revisions(
     config: AnalysisConfig, revision_dirs: list[Path]
-) -> list[list[tuple[str, int, Path, Path]]]:
+) -> list[tuple[str, list[ingest.Execution]]]:
     """Scan every revision directory, then check that each
     [power_clock_offset_us] key names a test found by some scan, so both
-    layout and key errors come before any file is parsed."""
-    scans = [ingest.scan_revision_dir(rev_dir) for rev_dir in revision_dirs]
-    tests = {name for executions in scans for name, *_ in executions}
+    layout and key errors come before any file is parsed.  Returns each
+    revision's name with its executions."""
+    scans = [(d.name, ingest.scan_revision_dir(d)) for d in revision_dirs]
+    tests = {name for _, executions in scans for name, *_ in executions}
     for test_name in sorted(config.power_clock_offset_us.keys() - tests):
         raise ConfigError(f"[power_clock_offset_us] key {test_name!r} names no analyzed test")
     return scans
@@ -157,8 +163,9 @@ def cmd_analyze(args) -> int:
     revision_dir = Path(args.revision_dir)
     if not revision_dir.is_dir():
         raise LayoutError(f"{revision_dir} is not a directory")
-    (executions,) = _scan_revisions(config, [revision_dir])
-    dataset, method_rows = analyze_revision(revision_dir.name, executions, config, with_rows=True)
+    [(dataset, method_rows)] = analyze_revision(
+        _scan_revisions(config, [revision_dir]), config, with_rows=True
+    )
     out_dir = _out_dir(args)
     _write_csv(out_dir / "methods.csv", METHOD_COLUMNS, method_rows)
     _write_records(out_dir / "tests.csv", ExecutionRecord, dataset.records)
@@ -185,10 +192,9 @@ def cmd_evolve(args) -> int:
             f"{root}: need at least 2 revision subdirectories, "
             f"found {len(revision_dirs)}"
         )
-    scans = _scan_revisions(config, revision_dirs)
     datasets = [
-        analyze_revision(rev_dir.name, executions, config, with_rows=False)[0]
-        for rev_dir, executions in zip(revision_dirs, scans)
+        dataset for dataset, _ in
+        analyze_revision(_scan_revisions(config, revision_dirs), config, with_rows=False)
     ]
     report = evolution.compare(datasets, config)
     out_dir = _out_dir(args)

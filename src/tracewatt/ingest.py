@@ -7,6 +7,9 @@ must have its matching power file and vice versa.  Discovery lists each
 subdirectory with one ``os.scandir``, with no ``stat`` per plain file, and
 checks each distinct test name once per process (``trace``'s cache).
 
+The executions of every revision a command scans share one fan-out over
+the CPUs the process may run on (``_analyze_executions``).
+
 Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
 caller asks for rows: one flat tuple per call occurrence, in the column
@@ -19,17 +22,23 @@ call-graph, U and energy modules it imports, and no statistics:
 and ``evolution`` imports the records from here.
 """
 
+import marshal
 import math
 import os
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple, NoReturn
 
 from .apimetric import uapi
 from .callgraph import build_call_trees, node_intervals
 from .config import AnalysisConfig
 from .energy import AttributionError, attribute, integrate, parse_power, shift_profile
 from .trace import LineFormatError, TraceFormatError, _checked_test_name, _parse_uint, parse_trace
+
+
+# (test_name, sample_index, trace path, power path), as scan_revision_dir finds it
+Execution = tuple[str, int, str, str]
 
 
 class LayoutError(ValueError):
@@ -114,7 +123,7 @@ def _is_file(entry: os.DirEntry) -> bool:
         return Path(entry.path).is_file()
 
 
-def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
+def scan_revision_dir(path: "Path | str") -> list[Execution]:
     """Discover (test_name, sample_index, trace_path, power_path) tuples.
 
     Raises LayoutError on missing subdirectories, unparseable file names,
@@ -128,25 +137,24 @@ def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
     if not power_dir.is_dir():
         raise LayoutError(f"{root}: missing power/ directory")
 
-    def scan(directory: Path, suffix: str) -> dict[tuple[str, int], Path]:
+    def scan(directory: Path, suffix: str) -> dict[tuple[str, int], str]:
         found = {}
         with os.scandir(directory) as listing:
             entries = sorted(listing, key=attrgetter("name"))  # the Path order
         for entry in entries:
             if not _is_file(entry):
                 continue
-            path = directory / entry.name
             parts = entry.name.rsplit(".", 2)
             if len(parts) != 3 or parts[2] != suffix:
                 raise LayoutError(
-                    f"{path}: expected <test_name>.<sample_index>.{suffix}"
+                    f"{entry.path}: expected <test_name>.<sample_index>.{suffix}"
                 )
             try:
                 _checked_test_name(parts[0])
                 sample = _parse_uint(parts[1], "sample_index")
             except ValueError as exc:
-                raise LayoutError(f"{path}: {exc}") from None
-            found[(parts[0], sample)] = path
+                raise LayoutError(f"{entry.path}: {exc}") from None
+            found[(parts[0], sample)] = entry.path
         return found
 
     traces = scan(traces_dir, "trace")
@@ -167,11 +175,16 @@ def scan_revision_dir(path: "Path | str") -> list[tuple[str, int, Path, Path]]:
     ]
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def analyze_execution(
     test_name: str,
     sample_index: int,
-    trace_path: Path,
-    power_path: Path,
+    trace_path: str,
+    power_path: str,
     config: AnalysisConfig,
     with_rows: bool,
 ) -> tuple[ExecutionRecord, list[tuple]]:
@@ -189,8 +202,8 @@ def analyze_execution(
     is raised again, once, naming the file it came from.
     """
     try:
-        trace = parse_trace(trace_path.read_bytes())
-        profile = parse_power(power_path.read_bytes())
+        trace = parse_trace(_read(trace_path))
+        profile = parse_power(_read(power_path))
         for path, parsed in ((trace_path, trace), (power_path, profile)):
             if (parsed.test_name, parsed.sample_index) != (test_name, sample_index):
                 raise LayoutError(
@@ -240,18 +253,121 @@ def analyze_execution(
     return record, rows
 
 
+def _analyze_chunk(
+    chunk: list[Execution], config: AnalysisConfig, with_rows: bool
+) -> list[tuple[ExecutionRecord, list[tuple]]]:
+    return [analyze_execution(*execution, config, with_rows) for execution in chunk]
+
+
+def _send_chunk(
+    chunk: list[Execution], config: AnalysisConfig, with_rows: bool, write_fd: int
+) -> NoReturn:
+    """The forked child's whole life: analyze ``chunk`` and send its
+    results up the pipe as marshal data of plain tuples, or on any error
+    send nothing and exit 1, leaving the error to the parent's rerun."""
+    status = 1
+    try:
+        payload = marshal.dumps(
+            [(tuple(record), rows) for record, rows in _analyze_chunk(chunk, config, with_rows)]
+        )
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:  # whatever was raised, never unwind into the parent's frames
+        os._exit(status)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _analyze_executions(
+    executions: list[Execution], config: AnalysisConfig, with_rows: bool
+) -> list[tuple[ExecutionRecord, list[tuple]]]:
+    """analyze_execution over ``executions``, results in their order.
+
+    The executions are cut into one contiguous chunk per CPU this process
+    may run on (at most one per execution).  The parent forks a child for
+    every chunk but the first, runs the first itself, then reads the
+    children's results in chunk order.  A child that fails, dies or sends
+    nothing has its chunk run again by the parent, so the first error in
+    execution order is raised, with its sequential text.  If the parent
+    raises, every child still running is killed and reaped first.  With
+    one CPU, or no fork, the one chunk runs with no child at all.
+    """
+    n = min(_cpu_count(), len(executions))
+    chunks = [
+        executions[len(executions) * i // n : len(executions) * (i + 1) // n]
+        for i in range(n)
+    ]
+    children = {}  # chunk index -> (pid, read end of its pipe), until reaped
+    results = []
+    try:
+        for i in range(1, n):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: the parent runs the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                _send_chunk(chunks[i], config, with_rows, write_fd)
+            # closed before the next fork, or that child would hold it open
+            # and this pipe would never reach end of file
+            os.close(write_fd)
+            children[i] = (pid, open(read_fd, "rb"))
+        for i, chunk in enumerate(chunks):
+            payload = b""
+            if i in children:
+                pid, pipe = children[i]
+                with pipe:
+                    payload = pipe.read()
+                if os.waitpid(pid, 0)[1] != 0:  # only a clean exit sent it all
+                    payload = b""
+                del children[i]
+            if payload:
+                results += [
+                    (ExecutionRecord._make(record), rows)
+                    for record, rows in marshal.loads(payload)
+                ]
+            else:
+                results += _analyze_chunk(chunk, config, with_rows)
+    finally:
+        if children:
+            from signal import SIGKILL  # only on this error path
+
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
 def analyze_revision(
-    revision: str, executions: list[tuple[str, int, Path, Path]], config: AnalysisConfig,
-    with_rows: bool,
-) -> tuple[RevisionDataset, list[tuple]]:
-    """Analyze every execution that scan_revision_dir found in a revision
-    directory, in its (test_name, sample_index) order, with rU normalized
-    over all of its tests.  Returns the dataset and the methods.csv rows,
-    which are filled only ``with_rows``."""
-    records = []
-    method_rows = []
-    for name, sample, trace_path, power_path in executions:
-        record, rows = analyze_execution(name, sample, trace_path, power_path, config, with_rows)
-        records.append(record)
-        method_rows.extend(rows)
-    return normalize_ruapi(revision, records, {r.test_name for r in records}), method_rows
+    revisions: list[tuple[str, list[Execution]]], config: AnalysisConfig, with_rows: bool,
+) -> list[tuple[RevisionDataset, list[tuple]]]:
+    """Analyze every execution that scan_revision_dir found in each named
+    revision directory, in its (test_name, sample_index) order, with rU
+    normalized over all of the revision's tests.  The executions of all
+    revisions share one fan-out over the CPUs (_analyze_executions).
+    Returns, per revision, the dataset and the methods.csv rows, which are
+    filled only ``with_rows``."""
+    analyzed = iter(_analyze_executions(
+        [execution for _, executions in revisions for execution in executions],
+        config, with_rows,
+    ))
+    out = []
+    for revision, executions in revisions:
+        records = []
+        method_rows = []
+        for record, rows in islice(analyzed, len(executions)):
+            records.append(record)
+            method_rows += rows
+        out.append(
+            (normalize_ruapi(revision, records, {r.test_name for r in records}), method_rows)
+        )
+    return out

@@ -1,8 +1,11 @@
 import csv
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -255,7 +258,7 @@ class TestAnalyzeCommand:
     def test_clock_offset_key_error_comes_before_a_corrupt_trace(
         self, fixture_dir, tmp_path, capsys
     ):
-        _corrupt_last_trace(fixture_dir / "1.0")
+        _corrupt_trace(fixture_dir / "1.0")
         config = tmp_path / "cfg.ini"
         config.write_text("[power_clock_offset_us]\ncom.fixture.suite.GeneratedSuite::test01 = 5\n")
         argv = ["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "o"),
@@ -287,9 +290,10 @@ class TestAnalyzeCommand:
         assert message in capsys.readouterr().err
 
 
-def _corrupt_last_trace(revision: Path) -> Path:
-    """Make line 3 of the revision's last trace file unparseable."""
-    victim = sorted((revision / "traces").iterdir())[-1]
+def _corrupt_trace(revision: Path, index: int = -1) -> Path:
+    """Make line 3 of the revision's ``index``-th trace file (by name)
+    unparseable; the last one by default."""
+    victim = sorted((revision / "traces").iterdir())[index]
     lines = victim.read_text().splitlines(keepends=True)
     fields = lines[2].split(";")
     lines[2] = ";".join(fields[:2] + ["x"] + fields[3:])
@@ -355,7 +359,7 @@ class TestEvolveCommand:
         assert capsys.readouterr().err == "error: TRACEWATT_ALPHA = 'lots' is not a number\n"
 
     def test_corrupt_trace_error_names_file(self, fixture_dir, tmp_path, capsys):
-        victim = _corrupt_last_trace(fixture_dir / "1.1")
+        victim = _corrupt_trace(fixture_dir / "1.1")
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {victim}: line 3: ")
@@ -378,6 +382,8 @@ class TestEvolveCommand:
         assert not out.exists()
 
     def test_only_analyze_attributes_per_method_energy(self, fixture_dir, tmp_path, monkeypatch):
+        # the spies count in this process only, so no execution may run in a child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = {"attribute": 0, "node_intervals": 0}
 
         def spy(name):
@@ -430,7 +436,7 @@ class TestEvolveCommand:
     def test_clock_offset_key_error_comes_before_a_corrupt_trace(
         self, fixture_dir, tmp_path, capsys
     ):
-        _corrupt_last_trace(fixture_dir / "1.0")
+        _corrupt_trace(fixture_dir / "1.0")
         config = tmp_path / "cfg.ini"
         config.write_text("[power_clock_offset_us]\ncom.fixture.suite.GeneratedSuite::test01 = 5\n")
         argv = ["evolve", str(fixture_dir), "--out", str(tmp_path / "o"), "--config", str(config)]
@@ -443,7 +449,7 @@ class TestEvolveCommand:
     def test_layout_error_in_a_later_revision_comes_before_a_corrupt_trace(
         self, fixture_dir, tmp_path, capsys
     ):
-        _corrupt_last_trace(fixture_dir / "1.0")
+        _corrupt_trace(fixture_dir / "1.0")
         victim = next((fixture_dir / "1.1" / "power").iterdir())
         victim.unlink()
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "o")]) == 2
@@ -492,6 +498,142 @@ class TestEvolveCommand:
         root = tmp_path / "fx"
         assert cli.main(["synth", str(spec_file), str(root)]) == 0
         assert cli.main(["evolve", str(root), "--out", str(tmp_path / "o")]) == 5
+
+
+def _on_cpus(monkeypatch, cpus: "int | None") -> list[int]:
+    """Let the CLI see ``cpus`` CPUs (None: no sched_getaffinity at all)
+    and return the list that each fork appends its child's pid to."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _output_tree(out: Path) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class TestFanOut:
+    """analyze and evolve fan their executions out over the CPUs the
+    process may run on (never more than 3 here) and must write the bytes,
+    exit codes and error lines of a run on one CPU."""
+
+    @staticmethod
+    def target(fixture_dir: Path, command: str) -> Path:
+        return fixture_dir / "1.0" if command == "analyze" else fixture_dir
+
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_outputs_match_one_cpu_byte_for_byte(self, fixture_dir, tmp_path, monkeypatch, command):
+        trees = {}
+        for cpus in (None, 1, 2, 3):
+            forks = _on_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out-{cpus}"
+            assert cli.main([command, str(self.target(fixture_dir, command)), "--out", str(out)]) == 0
+            _assert_no_child_left()
+            assert len(forks) == (cpus or 1) - 1
+            trees[cpus] = _output_tree(out)
+        assert trees[1]
+        assert trees[None] == trees[1] == trees[2] == trees[3]
+
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    @pytest.mark.parametrize("where", ["first", "last", "both"])
+    def test_a_corrupt_trace_fails_as_on_one_cpu(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, command, where
+    ):
+        revisions = sorted(p for p in fixture_dir.iterdir() if p.is_dir())
+        if command == "analyze":
+            revisions = revisions[:1]
+        if where != "last":
+            first = _corrupt_trace(revisions[0], 0)
+        if where != "first":
+            last = _corrupt_trace(revisions[-1])
+        victim = last if where == "last" else first
+        outcomes = set()
+        for cpus in (1, 2, 3):
+            _on_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out-{cpus}"
+            code = cli.main([command, str(self.target(fixture_dir, command)), "--out", str(out)])
+            _assert_no_child_left()
+            outcomes.add((code, capsys.readouterr().err))
+        [(code, err)] = outcomes
+        assert code == 3
+        assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("death", ["exits-0", "killed", "raises", "fork-fails"])
+    def test_a_chunk_no_child_sent_is_run_by_the_parent(
+        self, fixture_dir, tmp_path, monkeypatch, death
+    ):
+        _on_cpus(monkeypatch, 1)
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "one")]) == 0
+        forks = _on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        analyze_execution = ingest.analyze_execution
+
+        def dying(*args):
+            if os.getpid() != parent:
+                if death == "exits-0":
+                    os._exit(0)
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("a child's own failure")
+            return analyze_execution(*args)
+
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(ingest, "analyze_execution", dying)
+        if death == "fork-fails":
+            monkeypatch.setattr(os, "fork", no_fork)
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "three")]) == 0
+        _assert_no_child_left()
+        assert len(forks) == (0 if death == "fork-fails" else 2)
+        assert _output_tree(tmp_path / "three") == _output_tree(tmp_path / "one")
+
+    @pytest.mark.parametrize("error", ["corrupt-trace", "interrupt"])
+    def test_children_still_running_are_killed_when_the_parent_raises(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, error
+    ):
+        forks = _on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        analyze_execution = ingest.analyze_execution
+
+        def stuck_in_children(*args):
+            if os.getpid() != parent:  # killed, or the run takes two minutes
+                time.sleep(120)
+                os._exit(1)
+            if error == "interrupt":
+                raise KeyboardInterrupt
+            return analyze_execution(*args)
+
+        monkeypatch.setattr(ingest, "analyze_execution", stuck_in_children)
+        _corrupt_trace(fixture_dir / "1.0", 0)
+        argv = ["evolve", str(fixture_dir), "--out", str(tmp_path / "out")]
+        started = time.monotonic()
+        if error == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == 3
+            assert capsys.readouterr().err.startswith("error: ")
+        assert time.monotonic() - started < 60
+        _assert_no_child_left()
+        assert len(forks) == 2
 
 
 class TestReportCommand:
@@ -742,25 +884,45 @@ def test_scan_reads_only_files_and_follows_symlinks_to_them(tmp_path):
     target = tmp_path / "elsewhere"
     power.rename(target)
     power.symlink_to(target)
-    assert ingest.scan_revision_dir(rev) == [("a.B::t", 0, traces / "a.B::t.0.trace", power)]
+    assert ingest.scan_revision_dir(rev) == [
+        ("a.B::t", 0, str(traces / "a.B::t.0.trace"), str(power))
+    ]
 
 
-def test_analyze_leaves_the_statistics_and_json_unloaded(tmp_path):
-    """analyze runs no comparison, so it imports neither the statistics
-    nor the report writer."""
+# What a fan-out over processes could pull in; the commands fork directly.
+PROCESS_POOL_MODULES = ("pickle", "multiprocessing", "concurrent.futures", "subprocess")
+
+
+def _modules_loaded_by(argv: list[str], modules: tuple[str, ...]) -> str:
+    """Run the CLI in a fresh interpreter; its last stdout line is the exit
+    code and which of ``modules`` it loaded."""
     src = Path(cli.__file__).resolve().parents[1]
-    rev = _one_execution_revision(tmp_path)
-    unused = ("tracewatt.stats", "tracewatt.evolution", "json")
     probe = (
         "import sys; from tracewatt.cli import main; "
-        f"code = main(['analyze', {str(rev)!r}, '--out', {str(tmp_path / 'out')!r}]); "
-        f"print(code, [m for m in {unused!r} if m in sys.modules])"
+        f"code = main({argv!r}); "
+        f"print(code, [m for m in {modules!r} if m in sys.modules])"
     )
     run = subprocess.run(  # -S: no site hook can load one first
         [sys.executable, "-S", "-c", probe], cwd=src, capture_output=True, text=True, check=True
     )
-    assert run.stdout.endswith("\n0 []\n")
-    assert (tmp_path / "out" / "methods.csv").is_file()
+    return run.stdout
+
+
+def test_analyze_leaves_the_statistics_and_json_unloaded(tmp_path):
+    """analyze runs no comparison, so it imports neither the statistics
+    nor the report writer, and no process-pool module either."""
+    rev = _one_execution_revision(tmp_path)
+    unused = ("tracewatt.stats", "tracewatt.evolution", "json", *PROCESS_POOL_MODULES)
+    out = tmp_path / "out"
+    assert _modules_loaded_by(["analyze", str(rev), "--out", str(out)], unused).endswith("\n0 []\n")
+    assert (out / "methods.csv").is_file()
+
+
+def test_evolve_leaves_the_process_pool_modules_unloaded(fixture_dir, tmp_path):
+    out = tmp_path / "out"
+    argv = ["evolve", str(fixture_dir), "--out", str(out)]
+    assert _modules_loaded_by(argv, PROCESS_POOL_MODULES).endswith("\n0 []\n")
+    assert (out / "report.json").is_file()
 
 
 # id -> (trace body, power body, the message after "error: <power file>: "),
