@@ -12,10 +12,11 @@ when the command takes that flag; flags win):
     --alpha X       significance level override (evolve)
     --out DIR       output directory (analyze, evolve, report)
 
-analyze and evolve analyze their executions on every CPU the process
-may run on: one forked child per CPU but the first, results merged in
-scan order, so outputs, exit codes and error lines are those of a run on
-one CPU (``taskset -c 0``, or a platform without fork, runs no child).
+analyze and evolve spread their executions over the CPUs the process
+may run on, as many as the input's size pays for: one forked child per
+chunk but the first, results merged in scan order, so outputs, exit
+codes and error lines are those of a run on one CPU (``taskset -c 0``,
+a small input, or a platform without fork runs no child).
 
 Exit codes: 0 success; 2 layout/configuration errors; 3 parse errors;
 4 attribution errors; 5 statistical degeneracy (no common tests, top-k

@@ -8,7 +8,8 @@ subdirectory with one ``os.scandir``, with no ``stat`` per plain file, and
 checks each distinct test name once per process (``trace``'s cache).
 
 The executions of every revision a command scans share one fan-out over
-the CPUs the process may run on (``_analyze_executions``).
+the CPUs the process may run on, as many as their size pays for
+(``_analyze_executions``, ``_process_count``).
 
 Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
@@ -25,6 +26,7 @@ and ``evolution`` imports the records from here.
 import marshal
 import math
 import os
+from contextlib import suppress
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
@@ -277,11 +279,51 @@ def _send_chunk(
         os._exit(status)
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork."""
+# Input bytes that take about as long to analyze as one more process
+# costs: its fork, its copy-on-write faults, its teardown and its share of
+# the machine.  n processes take about (n - 1) * cost + work / n, so the
+# n-th pays off while n * (n - 1) of these fit in the input.  On a 2-vCPU
+# VM a second process gained nothing end to end on 385 KB of input
+# (evolve, 96 executions), 15 % on 1.4 MB and 21 % on 1.9 MB.
+_PROCESS_COST_BYTES = 192 * 1024
+
+# The layer functions analyze_execution calls through this module's names,
+# as imported.  A tracer's span or a test's spy that replaces one sees only
+# the calls made in its own process, so all executions then run in this one.
+_LAYERS = {
+    name: globals()[name]
+    for name in ("parse_trace", "parse_power", "shift_profile", "build_call_trees",
+                 "uapi", "node_intervals", "attribute", "integrate")
+}
+
+
+def _process_count(executions: list[Execution]) -> int:
+    """How many processes analyze ``executions``: at most one per CPU this
+    process may run on and one per execution, and no more than the input's
+    size pays for.  Files are sized in scan order only until they pay for
+    every CPU.  1 where the process cannot fork, or while a layer function
+    is replaced (``_LAYERS``)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return len(os.sched_getaffinity(0))
+    cpus = min(len(os.sched_getaffinity(0)), len(executions))
+    if cpus < 2 or any(globals()[name] is not fn for name, fn in _LAYERS.items()):
+        return 1
+    size = 0
+    for _, _, trace_path, power_path in executions:
+        if size >= cpus * (cpus - 1) * _PROCESS_COST_BYTES:
+            break
+        for path in (trace_path, power_path):
+            with suppress(OSError):  # analyze_execution reports it, in order
+                size += os.stat(path).st_size
+    n = 1
+    while n < cpus and (n + 1) * n * _PROCESS_COST_BYTES <= size:
+        n += 1
+    return n
+
+
+def _reap(pid: int) -> None:
+    with suppress(ChildProcessError):  # SIGCHLD ignored: the kernel reaped it
+        os.waitpid(pid, 0)
 
 
 def _analyze_executions(
@@ -289,22 +331,20 @@ def _analyze_executions(
 ) -> list[tuple[ExecutionRecord, list[tuple]]]:
     """analyze_execution over ``executions``, results in their order.
 
-    The executions are cut into one contiguous chunk per CPU this process
-    may run on (at most one per execution).  The parent forks a child for
-    every chunk but the first, runs the first itself, then reads the
-    children's results in chunk order.  A child that fails, dies or sends
-    nothing has its chunk run again by the parent, so the first error in
-    execution order is raised, with its sequential text.  If the parent
-    raises, every child still running is killed and reaped first.  With
-    one CPU, or no fork, the one chunk runs with no child at all.
+    The executions are cut into ``_process_count`` contiguous chunks.  The
+    parent forks a child for every chunk but the first, runs the first
+    itself, then reads the children's results in chunk order.  A child
+    that fails, dies or sends only part has its chunk run again by the
+    parent, so the first error in execution order is raised, with its
+    sequential text.  If the parent raises, every child still running is
+    killed and reaped first.  With one chunk no child is forked at all.
     """
-    n = min(_cpu_count(), len(executions))
+    n = _process_count(executions)
     chunks = [
         executions[len(executions) * i // n : len(executions) * (i + 1) // n]
         for i in range(n)
     ]
     children = {}  # chunk index -> (pid, read end of its pipe), until reaped
-    results = []
     try:
         for i in range(1, n):
             read_fd, write_fd = os.pipe()
@@ -320,30 +360,35 @@ def _analyze_executions(
             # and this pipe would never reach end of file
             os.close(write_fd)
             children[i] = (pid, open(read_fd, "rb"))
-        for i, chunk in enumerate(chunks):
-            payload = b""
-            if i in children:
-                pid, pipe = children[i]
-                with pipe:
-                    payload = pipe.read()
-                if os.waitpid(pid, 0)[1] != 0:  # only a clean exit sent it all
-                    payload = b""
-                del children[i]
-            if payload:
-                results += [
-                    (ExecutionRecord._make(record), rows)
-                    for record, rows in marshal.loads(payload)
-                ]
+        results = _analyze_chunk(chunks[0], config, with_rows)
+        sent = {}
+        for i, (pid, pipe) in children.items():
+            with pipe:
+                sent[i] = pipe.read()
+        # every pipe is at end of file, so each child has exited or is about
+        # to; all are reaped before any chunk is run again
+        for i in list(children):
+            _reap(children[i][0])
+            del children[i]
+        for i in range(1, n):
+            try:  # a child writes all its results or nothing, then exits
+                sent_records = marshal.loads(sent.get(i, b""))
+            except (EOFError, ValueError):  # nothing, or cut short: rerun
+                results += _analyze_chunk(chunks[i], config, with_rows)
             else:
-                results += _analyze_chunk(chunk, config, with_rows)
+                results += [
+                    (ExecutionRecord._make(record), rows) for record, rows in sent_records
+                ]
     finally:
         if children:
             from signal import SIGKILL  # only on this error path
 
             for pid, pipe in children.values():
                 pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+                with suppress(ProcessLookupError):
+                    os.kill(pid, SIGKILL)
+            for pid, _ in children.values():
+                _reap(pid)
     return results
 
 

@@ -382,8 +382,6 @@ class TestEvolveCommand:
         assert not out.exists()
 
     def test_only_analyze_attributes_per_method_energy(self, fixture_dir, tmp_path, monkeypatch):
-        # the spies count in this process only, so no execution may run in a child
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = {"attribute": 0, "node_intervals": 0}
 
         def spy(name):
@@ -501,8 +499,10 @@ class TestEvolveCommand:
 
 
 def _on_cpus(monkeypatch, cpus: "int | None") -> list[int]:
-    """Let the CLI see ``cpus`` CPUs (None: no sched_getaffinity at all)
-    and return the list that each fork appends its child's pid to."""
+    """Let the CLI see ``cpus`` CPUs (None: no sched_getaffinity at all),
+    with input of any size paying for one process per CPU, and return the
+    list that each fork appends its child's pid to."""
+    monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", 1)
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -540,16 +540,52 @@ class TestFanOut:
 
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
     def test_outputs_match_one_cpu_byte_for_byte(self, fixture_dir, tmp_path, monkeypatch, command):
+        executions = 6 if command == "analyze" else 12
+        analyze_execution = ingest.analyze_execution
+        in_this_process = []  # a child's calls land in its own copy
+
+        def counted(*args):
+            in_this_process.append(args[:2])
+            return analyze_execution(*args)
+
+        monkeypatch.setattr(ingest, "analyze_execution", counted)
         trees = {}
         for cpus in (None, 1, 2, 3):
             forks = _on_cpus(monkeypatch, cpus)
+            in_this_process.clear()
             out = tmp_path / f"out-{cpus}"
             assert cli.main([command, str(self.target(fixture_dir, command)), "--out", str(out)]) == 0
             _assert_no_child_left()
             assert len(forks) == (cpus or 1) - 1
+            # the parent ran chunk 0 alone and took the rest from the children
+            assert len(in_this_process) == executions // (cpus or 1)
             trees[cpus] = _output_tree(out)
         assert trees[1]
         assert trees[None] == trees[1] == trees[2] == trees[3]
+
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_children_work_while_sigchld_is_ignored(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, command
+    ):
+        """An ignored SIGCHLD survives exec, and the kernel then reaps the
+        children itself: waitpid finds none and loses their status."""
+        _on_cpus(monkeypatch, 1)
+        target = str(self.target(fixture_dir, command))
+        assert cli.main([command, target, "--out", str(tmp_path / "one")]) == 0
+        forks = _on_cpus(monkeypatch, 3)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert cli.main([command, target, "--out", str(tmp_path / "three")]) == 0
+            assert len(forks) == 2
+            _assert_no_child_left()
+            victim = _corrupt_trace(fixture_dir / "1.0")
+            assert cli.main([command, target, "--out", str(tmp_path / "bad")]) == 3
+            _assert_no_child_left()
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert _output_tree(tmp_path / "three") == _output_tree(tmp_path / "one")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
     @pytest.mark.parametrize("where", ["first", "last", "both"])
@@ -605,10 +641,19 @@ class TestFanOut:
         assert len(forks) == (0 if death == "fork-fails" else 2)
         assert _output_tree(tmp_path / "three") == _output_tree(tmp_path / "one")
 
+    @pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN])
     @pytest.mark.parametrize("error", ["corrupt-trace", "interrupt"])
     def test_children_still_running_are_killed_when_the_parent_raises(
-        self, fixture_dir, tmp_path, monkeypatch, capsys, error
+        self, fixture_dir, tmp_path, monkeypatch, capsys, error, sigchld
     ):
+        previous = signal.signal(signal.SIGCHLD, sigchld)
+        try:
+            self.check_children_killed(fixture_dir, tmp_path, monkeypatch, capsys, error)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+
+    @staticmethod
+    def check_children_killed(fixture_dir, tmp_path, monkeypatch, capsys, error):
         forks = _on_cpus(monkeypatch, 3)
         parent = os.getpid()
         analyze_execution = ingest.analyze_execution
@@ -634,6 +679,178 @@ class TestFanOut:
         assert time.monotonic() - started < 60
         _assert_no_child_left()
         assert len(forks) == 2
+
+
+    def test_results_larger_than_a_pipe_holds_arrive_whole(self, fixture_dir, tmp_path, monkeypatch):
+        _on_cpus(monkeypatch, 1)
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "one")]) == 0
+        forks = _on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        analyze_execution = ingest.analyze_execution
+        in_this_process = []
+
+        def padded(*args):  # evolve drops the rows
+            record, rows = analyze_execution(*args)
+            if os.getpid() == parent:
+                in_this_process.append(args[:2])
+                return record, rows
+            return record, [("x" * (1 << 20),)]
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the parent and a child wait on each other")
+
+        monkeypatch.setattr(ingest, "analyze_execution", padded)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "three")]) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        _assert_no_child_left()
+        assert len(forks) == 2
+        assert len(in_this_process) == 4  # chunk 0 only: no chunk was run again
+        assert _output_tree(tmp_path / "three") == _output_tree(tmp_path / "one")
+
+    def test_a_parent_error_after_the_children_are_gone_keeps_its_line(
+        self, fixture_dir, tmp_path, monkeypatch, capsys
+    ):
+        """With SIGCHLD ignored, a child that finished is gone before the
+        parent's error path kills it; the parent's error still wins."""
+        forks = _on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        analyze_execution = ingest.analyze_execution
+
+        def gone(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return True
+            return False
+
+        def after_the_children(*args):
+            deadline = time.monotonic() + 30
+            while os.getpid() == parent and not all(map(gone, forks)):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            return analyze_execution(*args)
+
+        monkeypatch.setattr(ingest, "analyze_execution", after_the_children)
+        victim = _corrupt_trace(fixture_dir / "1.0", 0)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "out")]) == 3
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        _assert_no_child_left()
+        assert len(forks) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
+
+
+class TestProcessCount:
+    """How many processes share a command's executions."""
+
+    @staticmethod
+    def executions(fixture_dir: Path) -> list:
+        return [e for rev in ("1.0", "1.1") for e in ingest.scan_revision_dir(fixture_dir / rev)]
+
+    @staticmethod
+    def size(executions: list) -> int:
+        return sum(os.stat(t).st_size + os.stat(p).st_size for _, _, t, p in executions)
+
+    @pytest.mark.parametrize(
+        "cpus, costs_in_input, expected",
+        [
+            (3, 1, 1),  # input the size of one process's cost: no fork
+            (3, 2, 2),  # 2 processes pay off from 2 costs
+            (3, 6, 3),  # 3 from 6
+            (8, 6, 3),  # ... and a 4th only from 12, however many CPUs
+            (8, 12, 4),
+            (2, 1000, 2),  # never more than the CPUs
+        ],
+    )
+    def test_processes_grow_with_the_input_not_just_the_cpus(
+        self, fixture_dir, monkeypatch, cpus, costs_in_input, expected
+    ):
+        executions = self.executions(fixture_dir)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(
+            ingest, "_PROCESS_COST_BYTES", self.size(executions) // costs_in_input
+        )
+        assert ingest._process_count(executions) == expected
+
+    def test_the_real_cost_forks_nothing_for_a_small_input(self, fixture_dir, monkeypatch):
+        executions = self.executions(fixture_dir)
+        assert self.size(executions) < 2 * ingest._PROCESS_COST_BYTES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert ingest._process_count(executions) == 1
+
+    def test_never_more_than_one_per_execution(self, fixture_dir, monkeypatch):
+        executions = self.executions(fixture_dir)[:2]
+        _on_cpus(monkeypatch, 3)
+        assert ingest._process_count(executions) == 2
+
+    def test_files_are_sized_only_until_every_cpu_is_paid_for(self, fixture_dir, monkeypatch):
+        executions = self.executions(fixture_dir)
+        _on_cpus(monkeypatch, 2)  # 1 byte pays for a process: the first file pays for both
+        sized = []
+        real_stat = os.stat
+
+        def counted_stat(path, *args, **kwargs):
+            sized.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counted_stat)
+        assert ingest._process_count(executions) == 2
+        assert sized == list(executions[0][2:])
+
+    def test_a_file_gone_before_sizing_is_left_to_the_analysis(self, fixture_dir, monkeypatch):
+        executions = self.executions(fixture_dir)
+        _on_cpus(monkeypatch, 2)
+        executions[0] = executions[0][:2] + (str(fixture_dir / "gone"), str(fixture_dir / "gone"))
+        assert ingest._process_count(executions) == 2
+
+    @pytest.mark.parametrize("layer", ["parse_trace", "attribute", "integrate", "uapi"])
+    def test_a_replaced_layer_function_keeps_every_execution_here(
+        self, fixture_dir, monkeypatch, layer
+    ):
+        """A spy or a tracer's wrapper counts only the calls made in its
+        own process."""
+        executions = self.executions(fixture_dir)
+        _on_cpus(monkeypatch, 3)
+        assert ingest._process_count(executions) == 3
+        original = getattr(ingest, layer)
+        monkeypatch.setattr(ingest, layer, lambda *args: original(*args))
+        assert ingest._process_count(executions) == 1
+
+
+def test_a_traced_run_counts_the_work_of_a_run_on_one_cpu(fixture_dir, tmp_path, monkeypatch):
+    """The benchmark's tracer wraps the layer functions in this process;
+    a fan-out would hide every child's calls from it."""
+    root = Path(__file__).resolve().parents[1]  # bench/ sits beside src/
+    monkeypatch.syspath_prepend(str(root))
+    from bench import tracer
+
+    metrics = {}
+    for cpus in (1, 3):
+        forks = _on_cpus(monkeypatch, cpus)
+        recorder = tracer.Recorder(str(cpus))
+        recorder.install()
+        try:
+            assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / f"e{cpus}")]) == 0
+            assert cli.main(
+                ["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / f"a{cpus}")]
+            ) == 0
+        finally:
+            recorder.uninstall()
+        assert forks == []
+        metrics[cpus] = tracer.layer_metrics(recorder.to_json())
+    counts = [name for name, (_, unit) in metrics[1].items() if unit == "count"]
+    assert {name: metrics[3][name] for name in counts} == {
+        name: metrics[1][name] for name in counts
+    }
+    assert metrics[1]["trace.events"][0] > 0
 
 
 class TestReportCommand:

@@ -13,11 +13,12 @@ output change is intended, regenerate the digest file with
 
 import contextlib
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from tracewatt import cli
+from tracewatt import cli, ingest
 
 DIGEST_FILE = Path(__file__).with_name("golden.sha256")
 
@@ -134,6 +135,26 @@ def golden_digests(work: Path) -> list[str]:
 def test_outputs_match_golden_digests(tmp_path):
     lines = golden_digests(tmp_path)
     assert lines == DIGEST_FILE.read_text().splitlines()
+
+
+def test_outputs_fanned_out_over_three_processes_match_golden_digests(tmp_path, monkeypatch):
+    """This fixture is too small to pay for a fork, so the case above runs
+    one process; here any input pays for one process per CPU."""
+    monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    lines = golden_digests(tmp_path)
+    assert lines == DIGEST_FILE.read_text().splitlines()
+    assert len(forks) == 2 * 3  # two per run, but the one-execution multi-root analyze
 
 
 if __name__ == "__main__":
