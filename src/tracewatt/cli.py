@@ -16,7 +16,15 @@ analyze and evolve spread their executions over the CPUs the process
 may run on, as many as the input's size pays for: one forked child per
 chunk but the first, results merged in scan order, so outputs, exit
 codes and error lines are those of a run on one CPU (``taskset -c 0``,
-a small input, or a platform without fork runs no child).
+a small input, or a platform without fork runs no child).  Each chunk's
+process forms its own methods.csv text; analyze writes the header, then
+those texts in chunk order.
+
+Importing this module registers ``gc.freeze`` to run at exit, so the
+interpreter's finalization leaves the heap to the OS instead of walking
+and freeing it.  main() itself returns as any function does.  The
+caveat: at exit, reference cycles are neither collected nor finalized,
+so no output may wait on a cycle's finalizer to be flushed or closed.
 
 Exit codes: 0 success; 2 layout/configuration errors; 3 parse errors;
 4 attribution errors; 5 statistical degeneracy (no common tests, top-k
@@ -25,7 +33,8 @@ does not converge).
 """
 
 import argparse
-import csv
+import atexit
+import gc
 import os
 import sys
 from pathlib import Path
@@ -33,7 +42,7 @@ from pathlib import Path
 from . import ingest
 from .config import AnalysisConfig, ConfigError, parse_config
 from .energy import AttributionError
-from .ingest import METHOD_COLUMNS, ExecutionRecord, LayoutError, analyze_revision
+from .ingest import METHOD_COLUMNS, ExecutionRecord, LayoutError, analyze_revision, csv_text
 from .trace import LineFormatError
 
 EXIT_OK = 0
@@ -47,13 +56,17 @@ REPORT_NAME = "report.json"
 SUMMARIES_CSV = "revision_summaries.csv"
 
 
-def _write_csv(path: Path, header: "list[str] | tuple[str, ...]", rows: list) -> None:
-    """csv.writer's cells are stable text: None is an empty cell and a
-    float its shortest round-trip repr (``inf`` included)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+# Objects alive at exit leave the cyclic collector's reach, which spares
+# finalization a walk over the heap the OS reclaims anyway (see above).
+atexit.register(gc.freeze)
+
+
+def _write_csv(
+    path: Path, header: "list[str] | tuple[str, ...]", rows: list, body: str = ""
+) -> None:
+    """The header line, one line per row, then ``body``, CSV text already
+    formed (ingest.csv_text)."""
+    path.write_text(csv_text([header, *rows]) + body, encoding="utf-8", newline="")
 
 
 def _load_analysis_config(config_file: "str | None") -> AnalysisConfig:
@@ -164,11 +177,11 @@ def cmd_analyze(args) -> int:
     revision_dir = Path(args.revision_dir)
     if not revision_dir.is_dir():
         raise LayoutError(f"{revision_dir} is not a directory")
-    [(dataset, method_rows)] = analyze_revision(
+    [dataset], methods_csv = analyze_revision(
         _scan_revisions(config, [revision_dir]), config, with_rows=True
     )
     out_dir = _out_dir(args)
-    _write_csv(out_dir / "methods.csv", METHOD_COLUMNS, method_rows)
+    _write_csv(out_dir / "methods.csv", METHOD_COLUMNS, [], methods_csv)
     _write_records(out_dir / "tests.csv", ExecutionRecord, dataset.records)
     print(
         f"analyzed revision {dataset.revision}: "
@@ -193,10 +206,9 @@ def cmd_evolve(args) -> int:
             f"{root}: need at least 2 revision subdirectories, "
             f"found {len(revision_dirs)}"
         )
-    datasets = [
-        dataset for dataset, _ in
-        analyze_revision(_scan_revisions(config, revision_dirs), config, with_rows=False)
-    ]
+    datasets, _ = analyze_revision(
+        _scan_revisions(config, revision_dirs), config, with_rows=False
+    )
     report = evolution.compare(datasets, config)
     out_dir = _out_dir(args)
     _write_report_files(report, out_dir)

@@ -14,7 +14,9 @@ the CPUs the process may run on, as many as their size pays for
 Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
 caller asks for rows: one flat tuple per call occurrence, in the column
-order of METHOD_COLUMNS, which ``analyze`` writes to ``methods.csv``.
+order of METHOD_COLUMNS.  The process that analyzed a chunk of executions
+turns their rows into ``methods.csv`` text (``csv_text``), which
+``analyze`` writes below the header.
 
 The records and their one rU normalization live here, beside the code
 that produces them.  So ``analyze`` loads this module and the parser,
@@ -23,6 +25,8 @@ call-graph, U and energy modules it imports, and no statistics:
 and ``evolution`` imports the records from here.
 """
 
+import csv
+import io
 import marshal
 import math
 import os
@@ -178,8 +182,27 @@ def scan_revision_dir(path: "Path | str") -> list[Execution]:
 
 
 def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+    """The file's bytes, read with os.read until end of file: no buffered
+    file object.  An OSError names ``path``, as open() would."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 20):
+            chunks.append(chunk)
+    except OSError as exc:  # os.read names no file, a directory's included
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def csv_text(rows: Iterable) -> str:
+    """``rows`` as CSV text, one line each, as every CSV output is
+    written: csv.writer's cells are stable text, None an empty cell and a
+    float its shortest round-trip repr (``inf`` included)."""
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 def analyze_execution(
@@ -257,21 +280,29 @@ def analyze_execution(
 
 def _analyze_chunk(
     chunk: list[Execution], config: AnalysisConfig, with_rows: bool
-) -> list[tuple[ExecutionRecord, list[tuple]]]:
-    return [analyze_execution(*execution, config, with_rows) for execution in chunk]
+) -> tuple[list[ExecutionRecord], str]:
+    """analyze_execution over ``chunk``: its records, and its rows as
+    methods.csv text, formed in the process that computed them."""
+    records = []
+    rows = []
+    for execution in chunk:
+        record, execution_rows = analyze_execution(*execution, config, with_rows)
+        records.append(record)
+        rows += execution_rows
+    return records, csv_text(rows)
 
 
 def _send_chunk(
     chunk: list[Execution], config: AnalysisConfig, with_rows: bool, write_fd: int
 ) -> NoReturn:
     """The forked child's whole life: analyze ``chunk`` and send its
-    results up the pipe as marshal data of plain tuples, or on any error
-    send nothing and exit 1, leaving the error to the parent's rerun."""
+    records, as plain tuples, and its text up the pipe as marshal data, or
+    on any error send nothing and exit 1, leaving the error to the
+    parent's rerun."""
     status = 1
     try:
-        payload = marshal.dumps(
-            [(tuple(record), rows) for record, rows in _analyze_chunk(chunk, config, with_rows)]
-        )
+        records, text = _analyze_chunk(chunk, config, with_rows)
+        payload = marshal.dumps(([tuple(record) for record in records], text))
         with open(write_fd, "wb") as pipe:
             pipe.write(payload)
         status = 0
@@ -280,8 +311,8 @@ def _send_chunk(
 
 
 # Input bytes that take about as long to analyze as one more process
-# costs: its fork, its copy-on-write faults, its teardown and its share of
-# the machine.  n processes take about (n - 1) * cost + work / n, so the
+# costs: its fork, its copy-on-write faults, the release of its pages when
+# it ends in os._exit and its share of the machine.  n processes take about (n - 1) * cost + work / n, so the
 # n-th pays off while n * (n - 1) of these fit in the input.  On a 2-vCPU
 # VM a second process gained nothing end to end on 385 KB of input
 # (evolve, 96 executions), 15 % on 1.4 MB and 21 % on 1.9 MB.
@@ -328,8 +359,9 @@ def _reap(pid: int) -> None:
 
 def _analyze_executions(
     executions: list[Execution], config: AnalysisConfig, with_rows: bool
-) -> list[tuple[ExecutionRecord, list[tuple]]]:
-    """analyze_execution over ``executions``, results in their order.
+) -> tuple[list[ExecutionRecord], str]:
+    """analyze_execution over ``executions``: the records in their order,
+    and the methods.csv text of their rows.
 
     The executions are cut into ``_process_count`` contiguous chunks.  The
     parent forks a child for every chunk but the first, runs the first
@@ -360,7 +392,8 @@ def _analyze_executions(
             # and this pipe would never reach end of file
             os.close(write_fd)
             children[i] = (pid, open(read_fd, "rb"))
-        results = _analyze_chunk(chunks[0], config, with_rows)
+        records, text = _analyze_chunk(chunks[0], config, with_rows)
+        texts = [text]
         sent = {}
         for i, (pid, pipe) in children.items():
             with pipe:
@@ -372,13 +405,13 @@ def _analyze_executions(
             del children[i]
         for i in range(1, n):
             try:  # a child writes all its results or nothing, then exits
-                sent_records = marshal.loads(sent.get(i, b""))
+                sent_records, text = marshal.loads(sent.get(i, b""))
             except (EOFError, ValueError):  # nothing, or cut short: rerun
-                results += _analyze_chunk(chunks[i], config, with_rows)
+                chunk_records, text = _analyze_chunk(chunks[i], config, with_rows)
             else:
-                results += [
-                    (ExecutionRecord._make(record), rows) for record, rows in sent_records
-                ]
+                chunk_records = map(ExecutionRecord._make, sent_records)
+            records += chunk_records
+            texts.append(text)
     finally:
         if children:
             from signal import SIGKILL  # only on this error path
@@ -389,30 +422,25 @@ def _analyze_executions(
                     os.kill(pid, SIGKILL)
             for pid, _ in children.values():
                 _reap(pid)
-    return results
+    return records, "".join(texts)
 
 
 def analyze_revision(
     revisions: list[tuple[str, list[Execution]]], config: AnalysisConfig, with_rows: bool,
-) -> list[tuple[RevisionDataset, list[tuple]]]:
+) -> tuple[list[RevisionDataset], str]:
     """Analyze every execution that scan_revision_dir found in each named
     revision directory, in its (test_name, sample_index) order, with rU
     normalized over all of the revision's tests.  The executions of all
     revisions share one fan-out over the CPUs (_analyze_executions).
-    Returns, per revision, the dataset and the methods.csv rows, which are
-    filled only ``with_rows``."""
-    analyzed = iter(_analyze_executions(
+    Returns each revision's dataset, and the methods.csv text below the
+    header of every revision's rows, empty unless ``with_rows``."""
+    records, methods_csv = _analyze_executions(
         [execution for _, executions in revisions for execution in executions],
         config, with_rows,
-    ))
-    out = []
+    )
+    analyzed = iter(records)
+    datasets = []
     for revision, executions in revisions:
-        records = []
-        method_rows = []
-        for record, rows in islice(analyzed, len(executions)):
-            records.append(record)
-            method_rows += rows
-        out.append(
-            (normalize_ruapi(revision, records, {r.test_name for r in records}), method_rows)
-        )
-    return out
+        kept = list(islice(analyzed, len(executions)))
+        datasets.append(normalize_ruapi(revision, kept, {r.test_name for r in kept}))
+    return datasets, methods_csv

@@ -682,35 +682,38 @@ class TestFanOut:
 
 
     def test_results_larger_than_a_pipe_holds_arrive_whole(self, fixture_dir, tmp_path, monkeypatch):
-        _on_cpus(monkeypatch, 1)
-        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "one")]) == 0
-        forks = _on_cpus(monkeypatch, 3)
         parent = os.getpid()
         analyze_execution = ingest.analyze_execution
         in_this_process = []
+        padding = "x" * (1 << 20)
 
-        def padded(*args):  # evolve drops the rows
-            record, rows = analyze_execution(*args)
+        def padded(*args):  # each execution's methods.csv text overfills a pipe
             if os.getpid() == parent:
                 in_this_process.append(args[:2])
-                return record, rows
-            return record, [("x" * (1 << 20),)]
+            record, rows = analyze_execution(*args)
+            return record, rows + [(padding,)]
 
         def too_slow(signum, frame):
             raise TimeoutError("the parent and a child wait on each other")
 
         monkeypatch.setattr(ingest, "analyze_execution", padded)
+        target = str(fixture_dir / "1.0")
+        _on_cpus(monkeypatch, 1)
+        assert cli.main(["analyze", target, "--out", str(tmp_path / "one")]) == 0
+        forks = _on_cpus(monkeypatch, 3)
+        in_this_process.clear()
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.alarm(60)
         try:
-            assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "three")]) == 0
+            assert cli.main(["analyze", target, "--out", str(tmp_path / "three")]) == 0
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         _assert_no_child_left()
         assert len(forks) == 2
-        assert len(in_this_process) == 4  # chunk 0 only: no chunk was run again
+        assert len(in_this_process) == 2  # chunk 0 only: no chunk was run again
         assert _output_tree(tmp_path / "three") == _output_tree(tmp_path / "one")
+        assert (tmp_path / "three" / "methods.csv").read_text().count(padding) == 6
 
     def test_a_parent_error_after_the_children_are_gone_keeps_its_line(
         self, fixture_dir, tmp_path, monkeypatch, capsys
@@ -1104,6 +1107,74 @@ def test_scan_reads_only_files_and_follows_symlinks_to_them(tmp_path):
     assert ingest.scan_revision_dir(rev) == [
         ("a.B::t", 0, str(traces / "a.B::t.0.trace"), str(power))
     ]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_file_that_cannot_be_read_is_named_as_open_names_it(tmp_path, kind):
+    path = tmp_path / "a.B::t.0.trace"
+    if kind == "directory":
+        path.mkdir()
+        text = f"[Errno 21] Is a directory: '{path}'"
+    else:
+        text = f"[Errno 2] No such file or directory: '{path}'"
+    with pytest.raises(OSError) as opened:
+        open(path, "rb")
+    with pytest.raises(OSError) as read:
+        ingest._read(str(path))
+    assert type(read.value) is type(opened.value)
+    assert str(read.value) == str(opened.value) == text
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 20, (5 << 19) + 3])
+def test_a_file_is_read_whole_however_many_reads_it_takes(tmp_path, size):
+    path = tmp_path / "f"
+    data = bytes(range(256)) * (size // 256) + b"z" * (size % 256)
+    path.write_bytes(data)
+    assert ingest._read(str(path)) == data
+
+
+# The benchmark's entry: main() returns, and the interpreter exits.
+ENTRY = "import sys; from tracewatt.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_a_fresh_process_writes_and_prints_all_that_main_does(
+    fixture_dir, tmp_path, capsys, command
+):
+    """cli's exit hook freezes the heap, and the exit still writes every
+    output byte and all of stdout."""
+    target = str(TestFanOut.target(fixture_dir, command))
+    out = tmp_path / "out"
+    assert cli.main([command, target, "--out", str(out)]) == 0
+    in_process = (_output_tree(out), capsys.readouterr().out)
+    shutil.rmtree(out)
+    run = subprocess.run(
+        [sys.executable, "-c", ENTRY, command, target, "--out", str(out)],
+        cwd=Path(cli.__file__).resolve().parents[1], capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert (_output_tree(out), run.stdout) == in_process
+    assert in_process[0] and in_process[1].endswith(f"{out}\n")
+
+
+def test_the_exit_leaves_cycles_to_the_os(tmp_path):
+    """At exit, a reference cycle is neither collected nor finalized."""
+    probe = (
+        "import os, sys; from tracewatt.cli import main\n"
+        f"code = main(['analyze', {str(_one_execution_revision(tmp_path))!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "class Cycle:\n"
+        "    def __del__(self, write=os.write):\n"
+        "        write(1, b'finalized')\n"
+        "cycle = Cycle(); cycle.self = cycle; del cycle\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], cwd=Path(cli.__file__).resolve().parents[1],
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.startswith("analyzed revision 1.0: 1 executions")
+    assert "finalized" not in run.stdout
 
 
 # What a fan-out over processes could pull in; the commands fork directly.
