@@ -5,13 +5,12 @@ one of the configured prefixes (e.g. ``android.``, ``java.``).  The U
 value of a call-tree node counts the API interactions in its subtree plus
 every internal frame that contributes at least one; rU, which normalizes
 a U value by the total interaction count N of the run it belongs to, is
-set by ``evolution.normalize_ruapi``.
+set by ``ingest.normalize_ruapi``.
 """
 
 from typing import Iterable, NamedTuple, Optional
 
-from .callgraph import CallNode, CallTree
-from .trace import MethodId
+from .trace import CallNode, CallTree, MethodId
 
 
 class ApiRule(NamedTuple):

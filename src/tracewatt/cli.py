@@ -92,16 +92,10 @@ def _scan_revisions(
     return scans
 
 
-def _write_records(path: Path, record_type: type, records) -> None:
-    """One CSV row per NamedTuple record, one column per field."""
-    _write_csv(path, record_type._fields, records)
-
-
 def _out_dir(args, default: "Path | str" = "tracewatt-out") -> Path:
-    """The command's --out directory, else ``default``; created if missing."""
-    out_dir = Path(args.out if args.out is not None else default)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    """The command's --out directory, else ``default``; the command
+    creates it once its outputs are ready."""
+    return Path(args.out if args.out is not None else default)
 
 
 def _write_report_files(report: "evolution.ComparisonReport", out_dir: Path) -> None:
@@ -124,7 +118,7 @@ def _write_report_files(report: "evolution.ComparisonReport", out_dir: Path) -> 
         ["target", *evolution.ProxyScore._fields],
         [[t, *s] for t, s in report.proxy.items()],
     )
-    _write_records(out_dir / SUMMARIES_CSV, evolution.RevisionSummary, report.summaries)
+    _write_csv(out_dir / SUMMARIES_CSV, evolution.RevisionSummary._fields, report.summaries)
 
 
 def _summary_text(report: "evolution.ComparisonReport") -> str:
@@ -180,9 +174,11 @@ def cmd_analyze(args) -> int:
     [dataset], methods_csv = analyze_revision(
         _scan_revisions(config, [revision_dir]), config, with_rows=True
     )
+    dataset = ingest.normalize_ruapi(dataset.revision, dataset.records, dataset.test_names())
     out_dir = _out_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "methods.csv", METHOD_COLUMNS, [], methods_csv)
-    _write_records(out_dir / "tests.csv", ExecutionRecord, dataset.records)
+    _write_csv(out_dir / "tests.csv", ExecutionRecord._fields, dataset.records)
     print(
         f"analyzed revision {dataset.revision}: "
         f"{len(dataset.records)} executions -> {out_dir}"
@@ -200,7 +196,9 @@ def cmd_evolve(args) -> int:
     root = Path(args.root_dir)
     if not root.is_dir():
         raise LayoutError(f"{root} is not a directory")
-    revision_dirs = sorted(d for d in root.iterdir() if d.is_dir())
+    out_dir = _out_dir(args)  # it may lie in the root, but is no revision
+    skip = out_dir.resolve()
+    revision_dirs = sorted(d for d in root.iterdir() if d.is_dir() and d.resolve() != skip)
     if len(revision_dirs) < 2:
         raise LayoutError(
             f"{root}: need at least 2 revision subdirectories, "
@@ -209,8 +207,8 @@ def cmd_evolve(args) -> int:
     datasets, _ = analyze_revision(
         _scan_revisions(config, revision_dirs), config, with_rows=False
     )
-    report = evolution.compare(datasets, config)
-    out_dir = _out_dir(args)
+    report = evolution.compare(datasets, config)  # sets rU over the tests it compares
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report_files(report, out_dir)
     print(_summary_text(report), end="")
     print(f"report written to {out_dir}")
@@ -247,7 +245,8 @@ def cmd_report(args) -> int:
     except (ValueError, TypeError, RecursionError) as exc:
         raise LineFormatError(f"corrupt report file {report_path}: {exc}") from None
     out_dir = _out_dir(args, in_dir)
-    _write_records(out_dir / SUMMARIES_CSV, evolution.RevisionSummary, report.summaries)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / SUMMARIES_CSV, evolution.RevisionSummary._fields, report.summaries)
     text = _summary_text(report)
     (out_dir / "summary.txt").write_text(text, encoding="utf-8")
     print(text, end="")

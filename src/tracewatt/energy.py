@@ -47,8 +47,7 @@ from bisect import bisect_right
 from operator import itemgetter, lt
 from typing import Iterable, NamedTuple, Sequence
 
-from .callgraph import CallNode
-from .trace import LineFormatError, _read_line_file
+from .trace import CallNode, LineFormatError, _read_line_file
 
 POWER_VERSION = "v1"
 _HEADER_MAGIC = "#power"

@@ -15,7 +15,7 @@ from typing import (
 )
 
 from .config import AnalysisConfig
-from .ingest import ExecutionRecord, RevisionDataset, normalize_ruapi  # noqa: F401  ExecutionRecord is re-exported
+from .ingest import RevisionDataset, normalize_ruapi
 from .stats import AnovaResult, TukeyPair, anova, float_sum, tukey_hsd
 
 METRICS = ("energy_mj", "avg_power_mw", "ruapi")

@@ -19,8 +19,10 @@ turns their rows into ``methods.csv`` text (``csv_text``), which
 ``analyze`` writes below the header.
 
 The records and their one rU normalization live here, beside the code
-that produces them.  So ``analyze`` loads this module and the parser,
-call-graph, U and energy modules it imports, and no statistics:
+that produces them.  ``analyze`` normalizes rU over its revision's tests
+and ``evolution.compare`` over the tests it compares.  So ``analyze``
+loads this module and the trace, U and energy modules it imports, and
+no statistics:
 ``evolution`` and ``stats`` load only with ``evolve`` and ``report``,
 and ``evolution`` imports the records from here.
 """
@@ -37,10 +39,12 @@ from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, NoReturn
 
 from .apimetric import uapi
-from .callgraph import build_call_trees, node_intervals
 from .config import AnalysisConfig
 from .energy import AttributionError, attribute, integrate, parse_power, shift_profile
-from .trace import LineFormatError, TraceFormatError, _checked_test_name, _parse_uint, parse_trace
+from .trace import (
+    LineFormatError, TraceFormatError, _checked_test_name, _parse_uint, build_call_trees,
+    node_intervals, parse_trace,
+)
 
 
 # (test_name, sample_index, trace path, power path), as scan_revision_dir finds it
@@ -429,18 +433,18 @@ def analyze_revision(
     revisions: list[tuple[str, list[Execution]]], config: AnalysisConfig, with_rows: bool,
 ) -> tuple[list[RevisionDataset], str]:
     """Analyze every execution that scan_revision_dir found in each named
-    revision directory, in its (test_name, sample_index) order, with rU
-    normalized over all of the revision's tests.  The executions of all
-    revisions share one fan-out over the CPUs (_analyze_executions).
-    Returns each revision's dataset, and the methods.csv text below the
-    header of every revision's rows, empty unless ``with_rows``."""
+    revision directory, in its (test_name, sample_index) order.  The
+    executions of all revisions share one fan-out over the CPUs
+    (_analyze_executions).  Returns each revision's dataset, and the
+    methods.csv text below the header of every revision's rows, empty
+    unless ``with_rows``.  rU is left NaN: the caller sets it with
+    normalize_ruapi over the tests it compares."""
     records, methods_csv = _analyze_executions(
         [execution for _, executions in revisions for execution in executions],
         config, with_rows,
     )
     analyzed = iter(records)
-    datasets = []
-    for revision, executions in revisions:
-        kept = list(islice(analyzed, len(executions)))
-        datasets.append(normalize_ruapi(revision, kept, {r.test_name for r in kept}))
-    return datasets, methods_csv
+    return [
+        RevisionDataset(revision, tuple(islice(analyzed, len(executions))))
+        for revision, executions in revisions
+    ], methods_csv

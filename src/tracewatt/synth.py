@@ -26,10 +26,9 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .apimetric import ApiClassifier, ApiRule, uapi
-from .callgraph import build_call_trees
 from .config import ConfigError, read_ini, section_values
 from .energy import PowerFormatError, _render_power, parse_power
-from .trace import TraceFormatError, _render_trace, parse_trace
+from .trace import TraceFormatError, _render_trace, build_call_trees, parse_trace
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "tracewatt-synth-manifest v1"

@@ -16,6 +16,11 @@ single dots.  The records check nothing: :func:`parse_trace` checks
 every field and the sequence rules and nests the events into
 :class:`CallNode` trees in one walk.
 
+The call tree of a test is its :class:`CallTree`: the trace's top-level
+calls, ordered by thread id and then in Enter order
+(:func:`build_call_trees`).  :func:`node_intervals` lists its nodes with
+their depths in start order, the order in which energy is attributed.
+
 Parsing is one bulk pass per file: one ``findall`` of the event-line
 regex checks kinds, threads and timestamps, and one loop builds the
 events for the sequence walk.  Names are checked once per process:
@@ -133,7 +138,13 @@ class CallNode:
         return self.t_start_ns + self.duration_ns
 
 
-class TestTrace:
+class _TraceFields(NamedTuple):
+    test_name: str
+    sample_index: int
+    events: tuple[TraceEvent, ...] = ()
+
+
+class TestTrace(_TraceFields):
     """All events recorded for one execution of one test.
 
     ``sample_index`` identifies which of the repeated executions of the
@@ -141,28 +152,10 @@ class TestTrace:
     :func:`parse_trace` checks every field and the sequence rules
     (per-thread timestamp order, balanced Enter/Exit nesting), and
     :attr:`top_level_calls` checks the sequence rules of a trace built in
-    code.
+    code.  No ``__slots__``, so the instance dict caches the nesting.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
-
-    def __init__(self, test_name: str, sample_index: int, events: tuple[TraceEvent, ...] = ()):
-        self.test_name = test_name
-        self.sample_index = sample_index
-        self.events = events
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.test_name, self.sample_index, self.events) == (
-            other.test_name, other.sample_index, other.events
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"TestTrace(test_name={self.test_name!r}, "
-            f"sample_index={self.sample_index!r}, events={self.events!r})"
-        )
 
     @cached_property
     def top_level_calls(self) -> dict[int, list[CallNode]]:
@@ -172,6 +165,51 @@ class TestTrace:
         for idx, message in _sequence_violations(self.events, top_level):
             raise TraceFormatError(f"invalid trace: event {idx}: {message}")
         return top_level
+
+
+class CallTree(NamedTuple):
+    """One test's call forest: its top-level calls, ordered by thread id,
+    then in Enter order."""
+
+    roots: tuple[CallNode, ...] = ()
+
+    @property
+    def node_count(self) -> int:
+        """Number of nodes; equals the Enter-event count."""
+        count = 0
+        stack = list(self.roots)
+        while stack:
+            node = stack.pop()
+            count += 1
+            stack.extend(node.children)
+        return count
+
+
+def build_call_trees(trace: TestTrace) -> CallTree:
+    """Build the per-test call tree forest from a balanced trace.
+
+    Node order follows Enter order; a node's duration is the timestamp
+    difference between its Exit and Enter events.  Raises
+    TraceFormatError if the trace violates its invariants.
+    """
+    calls = trace.top_level_calls
+    return CallTree(tuple(node for thread in sorted(calls) for node in calls[thread]))
+
+
+def node_intervals(tree: CallTree) -> list[tuple[CallNode, int]]:
+    """Per-occurrence (node, depth) pairs ordered by start time.
+
+    Depth counts nesting from the top-level call (depth 0).  Ties on
+    t_start_ns keep parent-before-child (pre-order) ordering.
+    """
+    out: list[tuple[CallNode, int]] = []
+    stack = [(node, 0) for node in reversed(tree.roots)]
+    while stack:
+        node, depth = stack.pop()
+        out.append((node, depth))
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    out.sort(key=lambda pair: pair[0].t_start_ns)
+    return out
 
 
 def _parse_uint(text: str, what: str) -> int:

@@ -4,8 +4,7 @@ independent oracles the implementation is checked against."""
 import random
 
 from tracewatt.apimetric import ApiClassifier, ApiRule
-from tracewatt.callgraph import CallNode, CallTree
-from tracewatt.trace import MethodId, TestTrace, TraceEvent
+from tracewatt.trace import CallNode, CallTree, MethodId, TestTrace, TraceEvent
 
 API_PACKAGES = ["android.util", "android.os", "java.util", "java.io"]
 INTERNAL_PACKAGES = ["com.app.core", "com.app.util", "org.lib.parser"]

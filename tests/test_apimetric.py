@@ -10,9 +10,8 @@ from conftest import (
     random_call_tree,
 )
 from tracewatt.apimetric import ApiClassifier, ApiRule, uapi
-from tracewatt.callgraph import CallNode, CallTree
-from tracewatt.evolution import ExecutionRecord, normalize_ruapi
-from tracewatt.trace import MethodId
+from tracewatt.ingest import ExecutionRecord, normalize_ruapi
+from tracewatt.trace import CallNode, CallTree, MethodId
 
 
 def _tree(*roots) -> CallTree:

@@ -11,13 +11,14 @@ from conftest import (
 )
 from tracewatt import trace as trace_module
 from tracewatt.apimetric import uapi
-from tracewatt.callgraph import build_call_trees, node_intervals
 from tracewatt.energy import PowerProfile, attribute
 from tracewatt.trace import (
     MethodId,
     TestTrace,
     TraceEvent,
     TraceFormatError,
+    build_call_trees,
+    node_intervals,
     parse_trace,
 )
 from writers import write_trace

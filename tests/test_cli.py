@@ -403,6 +403,41 @@ class TestEvolveCommand:
         assert executions == 6
         assert calls == {"attribute": executions, "node_intervals": executions}
 
+    def test_ruapi_is_normalized_once_per_revision(self, fixture_dir, tmp_path, monkeypatch):
+        """evolve leaves rU to compare, which sets it over the tests it
+        compares; analyze sets it once, over its revision's tests."""
+        normalized = []
+        original = ingest.normalize_ruapi
+
+        def counted(revision, records, tests):
+            normalized.append(revision)
+            return original(revision, records, tests)
+
+        for module in (ingest, evolution):
+            monkeypatch.setattr(module, "normalize_ruapi", counted)
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "e")]) == 0
+        assert normalized == ["1.0", "1.1"]
+        normalized.clear()
+        assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(tmp_path / "a")]) == 0
+        assert normalized == ["1.0"]
+
+    @pytest.mark.parametrize("out", [None, "report"])
+    def test_rerun_inside_the_root_skips_its_own_output(
+        self, fixture_dir, monkeypatch, capsys, out
+    ):
+        """The output directory, inside the root, is not read as a revision
+        on the next run, whether it is the default or named by --out."""
+        monkeypatch.delenv("TRACEWATT_OUT", raising=False)
+        monkeypatch.chdir(fixture_dir)
+        argv = ["evolve", "."] if out is None else ["evolve", ".", "--out", str(fixture_dir / out)]
+        out_dir = fixture_dir / (out or "tracewatt-out")
+        assert cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(before) == 6
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        assert "revisions: 2 (1.0, 1.1)" in capsys.readouterr().out
+
     def test_top_k_removing_every_aligned_test_exits_5(self, fixture_dir, tmp_path, capsys):
         analysis = tmp_path / "analysis"
         assert cli.main(["analyze", str(fixture_dir / "1.0"), "--out", str(analysis)]) == 0
@@ -1196,11 +1231,18 @@ def _modules_loaded_by(argv: list[str], modules: tuple[str, ...]) -> str:
     return run.stdout
 
 
+# Kept only for the benchmark's tracer, which wraps a name there.
+TRACER_HOOK_MODULE = "tracewatt.callgraph"
+
+
 def test_analyze_leaves_the_statistics_and_json_unloaded(tmp_path):
     """analyze runs no comparison, so it imports neither the statistics
     nor the report writer, and no process-pool module either."""
     rev = _one_execution_revision(tmp_path)
-    unused = ("tracewatt.stats", "tracewatt.evolution", "json", *PROCESS_POOL_MODULES)
+    unused = (
+        "tracewatt.stats", "tracewatt.evolution", "json", TRACER_HOOK_MODULE,
+        *PROCESS_POOL_MODULES,
+    )
     out = tmp_path / "out"
     assert _modules_loaded_by(["analyze", str(rev), "--out", str(out)], unused).endswith("\n0 []\n")
     assert (out / "methods.csv").is_file()
@@ -1209,8 +1251,18 @@ def test_analyze_leaves_the_statistics_and_json_unloaded(tmp_path):
 def test_evolve_leaves_the_process_pool_modules_unloaded(fixture_dir, tmp_path):
     out = tmp_path / "out"
     argv = ["evolve", str(fixture_dir), "--out", str(out)]
-    assert _modules_loaded_by(argv, PROCESS_POOL_MODULES).endswith("\n0 []\n")
+    unused = (TRACER_HOOK_MODULE, *PROCESS_POOL_MODULES)
+    assert _modules_loaded_by(argv, unused).endswith("\n0 []\n")
     assert (out / "report.json").is_file()
+
+
+def test_synth_leaves_the_tracer_hook_module_unloaded(tmp_path):
+    spec_file = tmp_path / "spec.ini"
+    spec_file.write_text(SPEC_TEXT)
+    out = tmp_path / "fx"
+    argv = ["synth", str(spec_file), str(out)]
+    assert _modules_loaded_by(argv, (TRACER_HOOK_MODULE,)).endswith("\n0 []\n")
+    assert (out / "manifest.json").is_file()
 
 
 # id -> (trace body, power body, the message after "error: <power file>: "),

@@ -5,7 +5,6 @@ from bisect import bisect_right
 import pytest
 
 from tracewatt import energy
-from tracewatt.callgraph import CallNode, build_call_trees, node_intervals
 from tracewatt.energy import (
     AttributionError,
     PowerFormatError,
@@ -15,7 +14,7 @@ from tracewatt.energy import (
     parse_power,
     shift_profile,
 )
-from tracewatt.trace import MethodId, parse_trace
+from tracewatt.trace import CallNode, MethodId, build_call_trees, node_intervals, parse_trace
 from writers import write_power
 
 from conftest import random_call_tree, random_trace

@@ -11,7 +11,6 @@ from tracewatt.evolution import (
     _median,
     AnalysisError,
     ComparisonReport,
-    ExecutionRecord,
     MetricComparison,
     ProxyScore,
     RevisionSummary,
@@ -25,6 +24,7 @@ from tracewatt.evolution import (
     select_top_energy_tests,
     version_key,
 )
+from tracewatt.ingest import ExecutionRecord
 from tracewatt.stats import AnovaResult, TukeyPair, anova, float_sum
 
 

@@ -12,8 +12,7 @@ from tracewatt.synth import (
     load_spec,
     verify_fixture,
 )
-from tracewatt.trace import parse_trace
-from tracewatt.callgraph import build_call_trees
+from tracewatt.trace import build_call_trees, parse_trace
 
 SPEC_TEXT = """
 [synth]
