@@ -16,9 +16,14 @@ analyze and evolve spread their executions over the CPUs the process
 may run on, as many as the input's size pays for: one forked child per
 chunk but the first, results merged in scan order, so outputs, exit
 codes and error lines are those of a run on one CPU (``taskset -c 0``,
-a small input, or a platform without fork runs no child).  Each chunk's
-process forms its own methods.csv text; analyze writes the header, then
-those texts in chunk order.
+a small input, or a platform without fork runs no child).  Where that
+leaves a CPU idle, with input of at least one process's cost, evolve
+hands the first chunk to a child too, and meanwhile loads the
+statistics and builds their Tukey table (``_prepare_compare``); else the
+table's pieces are built on first read.  A chunk the parent reruns for
+a child that sent nothing gets one ``note:`` line on stderr.  Each
+chunk's process forms its own methods.csv text; analyze writes the
+header, then those texts in chunk order.
 
 Importing this module registers ``gc.freeze`` to run at exit, so the
 interpreter's finalization leaves the heap to the OS instead of walking
@@ -186,9 +191,19 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args) -> int:
-    from . import evolution  # and stats: analyze runs no statistics
+def _prepare_compare(revisions: int) -> None:
+    """The work of evolution.compare and _write_report_files that reads no
+    record: load them, with stats and json, and build the Tukey table of
+    ``revisions`` groups.  evolve's parent runs it while its children
+    analyze, when the analysis leaves a CPU idle; else all of it happens
+    on first use."""
+    import json  # noqa: F401  for _write_report_files
+    from . import evolution, stats  # noqa: F401  evolution for compare
 
+    stats.prepare_tukey(revisions)
+
+
+def cmd_evolve(args) -> int:
     config = _load_analysis_config(args.config)
     if args.alpha is not None:
         # built anew, not by _replace, which would skip the config's checks
@@ -205,8 +220,11 @@ def cmd_evolve(args) -> int:
             f"found {len(revision_dirs)}"
         )
     datasets, _ = analyze_revision(
-        _scan_revisions(config, revision_dirs), config, with_rows=False
+        _scan_revisions(config, revision_dirs), config, with_rows=False,
+        setup=lambda: _prepare_compare(len(revision_dirs)),
     )
+    from . import evolution  # and stats: analyze runs no statistics
+
     report = evolution.compare(datasets, config)  # sets rU over the tests it compares
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report_files(report, out_dir)
@@ -253,8 +271,28 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's sub-parser, by name."""
+# Each command's function, help, positional arguments and flags with their
+# help; --alpha takes a float.
+_COMMANDS = {
+    "analyze": (cmd_analyze, "analyze one revision directory", ["revision_dir"],
+                {"--config": "analysis configuration file", "--out": "output directory"}),
+    "evolve": (cmd_evolve, "compare revisions under a root directory", ["root_dir"],
+               {"--config": "analysis configuration file",
+                "--alpha": "significance level override", "--out": "output directory"}),
+    "synth": (cmd_synth, "generate a synthetic fixture", ["spec_file", "out_dir"], {}),
+    "report": (cmd_report, "re-emit plot CSV and summary from evolve outputs", ["evolve_dir"],
+               {"--out": "output directory (default: evolve_dir)"}),
+}
+
+
+def _build_parser(
+    argv: list[str],
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by name, the sub-parser of the command
+    that ``argv`` starts with.  Where it starts with none (no command,
+    ``-h``, a typo), every command's, so that the help and the usage
+    errors list them all.  Each sub-parser built costs its help texts'
+    translation lookups."""
     parser = argparse.ArgumentParser(
         prog="tracewatt",
         description=(
@@ -263,29 +301,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="analyze one revision directory")
-    p.add_argument("revision_dir")
-    p.add_argument("--config", help="analysis configuration file")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("evolve", help="compare revisions under a root directory")
-    p.add_argument("root_dir")
-    p.add_argument("--config", help="analysis configuration file")
-    p.add_argument("--alpha", type=float, help="significance level override")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("synth", help="generate a synthetic fixture")
-    p.add_argument("spec_file")
-    p.add_argument("out_dir")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("report", help="re-emit plot CSV and summary from evolve outputs")
-    p.add_argument("evolve_dir")
-    p.add_argument("--out", help="output directory (default: evolve_dir)")
-    p.set_defaults(func=cmd_report)
+    for name in argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS:
+        func, help_text, positionals, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        for flag, flag_help in flags.items():
+            p.add_argument(flag, type=float if flag == "--alpha" else None, help=flag_help)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -314,7 +337,8 @@ def _stats_errors() -> tuple:
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser(argv)
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # reported with the command's usage, not the top-level one
         commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")

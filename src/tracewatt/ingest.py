@@ -9,7 +9,10 @@ checks each distinct test name once per process (``trace``'s cache).
 
 The executions of every revision a command scans share one fan-out over
 the CPUs the process may run on, as many as their size pays for
-(``_analyze_executions``, ``_process_count``).
+(``_analyze_executions``, ``_process_count``).  When that leaves a CPU
+idle, a caller's set-up (``evolve``'s statistics) runs in the parent
+while children analyze every chunk.  The CPU count is the affinity
+mask; a CPU quota below it is not read.
 
 Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
@@ -32,11 +35,12 @@ import io
 import marshal
 import math
 import os
+import sys
 from contextlib import suppress
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple, NoReturn
+from typing import Callable, Collection, Iterable, NamedTuple, NoReturn
 
 from .apimetric import uapi
 from .config import AnalysisConfig
@@ -316,10 +320,11 @@ def _send_chunk(
 
 # Input bytes that take about as long to analyze as one more process
 # costs: its fork, its copy-on-write faults, the release of its pages when
-# it ends in os._exit and its share of the machine.  n processes take about (n - 1) * cost + work / n, so the
-# n-th pays off while n * (n - 1) of these fit in the input.  On a 2-vCPU
-# VM a second process gained nothing end to end on 385 KB of input
-# (evolve, 96 executions), 15 % on 1.4 MB and 21 % on 1.9 MB.
+# it ends in os._exit and its share of the machine.  n processes take
+# about (n - 1) * cost + work / n, so the n-th pays off while n * (n - 1)
+# of these fit in the input.  On a 2-vCPU VM a second process gained
+# nothing end to end on 385 KB of input (evolve, 96 executions), 15 % on
+# 1.4 MB and 21 % on 1.9 MB.
 _PROCESS_COST_BYTES = 192 * 1024
 
 # The layer functions analyze_execution calls through this module's names,
@@ -332,86 +337,111 @@ _LAYERS = {
 }
 
 
-def _process_count(executions: list[Execution]) -> int:
+def _process_count(executions: list[Execution]) -> tuple[int, bool]:
     """How many processes analyze ``executions``: at most one per CPU this
     process may run on and one per execution, and no more than the input's
     size pays for.  Files are sized in scan order only until they pay for
     every CPU.  1 where the process cannot fork, or while a layer function
-    is replaced (``_LAYERS``)."""
+    is replaced (``_LAYERS``).  With it, whether a CPU is left idle while
+    the input pays for at least one child: fewer processes than CPUs."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    cpus = min(len(os.sched_getaffinity(0)), len(executions))
+        return 1, False
+    cpus = len(os.sched_getaffinity(0))
     if cpus < 2 or any(globals()[name] is not fn for name, fn in _LAYERS.items()):
-        return 1
+        return 1, False
+    most = min(cpus, len(executions))
     size = 0
     for _, _, trace_path, power_path in executions:
-        if size >= cpus * (cpus - 1) * _PROCESS_COST_BYTES:
+        if size >= max(most * (most - 1), 1) * _PROCESS_COST_BYTES:
             break
         for path in (trace_path, power_path):
             with suppress(OSError):  # analyze_execution reports it, in order
                 size += os.stat(path).st_size
     n = 1
-    while n < cpus and (n + 1) * n * _PROCESS_COST_BYTES <= size:
+    while n < most and (n + 1) * n * _PROCESS_COST_BYTES <= size:
         n += 1
-    return n
+    return n, n < cpus and size >= _PROCESS_COST_BYTES
 
 
-def _reap(pid: int) -> None:
-    with suppress(ChildProcessError):  # SIGCHLD ignored: the kernel reaped it
-        os.waitpid(pid, 0)
+def _reap(pid: int) -> str:
+    """Wait for the child to end, and say how it ended."""
+    try:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:  # SIGCHLD ignored: the kernel reaped it
+        return "the child's exit status is lost, SIGCHLD being ignored"
+    if code < 0:
+        return f"the child was killed by signal {-code}"
+    return f"the child exited with status {code}"
 
 
 def _analyze_executions(
-    executions: list[Execution], config: AnalysisConfig, with_rows: bool
+    executions: list[Execution], config: AnalysisConfig, with_rows: bool,
+    setup: "Callable[[], object] | None" = None,
 ) -> tuple[list[ExecutionRecord], str]:
     """analyze_execution over ``executions``: the records in their order,
     and the methods.csv text of their rows.
 
     The executions are cut into ``_process_count`` contiguous chunks.  The
     parent forks a child for every chunk but the first, runs the first
-    itself, then reads the children's results in chunk order.  A child
-    that fails, dies or sends only part has its chunk run again by the
-    parent, so the first error in execution order is raised, with its
-    sequential text.  If the parent raises, every child still running is
-    killed and reaped first.  With one chunk no child is forked at all.
+    itself, then reads the children's results in chunk order.  Where that
+    would leave a CPU idle and the caller has a ``setup``, work that needs
+    no record, a child takes the first chunk too, and the parent runs
+    ``setup`` while the children analyze.  A child that fails, dies or
+    sends only part has its chunk run again by the parent, which says so on
+    stderr once the chunk succeeds, so the first error in execution order
+    is raised, with its sequential text.  If the parent raises, every
+    child still running is killed and reaped first.  With one chunk and
+    no ``setup`` no child is forked at all.
     """
-    n = _process_count(executions)
+    n, idle = _process_count(executions)
+    own = 0 if idle and setup is not None else 1  # 1: the parent runs chunk 0
     chunks = [
         executions[len(executions) * i // n : len(executions) * (i + 1) // n]
         for i in range(n)
     ]
     children = {}  # chunk index -> (pid, read end of its pipe), until reaped
+    unstarted = ""  # why no child runs the chunks from the first fork that failed
     try:
-        for i in range(1, n):
-            read_fd, write_fd = os.pipe()
+        for i in range(own, n):
+            fds = ()
             try:
+                fds = os.pipe()
                 pid = os.fork()
-            except OSError:  # no more processes: the parent runs the rest
-                os.close(read_fd)
-                os.close(write_fd)
+            except OSError as exc:  # out of files or processes: the parent runs the rest
+                for fd in fds:
+                    os.close(fd)
+                unstarted = f"no child started: {exc}"
                 break
+            read_fd, write_fd = fds
             if pid == 0:
                 _send_chunk(chunks[i], config, with_rows, write_fd)
             # closed before the next fork, or that child would hold it open
             # and this pipe would never reach end of file
             os.close(write_fd)
             children[i] = (pid, open(read_fd, "rb"))
-        records, text = _analyze_chunk(chunks[0], config, with_rows)
-        texts = [text]
-        sent = {}
-        for i, (pid, pipe) in children.items():
+        records, texts = [], []
+        if own:
+            records, text = _analyze_chunk(chunks[0], config, with_rows)
+            texts.append(text)
+        elif children:  # set up only while a child analyzes
+            setup()
+        sent, ended = {}, {}
+        for i in list(children):  # all reaped before any chunk is run again
+            pid, pipe = children[i]
             with pipe:
                 sent[i] = pipe.read()
-        # every pipe is at end of file, so each child has exited or is about
-        # to; all are reaped before any chunk is run again
-        for i in list(children):
-            _reap(children[i][0])
+            ended[i] = _reap(pid)  # at end of file, it has exited or is about to
             del children[i]
-        for i in range(1, n):
+        for i in range(own, n):
             try:  # a child writes all its results or nothing, then exits
                 sent_records, text = marshal.loads(sent.get(i, b""))
             except (EOFError, ValueError):  # nothing, or cut short: rerun
                 chunk_records, text = _analyze_chunk(chunks[i], config, with_rows)
+                print(
+                    f"note: the parent analyzed {len(chunks[i])} executions from "
+                    f"{chunks[i][0][2]} in a child's place: {ended.get(i, unstarted)}",
+                    file=sys.stderr,
+                )
             else:
                 chunk_records = map(ExecutionRecord._make, sent_records)
             records += chunk_records
@@ -431,17 +461,18 @@ def _analyze_executions(
 
 def analyze_revision(
     revisions: list[tuple[str, list[Execution]]], config: AnalysisConfig, with_rows: bool,
+    setup: "Callable[[], object] | None" = None,
 ) -> tuple[list[RevisionDataset], str]:
     """Analyze every execution that scan_revision_dir found in each named
     revision directory, in its (test_name, sample_index) order.  The
-    executions of all revisions share one fan-out over the CPUs
-    (_analyze_executions).  Returns each revision's dataset, and the
-    methods.csv text below the header of every revision's rows, empty
-    unless ``with_rows``.  rU is left NaN: the caller sets it with
-    normalize_ruapi over the tests it compares."""
+    executions of all revisions share one fan-out over the CPUs, during
+    which the parent may run ``setup`` (_analyze_executions).  Returns
+    each revision's dataset, and the methods.csv text below the header of
+    every revision's rows, empty unless ``with_rows``.  rU is left NaN:
+    the caller sets it with normalize_ruapi over the tests it compares."""
     records, methods_csv = _analyze_executions(
         [execution for _, executions in revisions for execution in executions],
-        config, with_rows,
+        config, with_rows, setup,
     )
     analyzed = iter(records)
     return [

@@ -6,8 +6,10 @@ group sizes) post-hoc tests.
 The studentized range CDF integrates the normal range CDF R(w; k) over the
 density of the sample standard deviation (Copenhaver & Holland, 1988).  R
 is read from a piecewise Chebyshev table kept per k for the process, so
-the pairs of one Tukey family share one table, and each piece is built on
-its first read; ``ptukey`` says where the integral is skipped.
+the pairs of one Tukey family share one table.  Each piece is built on
+its first read, or all of them at once by ``prepare_tukey``, which
+``evolve`` runs on a CPU its analysis leaves idle; ``ptukey`` says where
+the integral is skipped.
 
 Everything here is pure and reentrant; no external numeric libraries.
 """
@@ -257,6 +259,17 @@ def _range_cdf_piece(table: tuple, p: int) -> tuple[float, ...]:
         for m in reversed(range(n))
     )
     return pieces[p]
+
+
+def prepare_tukey(k: int) -> None:
+    """Build every piece of the range CDF table ``ptukey`` reads for k
+    groups now, as their first reads would: for k >= 3, since k = 2 has
+    the exact t formula."""
+    if k >= 3:
+        table = _range_cdf_table(k)
+        for p, piece in enumerate(table[3]):
+            if piece is None:
+                _range_cdf_piece(table, p)
 
 
 def _range_cdf_at(w: float, table: tuple) -> float:

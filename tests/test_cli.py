@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -564,6 +565,23 @@ def _output_tree(out: Path) -> dict:
     return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
+def _chunks(target: Path, n: int) -> list[list]:
+    """The ``n`` chunks the executions under ``target``, a revision or a
+    root of revisions, are cut into."""
+    revisions = [target] if (target / "traces").is_dir() else sorted(
+        d for d in target.iterdir() if d.is_dir()
+    )
+    executions = [e for rev in revisions for e in ingest.scan_revision_dir(rev)]
+    return [executions[len(executions) * i // n : len(executions) * (i + 1) // n] for i in range(n)]
+
+
+def _rerun_note(chunk: list, why: str) -> str:
+    return (
+        f"note: the parent analyzed {len(chunk)} executions from {chunk[0][2]} "
+        f"in a child's place: {why}\n"
+    )
+
+
 class TestFanOut:
     """analyze and evolve fan their executions out over the CPUs the
     process may run on (never more than 3 here) and must write the bytes,
@@ -574,7 +592,9 @@ class TestFanOut:
         return fixture_dir / "1.0" if command == "analyze" else fixture_dir
 
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
-    def test_outputs_match_one_cpu_byte_for_byte(self, fixture_dir, tmp_path, monkeypatch, command):
+    def test_outputs_match_one_cpu_byte_for_byte(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, command
+    ):
         executions = 6 if command == "analyze" else 12
         analyze_execution = ingest.analyze_execution
         in_this_process = []  # a child's calls land in its own copy
@@ -594,6 +614,7 @@ class TestFanOut:
             assert len(forks) == (cpus or 1) - 1
             # the parent ran chunk 0 alone and took the rest from the children
             assert len(in_this_process) == executions // (cpus or 1)
+            assert capsys.readouterr().err == ""  # no chunk was run again
             trees[cpus] = _output_tree(out)
         assert trees[1]
         assert trees[None] == trees[1] == trees[2] == trees[3]
@@ -635,11 +656,14 @@ class TestFanOut:
         if where != "first":
             last = _corrupt_trace(revisions[-1])
         victim = last if where == "last" else first
+        target = self.target(fixture_dir, command)
         outcomes = set()
-        for cpus in (1, 2, 3):
+        for cpus, processes in ((1, 1), (2, 2), (3, 3), (3, 1), (3, 2)):
             _on_cpus(monkeypatch, cpus)
-            out = tmp_path / f"out-{cpus}"
-            code = cli.main([command, str(self.target(fixture_dir, command)), "--out", str(out)])
+            if processes < cpus:  # a CPU left idle: evolve's children take every chunk
+                _on_an_idle_cpu(monkeypatch, target, processes)
+            out = tmp_path / f"out-{cpus}-{processes}"
+            code = cli.main([command, str(target), "--out", str(out)])
             _assert_no_child_left()
             outcomes.add((code, capsys.readouterr().err))
         [(code, err)] = outcomes
@@ -648,7 +672,7 @@ class TestFanOut:
 
     @pytest.mark.parametrize("death", ["exits-0", "killed", "raises", "fork-fails"])
     def test_a_chunk_no_child_sent_is_run_by_the_parent(
-        self, fixture_dir, tmp_path, monkeypatch, death
+        self, fixture_dir, tmp_path, monkeypatch, capsys, death
     ):
         _on_cpus(monkeypatch, 1)
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "one")]) == 0
@@ -671,10 +695,20 @@ class TestFanOut:
         monkeypatch.setattr(ingest, "analyze_execution", dying)
         if death == "fork-fails":
             monkeypatch.setattr(os, "fork", no_fork)
+        capsys.readouterr()
         assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "three")]) == 0
         _assert_no_child_left()
         assert len(forks) == (0 if death == "fork-fails" else 2)
         assert _output_tree(tmp_path / "three") == _output_tree(tmp_path / "one")
+        why = {
+            "exits-0": "the child exited with status 0",
+            "killed": f"the child was killed by signal {int(signal.SIGKILL)}",
+            "raises": "the child exited with status 1",
+            "fork-fails": "no child started: [Errno 11] Resource temporarily unavailable",
+        }[death]
+        assert capsys.readouterr().err == "".join(
+            _rerun_note(chunk, why) for chunk in _chunks(fixture_dir, 3)[1:]
+        )
 
     @pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN])
     @pytest.mark.parametrize("error", ["corrupt-trace", "interrupt"])
@@ -786,6 +820,209 @@ class TestFanOut:
         assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
 
 
+def _third_revision(fixture_dir: Path) -> Path:
+    """The fixture with a third revision, a copy of the second, so that
+    evolve's Tukey families read the range CDF table (k >= 3)."""
+    shutil.copytree(fixture_dir / "1.1", fixture_dir / "1.2")
+    return fixture_dir
+
+
+def _on_an_idle_cpu(monkeypatch, target: Path, processes: int) -> list[int]:
+    """Show 3 CPUs and set the cost of a process so that the input under
+    ``target`` pays for ``processes`` of them, 1 or 2: one CPU or more is
+    left idle.  Returns the pids forked, as _on_cpus does."""
+    forks = _on_cpus(monkeypatch, 3)
+    size = sum(f.stat().st_size for f in target.rglob("*") if f.suffix in (".trace", ".power"))
+    cost = size * 2 // 3 if processes == 1 else size // 3
+    monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
+    return forks
+
+
+class TestIdleCpu:
+    """Where the analysis would leave a CPU idle, evolve hands every chunk
+    to a child and its parent prepares the statistics meanwhile; outputs,
+    exit codes and error lines stay those of a run on one CPU."""
+
+    @pytest.fixture
+    def root(self, fixture_dir):
+        return _third_revision(fixture_dir)
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """Log each _prepare_compare and compare call in this process, and
+        each analyze_execution call made here rather than in a child."""
+        calls = []
+        parent = os.getpid()
+        prepare, compare, analyze_execution = (
+            cli._prepare_compare, evolution.compare, ingest.analyze_execution
+        )
+
+        def prepared(k):
+            prepare(k)
+            calls.append(("setup", k, all(stats._range_cdf_table(k)[3])))
+
+        def analyzed(*args):
+            if os.getpid() == parent:
+                calls.append(("analyze",))
+            return analyze_execution(*args)
+
+        monkeypatch.setattr(cli, "_prepare_compare", prepared)
+        monkeypatch.setattr(
+            evolution, "compare", lambda *args: calls.append(("compare",)) or compare(*args)
+        )
+        monkeypatch.setattr(ingest, "analyze_execution", analyzed)
+        return calls
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_children_analyze_every_chunk_while_evolve_sets_up(
+        self, root, tmp_path, monkeypatch, capsys, command, processes
+    ):
+        target = root / "1.0" if command == "analyze" else root
+        _on_cpus(monkeypatch, 1)
+        assert cli.main([command, str(target), "--out", str(tmp_path / "one")]) == 0
+        calls = self.spy(monkeypatch)
+        forks = _on_an_idle_cpu(monkeypatch, target, processes)
+        stats._range_cdf_table.cache_clear()
+        assert cli.main([command, str(target), "--out", str(tmp_path / "idle")]) == 0
+        _assert_no_child_left()
+        if command == "evolve":  # no execution analyzed here, and one set-up
+            assert len(forks) == processes
+            assert calls == [("setup", 3, True), ("compare",)]
+        else:  # analyze has no set-up, and keeps chunk 0 in the parent
+            assert len(forks) == processes - 1
+            assert calls == [("analyze",)] * len(_chunks(target, processes)[0])
+        assert _output_tree(tmp_path / "idle") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "case", ["n-equals-the-cpus", "input-under-one-cost", "layer-replaced"]
+    )
+    def test_evolve_keeps_todays_path_with_no_idle_cpu(self, root, tmp_path, monkeypatch, case):
+        _on_cpus(monkeypatch, 1)
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "one")]) == 0
+        calls = self.spy(monkeypatch)
+        forks = _on_cpus(monkeypatch, 3)
+        if case == "input-under-one-cost":  # not even one child pays for itself
+            _on_an_idle_cpu(monkeypatch, root, 1)  # the input is 1.5 costs ...
+            cost = ingest._PROCESS_COST_BYTES * 3 // 2 + 1  # ... and now under one
+            monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
+        if case == "layer-replaced":
+            parse_trace = ingest.parse_trace
+            monkeypatch.setattr(ingest, "parse_trace", lambda data: parse_trace(data))
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        n = 3 if case == "n-equals-the-cpus" else 1
+        assert len(forks) == n - 1
+        # no set-up: the parent analyzed chunk 0, then compared
+        assert calls == [("analyze",)] * len(_chunks(root, n)[0]) + [("compare",)]
+        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_children_work_while_sigchld_is_ignored(
+        self, root, tmp_path, monkeypatch, capsys, processes
+    ):
+        _on_cpus(monkeypatch, 1)
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "one")]) == 0
+        forks = _on_an_idle_cpu(monkeypatch, root, processes)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert cli.main(["evolve", str(root), "--out", str(tmp_path / "idle")]) == 0
+            _assert_no_child_left()
+            victim = _corrupt_trace(root / "1.2")
+            assert cli.main(["evolve", str(root), "--out", str(tmp_path / "bad")]) == 3
+            _assert_no_child_left()
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2 * processes
+        assert _output_tree(tmp_path / "idle") == _output_tree(tmp_path / "one")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_an_interrupt_during_the_set_up_leaves_no_child(
+        self, root, tmp_path, monkeypatch, processes
+    ):
+        forks = _on_an_idle_cpu(monkeypatch, root, processes)
+        parent = os.getpid()
+        analyze_execution = ingest.analyze_execution
+
+        def stuck_in_children(*args):
+            if os.getpid() != parent:  # killed, or the run takes two minutes
+                time.sleep(120)
+                os._exit(1)
+            return analyze_execution(*args)
+
+        def interrupted(k):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "analyze_execution", stuck_in_children)
+        monkeypatch.setattr(cli, "_prepare_compare", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["evolve", str(root), "--out", str(tmp_path / "out")])
+        assert time.monotonic() - started < 60
+        _assert_no_child_left()
+        assert len(forks) == processes
+        assert not (tmp_path / "out").exists()
+
+    def test_no_set_up_where_every_fork_fails(self, root, tmp_path, monkeypatch, capsys):
+        _on_cpus(monkeypatch, 1)
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "one")]) == 0
+        calls = self.spy(monkeypatch)
+        _on_an_idle_cpu(monkeypatch, root, 1)
+
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        capsys.readouterr()
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        [chunk] = _chunks(root, 1)
+        assert calls == [("analyze",)] * len(chunk) + [("compare",)]
+        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == _rerun_note(
+            chunk, "no child started: [Errno 11] Resource temporarily unavailable"
+        )
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    @pytest.mark.parametrize("path", ["today", "idle"])
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_a_pipe_that_cannot_be_made_leaves_the_rest_to_the_parent(
+        self, root, tmp_path, monkeypatch, capsys, command, path, failing
+    ):
+        """os.pipe fails as os.fork does when the process is out of files:
+        the chunks from there on run in the parent."""
+        target = root / "1.0" if command == "analyze" else root
+        _on_cpus(monkeypatch, 1)
+        assert cli.main([command, str(target), "--out", str(tmp_path / "one")]) == 0
+        if path == "idle":
+            forks, n = _on_an_idle_cpu(monkeypatch, target, 2), 2
+        else:
+            forks, n = _on_cpus(monkeypatch, 3), 3
+        real_pipe = os.pipe
+        made = []
+
+        def pipe():  # the ``failing``-th call fails, and every one after it
+            if len(made) + 1 >= failing:
+                raise OSError(24, "Too many open files")
+            made.append(real_pipe())
+            return made[-1]
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        capsys.readouterr()
+        assert cli.main([command, str(target), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        handed = 0 if path == "idle" and command == "evolve" else 1  # a child's first chunk
+        assert len(forks) == min(failing - 1, n - handed)
+        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == "".join(
+            _rerun_note(chunk, "no child started: [Errno 24] Too many open files")
+            for chunk in _chunks(target, n)[handed + failing - 1:]
+        )
+
+
 class TestProcessCount:
     """How many processes share a command's executions."""
 
@@ -816,18 +1053,19 @@ class TestProcessCount:
         monkeypatch.setattr(
             ingest, "_PROCESS_COST_BYTES", self.size(executions) // costs_in_input
         )
-        assert ingest._process_count(executions) == expected
+        # with fewer processes than CPUs, evolve's set-up can take one
+        assert ingest._process_count(executions) == (expected, expected < cpus)
 
     def test_the_real_cost_forks_nothing_for_a_small_input(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
-        assert self.size(executions) < 2 * ingest._PROCESS_COST_BYTES
+        assert self.size(executions) < ingest._PROCESS_COST_BYTES
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert ingest._process_count(executions) == 1
+        assert ingest._process_count(executions) == (1, False)  # not even one child
 
     def test_never_more_than_one_per_execution(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)[:2]
         _on_cpus(monkeypatch, 3)
-        assert ingest._process_count(executions) == 2
+        assert ingest._process_count(executions) == (2, True)
 
     def test_files_are_sized_only_until_every_cpu_is_paid_for(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
@@ -840,14 +1078,14 @@ class TestProcessCount:
             return real_stat(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "stat", counted_stat)
-        assert ingest._process_count(executions) == 2
+        assert ingest._process_count(executions) == (2, False)
         assert sized == list(executions[0][2:])
 
     def test_a_file_gone_before_sizing_is_left_to_the_analysis(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
         _on_cpus(monkeypatch, 2)
         executions[0] = executions[0][:2] + (str(fixture_dir / "gone"), str(fixture_dir / "gone"))
-        assert ingest._process_count(executions) == 2
+        assert ingest._process_count(executions) == (2, False)
 
     @pytest.mark.parametrize("layer", ["parse_trace", "attribute", "integrate", "uapi"])
     def test_a_replaced_layer_function_keeps_every_execution_here(
@@ -857,10 +1095,12 @@ class TestProcessCount:
         own process."""
         executions = self.executions(fixture_dir)
         _on_cpus(monkeypatch, 3)
-        assert ingest._process_count(executions) == 3
+        assert ingest._process_count(executions) == (3, False)
+        monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", self.size(executions) // 2)
+        assert ingest._process_count(executions) == (2, True)
         original = getattr(ingest, layer)
         monkeypatch.setattr(ingest, layer, lambda *args: original(*args))
-        assert ingest._process_count(executions) == 1
+        assert ingest._process_count(executions) == (1, False)
 
 
 def test_a_traced_run_counts_the_work_of_a_run_on_one_cpu(fixture_dir, tmp_path, monkeypatch):
@@ -1094,6 +1334,47 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["analyze", "-h"], ["analyze"]),
+        (["evolve"], ["evolve"]),  # its root_dir is missing
+        (["synth", "no-such-spec.ini", "out"], ["synth"]),
+        (["report", "no-such-dir", "--bogus"], ["report"]),
+        (["evolve", "root", "--alpha", "x"], ["evolve"]),
+        ([], list(cli._COMMANDS)),
+        (["-h"], list(cli._COMMANDS)),
+        (["-h", "analyze"], list(cli._COMMANDS)),
+        (["no-such-command"], list(cli._COMMANDS)),
+    ],
+)
+def test_a_run_builds_only_its_commands_sub_parser(monkeypatch, capsys, argv, built):
+    """Each sub-parser costs translation lookups of its help texts.  A
+    run that names no command builds all four, and every run prints what
+    it would print with all four built."""
+    def outcome():
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    one = outcome()
+    assert names == built
+    build_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build_parser([]))
+    assert outcome() == one
 
 
 def test_cli_import_leaves_the_generator_unloaded():

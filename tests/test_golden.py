@@ -137,10 +137,10 @@ def test_outputs_match_golden_digests(tmp_path):
     assert lines == DIGEST_FILE.read_text().splitlines()
 
 
-def test_outputs_fanned_out_over_three_processes_match_golden_digests(tmp_path, monkeypatch):
-    """This fixture is too small to pay for a fork, so the case above runs
-    one process; here any input pays for one process per CPU."""
-    monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", 1)
+def _on_three_cpus(monkeypatch, cost: int) -> list[int]:
+    """Show three CPUs with ``cost`` bytes paying for a process, and
+    return the list each fork appends its child's pid to."""
+    monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     forks = []
     real_fork = os.fork
@@ -152,9 +152,33 @@ def test_outputs_fanned_out_over_three_processes_match_golden_digests(tmp_path, 
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def test_outputs_fanned_out_over_three_processes_match_golden_digests(tmp_path, monkeypatch):
+    """At the real cost the fixture pays for one process at most, which
+    evolve hands to a child; here any input pays for one process per CPU."""
+    forks = _on_three_cpus(monkeypatch, 1)
     lines = golden_digests(tmp_path)
     assert lines == DIGEST_FILE.read_text().splitlines()
     assert len(forks) == 2 * 3  # two per run, but the one-execution multi-root analyze
+
+
+def test_outputs_of_evolve_set_up_beside_its_children_match_golden_digests(
+    tmp_path, monkeypatch
+):
+    """At 100 KiB a process, evolve's input (about 322 KB) pays for two
+    processes of three CPUs: each evolve run hands both chunks to
+    children and prepares its statistics meanwhile.  analyze has no
+    set-up: one revision (about 107 KB) keeps to one process."""
+    forks = _on_three_cpus(monkeypatch, 100 * 1024)
+    setups = []
+    prepare = cli._prepare_compare
+    monkeypatch.setattr(cli, "_prepare_compare", lambda k: setups.append(k) or prepare(k))
+    lines = golden_digests(tmp_path)
+    assert lines == DIGEST_FILE.read_text().splitlines()
+    assert setups == [3, 3]
+    assert len(forks) == 2 * 2
 
 
 if __name__ == "__main__":

@@ -342,23 +342,47 @@ class TestPtukey:
         finer = stats._range_cdf(ws, k, 2 * stats._RANGE_PANELS)
         assert max(abs(stats._range_cdf_at(w, table) - r) for w, r in zip(ws, finer)) <= 1e-13
 
-    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled", "prepare_tukey"])
     @pytest.mark.parametrize("k", [3, 6, 8, 30])
     def test_pieces_built_on_first_read_match_the_table_built_at_once(self, k, order):
+        """Built on first read in either order, or all at once by
+        evolve's set-up, every piece has the same coefficients."""
         stats._range_cdf_table.cache_clear()
         table = stats._range_cdf_table(k)
         top, h, _, pieces = table
-        first_reads = list(reversed(range(stats._CHEB_PIECES)))
-        if order == "shuffled":
-            random.Random(k).shuffle(first_reads)
-        for p in first_reads:
-            assert pieces[p] is None
-            stats._range_cdf_at((p + 0.5) * h, table)
+        assert pieces == [None] * stats._CHEB_PIECES
+        if order == "prepare_tukey":
+            stats.prepare_tukey(k)
+        else:
+            first_reads = list(reversed(range(stats._CHEB_PIECES)))
+            if order == "shuffled":
+                random.Random(k).shuffle(first_reads)
+            for p in first_reads:
+                assert pieces[p] is None
+                stats._range_cdf_at((p + 0.5) * h, table)
         eager_top, eager_h, eager_pieces = _eager_range_cdf_table(k)
         assert (top.hex(), h.hex()) == (eager_top.hex(), eager_h.hex())
         assert [[c.hex() for c in piece] for piece in pieces] == [
             [c.hex() for c in piece] for piece in eager_pieces
         ]
+
+    def test_prepare_tukey_builds_each_piece_ptukey_reads_once(self, monkeypatch):
+        built = []
+        build = stats._range_cdf_piece
+        def counted(table, p):
+            built.append((table[2], p))
+            return build(table, p)
+
+        monkeypatch.setattr(stats, "_range_cdf_piece", counted)
+        stats._range_cdf_table.cache_clear()
+        stats.prepare_tukey(2)  # two groups use the exact t formula: no table
+        assert built == []
+        stats.prepare_tukey(5)
+        assert built == [(5, p) for p in range(stats._CHEB_PIECES)]
+        stats.prepare_tukey(5)
+        for q in (0.5, 2.0, 3.5, 5.0):
+            ptukey(q, 5, 20)
+        assert len(built) == stats._CHEB_PIECES
 
     def test_table_reads_one_past_its_top(self):
         for k in (2, 3, 8, 30):
