@@ -16,14 +16,10 @@ analyze and evolve spread their executions over the CPUs the process
 may run on, as many as the input's size pays for: one forked child per
 chunk but the first, results merged in scan order, so outputs, exit
 codes and error lines are those of a run on one CPU (``taskset -c 0``,
-a small input, or a platform without fork runs no child).  Where that
-leaves a CPU idle, with input of at least one process's cost, evolve
-hands the first chunk to a child too, and meanwhile loads the
-statistics and builds their Tukey table (``_prepare_compare``); else the
-table's pieces are built on first read.  A chunk the parent reruns for
-a child that sent nothing gets one ``note:`` line on stderr.  Each
-chunk's process forms its own methods.csv text; analyze writes the
-header, then those texts in chunk order.
+a small input, or a platform without fork runs no child).  A chunk the
+parent reruns for a child that sent nothing gets one ``note:`` line on
+stderr.  Each chunk's process forms its own methods.csv text; analyze
+writes the header, then those texts in chunk order.
 
 Importing this module registers ``gc.freeze`` to run at exit, so the
 interpreter's finalization leaves the heap to the OS instead of walking
@@ -191,18 +187,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _prepare_compare(revisions: int) -> None:
-    """The work of evolution.compare and _write_report_files that reads no
-    record: load them, with stats and json, and build the Tukey table of
-    ``revisions`` groups.  evolve's parent runs it while its children
-    analyze, when the analysis leaves a CPU idle; else all of it happens
-    on first use."""
-    import json  # noqa: F401  for _write_report_files
-    from . import evolution, stats  # noqa: F401  evolution for compare
-
-    stats.prepare_tukey(revisions)
-
-
 def cmd_evolve(args) -> int:
     config = _load_analysis_config(args.config)
     if args.alpha is not None:
@@ -220,8 +204,7 @@ def cmd_evolve(args) -> int:
             f"found {len(revision_dirs)}"
         )
     datasets, _ = analyze_revision(
-        _scan_revisions(config, revision_dirs), config, with_rows=False,
-        setup=lambda: _prepare_compare(len(revision_dirs)),
+        _scan_revisions(config, revision_dirs), config, with_rows=False
     )
     from . import evolution  # and stats: analyze runs no statistics
 

@@ -9,10 +9,8 @@ checks each distinct test name once per process (``trace``'s cache).
 
 The executions of every revision a command scans share one fan-out over
 the CPUs the process may run on, as many as their size pays for
-(``_analyze_executions``, ``_process_count``).  When that leaves a CPU
-idle, a caller's set-up (``evolve``'s statistics) runs in the parent
-while children analyze every chunk.  The CPU count is the affinity
-mask; a CPU quota below it is not read.
+(``_analyze_executions``, ``_process_count``).  The CPU count is the
+affinity mask; a CPU quota below it is not read.
 
 Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
@@ -40,7 +38,7 @@ from contextlib import suppress
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, NamedTuple, NoReturn
+from typing import Collection, Iterable, NamedTuple, NoReturn
 
 from .apimetric import uapi
 from .config import AnalysisConfig
@@ -337,30 +335,28 @@ _LAYERS = {
 }
 
 
-def _process_count(executions: list[Execution]) -> tuple[int, bool]:
+def _process_count(executions: list[Execution]) -> int:
     """How many processes analyze ``executions``: at most one per CPU this
     process may run on and one per execution, and no more than the input's
     size pays for.  Files are sized in scan order only until they pay for
     every CPU.  1 where the process cannot fork, or while a layer function
-    is replaced (``_LAYERS``).  With it, whether a CPU is left idle while
-    the input pays for at least one child: fewer processes than CPUs."""
+    is replaced (``_LAYERS``)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1, False
-    cpus = len(os.sched_getaffinity(0))
+        return 1
+    cpus = min(len(os.sched_getaffinity(0)), len(executions))
     if cpus < 2 or any(globals()[name] is not fn for name, fn in _LAYERS.items()):
-        return 1, False
-    most = min(cpus, len(executions))
+        return 1
     size = 0
     for _, _, trace_path, power_path in executions:
-        if size >= max(most * (most - 1), 1) * _PROCESS_COST_BYTES:
+        if size >= cpus * (cpus - 1) * _PROCESS_COST_BYTES:
             break
         for path in (trace_path, power_path):
             with suppress(OSError):  # analyze_execution reports it, in order
                 size += os.stat(path).st_size
     n = 1
-    while n < most and (n + 1) * n * _PROCESS_COST_BYTES <= size:
+    while n < cpus and (n + 1) * n * _PROCESS_COST_BYTES <= size:
         n += 1
-    return n, n < cpus and size >= _PROCESS_COST_BYTES
+    return n
 
 
 def _reap(pid: int) -> str:
@@ -375,26 +371,21 @@ def _reap(pid: int) -> str:
 
 
 def _analyze_executions(
-    executions: list[Execution], config: AnalysisConfig, with_rows: bool,
-    setup: "Callable[[], object] | None" = None,
+    executions: list[Execution], config: AnalysisConfig, with_rows: bool
 ) -> tuple[list[ExecutionRecord], str]:
     """analyze_execution over ``executions``: the records in their order,
     and the methods.csv text of their rows.
 
     The executions are cut into ``_process_count`` contiguous chunks.  The
     parent forks a child for every chunk but the first, runs the first
-    itself, then reads the children's results in chunk order.  Where that
-    would leave a CPU idle and the caller has a ``setup``, work that needs
-    no record, a child takes the first chunk too, and the parent runs
-    ``setup`` while the children analyze.  A child that fails, dies or
-    sends only part has its chunk run again by the parent, which says so on
-    stderr once the chunk succeeds, so the first error in execution order
-    is raised, with its sequential text.  If the parent raises, every
-    child still running is killed and reaped first.  With one chunk and
-    no ``setup`` no child is forked at all.
+    itself, then reads the children's results in chunk order.  A child
+    that fails, dies or sends only part has its chunk run again by the
+    parent, which says so on stderr once the chunk succeeds, so the first
+    error in execution order is raised, with its sequential text.  If the
+    parent raises, every child still running is killed and reaped first.
+    With one chunk no child is forked at all.
     """
-    n, idle = _process_count(executions)
-    own = 0 if idle and setup is not None else 1  # 1: the parent runs chunk 0
+    n = _process_count(executions)
     chunks = [
         executions[len(executions) * i // n : len(executions) * (i + 1) // n]
         for i in range(n)
@@ -402,7 +393,7 @@ def _analyze_executions(
     children = {}  # chunk index -> (pid, read end of its pipe), until reaped
     unstarted = ""  # why no child runs the chunks from the first fork that failed
     try:
-        for i in range(own, n):
+        for i in range(1, n):
             fds = ()
             try:
                 fds = os.pipe()
@@ -419,12 +410,8 @@ def _analyze_executions(
             # and this pipe would never reach end of file
             os.close(write_fd)
             children[i] = (pid, open(read_fd, "rb"))
-        records, texts = [], []
-        if own:
-            records, text = _analyze_chunk(chunks[0], config, with_rows)
-            texts.append(text)
-        elif children:  # set up only while a child analyzes
-            setup()
+        records, text = _analyze_chunk(chunks[0], config, with_rows)
+        texts = [text]
         sent, ended = {}, {}
         for i in list(children):  # all reaped before any chunk is run again
             pid, pipe = children[i]
@@ -432,7 +419,7 @@ def _analyze_executions(
                 sent[i] = pipe.read()
             ended[i] = _reap(pid)  # at end of file, it has exited or is about to
             del children[i]
-        for i in range(own, n):
+        for i in range(1, n):
             try:  # a child writes all its results or nothing, then exits
                 sent_records, text = marshal.loads(sent.get(i, b""))
             except (EOFError, ValueError):  # nothing, or cut short: rerun
@@ -461,18 +448,17 @@ def _analyze_executions(
 
 def analyze_revision(
     revisions: list[tuple[str, list[Execution]]], config: AnalysisConfig, with_rows: bool,
-    setup: "Callable[[], object] | None" = None,
 ) -> tuple[list[RevisionDataset], str]:
     """Analyze every execution that scan_revision_dir found in each named
     revision directory, in its (test_name, sample_index) order.  The
-    executions of all revisions share one fan-out over the CPUs, during
-    which the parent may run ``setup`` (_analyze_executions).  Returns
-    each revision's dataset, and the methods.csv text below the header of
-    every revision's rows, empty unless ``with_rows``.  rU is left NaN:
-    the caller sets it with normalize_ruapi over the tests it compares."""
+    executions of all revisions share one fan-out over the CPUs
+    (_analyze_executions).  Returns each revision's dataset, and the
+    methods.csv text below the header of every revision's rows, empty
+    unless ``with_rows``.  rU is left NaN: the caller sets it with
+    normalize_ruapi over the tests it compares."""
     records, methods_csv = _analyze_executions(
         [execution for _, executions in revisions for execution in executions],
-        config, with_rows, setup,
+        config, with_rows,
     )
     analyzed = iter(records)
     return [

@@ -582,6 +582,17 @@ def _rerun_note(chunk: list, why: str) -> str:
     )
 
 
+def _paying_for(monkeypatch, target: Path, processes: int) -> list[int]:
+    """Show 3 CPUs and set the cost of a process so that the input under
+    ``target``, at least one cost, pays for ``processes`` of them, 1 or 2.
+    Returns the pids forked, as _on_cpus does."""
+    forks = _on_cpus(monkeypatch, 3)
+    size = sum(f.stat().st_size for f in target.rglob("*") if f.suffix in (".trace", ".power"))
+    cost = size * 2 // 3 if processes == 1 else size // 3
+    monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
+    return forks
+
+
 class TestFanOut:
     """analyze and evolve fan their executions out over the CPUs the
     process may run on (never more than 3 here) and must write the bytes,
@@ -618,6 +629,35 @@ class TestFanOut:
             trees[cpus] = _output_tree(out)
         assert trees[1]
         assert trees[None] == trees[1] == trees[2] == trees[3]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_the_parent_keeps_chunk_0_with_cpus_to_spare(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, command, processes
+    ):
+        """Input that pays for fewer processes than there are CPUs still
+        has its first chunk analyzed in the parent: one process forks no
+        child, whichever the command."""
+        target = self.target(fixture_dir, command)
+        _on_cpus(monkeypatch, 1)
+        assert cli.main([command, str(target), "--out", str(tmp_path / "one")]) == 0
+        parent = os.getpid()
+        analyze_execution = ingest.analyze_execution
+        in_this_process = []
+
+        def counted(*args):
+            if os.getpid() == parent:
+                in_this_process.append(args[:2])
+            return analyze_execution(*args)
+
+        monkeypatch.setattr(ingest, "analyze_execution", counted)
+        forks = _paying_for(monkeypatch, target, processes)
+        assert cli.main([command, str(target), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        assert len(forks) == processes - 1
+        assert in_this_process == [e[:2] for e in _chunks(target, processes)[0]]
+        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
     def test_children_work_while_sigchld_is_ignored(
@@ -660,8 +700,8 @@ class TestFanOut:
         outcomes = set()
         for cpus, processes in ((1, 1), (2, 2), (3, 3), (3, 1), (3, 2)):
             _on_cpus(monkeypatch, cpus)
-            if processes < cpus:  # a CPU left idle: evolve's children take every chunk
-                _on_an_idle_cpu(monkeypatch, target, processes)
+            if processes < cpus:  # fewer processes than CPUs
+                _paying_for(monkeypatch, target, processes)
             out = tmp_path / f"out-{cpus}-{processes}"
             code = cli.main([command, str(target), "--out", str(out)])
             _assert_no_child_left()
@@ -708,6 +748,37 @@ class TestFanOut:
         }[death]
         assert capsys.readouterr().err == "".join(
             _rerun_note(chunk, why) for chunk in _chunks(fixture_dir, 3)[1:]
+        )
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_a_pipe_that_cannot_be_made_leaves_the_rest_to_the_parent(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, command, failing
+    ):
+        """os.pipe fails as os.fork does when the process is out of files:
+        the chunks from there on run in the parent."""
+        target = self.target(fixture_dir, command)
+        _on_cpus(monkeypatch, 1)
+        assert cli.main([command, str(target), "--out", str(tmp_path / "one")]) == 0
+        forks = _on_cpus(monkeypatch, 3)
+        real_pipe = os.pipe
+        made = []
+
+        def pipe():  # the ``failing``-th call fails, and every one after it
+            if len(made) + 1 >= failing:
+                raise OSError(24, "Too many open files")
+            made.append(real_pipe())
+            return made[-1]
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        capsys.readouterr()
+        assert cli.main([command, str(target), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        assert len(forks) == failing - 1
+        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == "".join(
+            _rerun_note(chunk, "no child started: [Errno 24] Too many open files")
+            for chunk in _chunks(target, 3)[failing:]
         )
 
     @pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN])
@@ -820,209 +891,6 @@ class TestFanOut:
         assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
 
 
-def _third_revision(fixture_dir: Path) -> Path:
-    """The fixture with a third revision, a copy of the second, so that
-    evolve's Tukey families read the range CDF table (k >= 3)."""
-    shutil.copytree(fixture_dir / "1.1", fixture_dir / "1.2")
-    return fixture_dir
-
-
-def _on_an_idle_cpu(monkeypatch, target: Path, processes: int) -> list[int]:
-    """Show 3 CPUs and set the cost of a process so that the input under
-    ``target`` pays for ``processes`` of them, 1 or 2: one CPU or more is
-    left idle.  Returns the pids forked, as _on_cpus does."""
-    forks = _on_cpus(monkeypatch, 3)
-    size = sum(f.stat().st_size for f in target.rglob("*") if f.suffix in (".trace", ".power"))
-    cost = size * 2 // 3 if processes == 1 else size // 3
-    monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
-    return forks
-
-
-class TestIdleCpu:
-    """Where the analysis would leave a CPU idle, evolve hands every chunk
-    to a child and its parent prepares the statistics meanwhile; outputs,
-    exit codes and error lines stay those of a run on one CPU."""
-
-    @pytest.fixture
-    def root(self, fixture_dir):
-        return _third_revision(fixture_dir)
-
-    @staticmethod
-    def spy(monkeypatch) -> list:
-        """Log each _prepare_compare and compare call in this process, and
-        each analyze_execution call made here rather than in a child."""
-        calls = []
-        parent = os.getpid()
-        prepare, compare, analyze_execution = (
-            cli._prepare_compare, evolution.compare, ingest.analyze_execution
-        )
-
-        def prepared(k):
-            prepare(k)
-            calls.append(("setup", k, all(stats._range_cdf_table(k)[3])))
-
-        def analyzed(*args):
-            if os.getpid() == parent:
-                calls.append(("analyze",))
-            return analyze_execution(*args)
-
-        monkeypatch.setattr(cli, "_prepare_compare", prepared)
-        monkeypatch.setattr(
-            evolution, "compare", lambda *args: calls.append(("compare",)) or compare(*args)
-        )
-        monkeypatch.setattr(ingest, "analyze_execution", analyzed)
-        return calls
-
-    @pytest.mark.parametrize("processes", [1, 2])
-    @pytest.mark.parametrize("command", ["analyze", "evolve"])
-    def test_children_analyze_every_chunk_while_evolve_sets_up(
-        self, root, tmp_path, monkeypatch, capsys, command, processes
-    ):
-        target = root / "1.0" if command == "analyze" else root
-        _on_cpus(monkeypatch, 1)
-        assert cli.main([command, str(target), "--out", str(tmp_path / "one")]) == 0
-        calls = self.spy(monkeypatch)
-        forks = _on_an_idle_cpu(monkeypatch, target, processes)
-        stats._range_cdf_table.cache_clear()
-        assert cli.main([command, str(target), "--out", str(tmp_path / "idle")]) == 0
-        _assert_no_child_left()
-        if command == "evolve":  # no execution analyzed here, and one set-up
-            assert len(forks) == processes
-            assert calls == [("setup", 3, True), ("compare",)]
-        else:  # analyze has no set-up, and keeps chunk 0 in the parent
-            assert len(forks) == processes - 1
-            assert calls == [("analyze",)] * len(_chunks(target, processes)[0])
-        assert _output_tree(tmp_path / "idle") == _output_tree(tmp_path / "one")
-        assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize(
-        "case", ["n-equals-the-cpus", "input-under-one-cost", "layer-replaced"]
-    )
-    def test_evolve_keeps_todays_path_with_no_idle_cpu(self, root, tmp_path, monkeypatch, case):
-        _on_cpus(monkeypatch, 1)
-        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "one")]) == 0
-        calls = self.spy(monkeypatch)
-        forks = _on_cpus(monkeypatch, 3)
-        if case == "input-under-one-cost":  # not even one child pays for itself
-            _on_an_idle_cpu(monkeypatch, root, 1)  # the input is 1.5 costs ...
-            cost = ingest._PROCESS_COST_BYTES * 3 // 2 + 1  # ... and now under one
-            monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
-        if case == "layer-replaced":
-            parse_trace = ingest.parse_trace
-            monkeypatch.setattr(ingest, "parse_trace", lambda data: parse_trace(data))
-        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "out")]) == 0
-        _assert_no_child_left()
-        n = 3 if case == "n-equals-the-cpus" else 1
-        assert len(forks) == n - 1
-        # no set-up: the parent analyzed chunk 0, then compared
-        assert calls == [("analyze",)] * len(_chunks(root, n)[0]) + [("compare",)]
-        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
-
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_children_work_while_sigchld_is_ignored(
-        self, root, tmp_path, monkeypatch, capsys, processes
-    ):
-        _on_cpus(monkeypatch, 1)
-        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "one")]) == 0
-        forks = _on_an_idle_cpu(monkeypatch, root, processes)
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
-            assert cli.main(["evolve", str(root), "--out", str(tmp_path / "idle")]) == 0
-            _assert_no_child_left()
-            victim = _corrupt_trace(root / "1.2")
-            assert cli.main(["evolve", str(root), "--out", str(tmp_path / "bad")]) == 3
-            _assert_no_child_left()
-        finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert len(forks) == 2 * processes
-        assert _output_tree(tmp_path / "idle") == _output_tree(tmp_path / "one")
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_an_interrupt_during_the_set_up_leaves_no_child(
-        self, root, tmp_path, monkeypatch, processes
-    ):
-        forks = _on_an_idle_cpu(monkeypatch, root, processes)
-        parent = os.getpid()
-        analyze_execution = ingest.analyze_execution
-
-        def stuck_in_children(*args):
-            if os.getpid() != parent:  # killed, or the run takes two minutes
-                time.sleep(120)
-                os._exit(1)
-            return analyze_execution(*args)
-
-        def interrupted(k):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(ingest, "analyze_execution", stuck_in_children)
-        monkeypatch.setattr(cli, "_prepare_compare", interrupted)
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(["evolve", str(root), "--out", str(tmp_path / "out")])
-        assert time.monotonic() - started < 60
-        _assert_no_child_left()
-        assert len(forks) == processes
-        assert not (tmp_path / "out").exists()
-
-    def test_no_set_up_where_every_fork_fails(self, root, tmp_path, monkeypatch, capsys):
-        _on_cpus(monkeypatch, 1)
-        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "one")]) == 0
-        calls = self.spy(monkeypatch)
-        _on_an_idle_cpu(monkeypatch, root, 1)
-
-        def no_fork():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        capsys.readouterr()
-        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "out")]) == 0
-        _assert_no_child_left()
-        [chunk] = _chunks(root, 1)
-        assert calls == [("analyze",)] * len(chunk) + [("compare",)]
-        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
-        assert capsys.readouterr().err == _rerun_note(
-            chunk, "no child started: [Errno 11] Resource temporarily unavailable"
-        )
-
-    @pytest.mark.parametrize("failing", [1, 2])
-    @pytest.mark.parametrize("path", ["today", "idle"])
-    @pytest.mark.parametrize("command", ["analyze", "evolve"])
-    def test_a_pipe_that_cannot_be_made_leaves_the_rest_to_the_parent(
-        self, root, tmp_path, monkeypatch, capsys, command, path, failing
-    ):
-        """os.pipe fails as os.fork does when the process is out of files:
-        the chunks from there on run in the parent."""
-        target = root / "1.0" if command == "analyze" else root
-        _on_cpus(monkeypatch, 1)
-        assert cli.main([command, str(target), "--out", str(tmp_path / "one")]) == 0
-        if path == "idle":
-            forks, n = _on_an_idle_cpu(monkeypatch, target, 2), 2
-        else:
-            forks, n = _on_cpus(monkeypatch, 3), 3
-        real_pipe = os.pipe
-        made = []
-
-        def pipe():  # the ``failing``-th call fails, and every one after it
-            if len(made) + 1 >= failing:
-                raise OSError(24, "Too many open files")
-            made.append(real_pipe())
-            return made[-1]
-
-        monkeypatch.setattr(os, "pipe", pipe)
-        capsys.readouterr()
-        assert cli.main([command, str(target), "--out", str(tmp_path / "out")]) == 0
-        _assert_no_child_left()
-        handed = 0 if path == "idle" and command == "evolve" else 1  # a child's first chunk
-        assert len(forks) == min(failing - 1, n - handed)
-        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
-        assert capsys.readouterr().err == "".join(
-            _rerun_note(chunk, "no child started: [Errno 24] Too many open files")
-            for chunk in _chunks(target, n)[handed + failing - 1:]
-        )
-
-
 class TestProcessCount:
     """How many processes share a command's executions."""
 
@@ -1053,19 +921,18 @@ class TestProcessCount:
         monkeypatch.setattr(
             ingest, "_PROCESS_COST_BYTES", self.size(executions) // costs_in_input
         )
-        # with fewer processes than CPUs, evolve's set-up can take one
-        assert ingest._process_count(executions) == (expected, expected < cpus)
+        assert ingest._process_count(executions) == expected
 
     def test_the_real_cost_forks_nothing_for_a_small_input(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
         assert self.size(executions) < ingest._PROCESS_COST_BYTES
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert ingest._process_count(executions) == (1, False)  # not even one child
+        assert ingest._process_count(executions) == 1  # not even one child
 
     def test_never_more_than_one_per_execution(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)[:2]
         _on_cpus(monkeypatch, 3)
-        assert ingest._process_count(executions) == (2, True)
+        assert ingest._process_count(executions) == 2
 
     def test_files_are_sized_only_until_every_cpu_is_paid_for(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
@@ -1078,14 +945,14 @@ class TestProcessCount:
             return real_stat(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "stat", counted_stat)
-        assert ingest._process_count(executions) == (2, False)
+        assert ingest._process_count(executions) == 2
         assert sized == list(executions[0][2:])
 
     def test_a_file_gone_before_sizing_is_left_to_the_analysis(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
         _on_cpus(monkeypatch, 2)
         executions[0] = executions[0][:2] + (str(fixture_dir / "gone"), str(fixture_dir / "gone"))
-        assert ingest._process_count(executions) == (2, False)
+        assert ingest._process_count(executions) == 2
 
     @pytest.mark.parametrize("layer", ["parse_trace", "attribute", "integrate", "uapi"])
     def test_a_replaced_layer_function_keeps_every_execution_here(
@@ -1095,12 +962,12 @@ class TestProcessCount:
         own process."""
         executions = self.executions(fixture_dir)
         _on_cpus(monkeypatch, 3)
-        assert ingest._process_count(executions) == (3, False)
+        assert ingest._process_count(executions) == 3
         monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", self.size(executions) // 2)
-        assert ingest._process_count(executions) == (2, True)
+        assert ingest._process_count(executions) == 2
         original = getattr(ingest, layer)
         monkeypatch.setattr(ingest, layer, lambda *args: original(*args))
-        assert ingest._process_count(executions) == (1, False)
+        assert ingest._process_count(executions) == 1
 
 
 def test_a_traced_run_counts_the_work_of_a_run_on_one_cpu(fixture_dir, tmp_path, monkeypatch):

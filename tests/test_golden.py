@@ -156,8 +156,8 @@ def _on_three_cpus(monkeypatch, cost: int) -> list[int]:
 
 
 def test_outputs_fanned_out_over_three_processes_match_golden_digests(tmp_path, monkeypatch):
-    """At the real cost the fixture pays for one process at most, which
-    evolve hands to a child; here any input pays for one process per CPU."""
+    """At the real cost the fixture pays for one process, so the case
+    above forks nothing; here any input pays for one process per CPU."""
     forks = _on_three_cpus(monkeypatch, 1)
     lines = golden_digests(tmp_path)
     assert lines == DIGEST_FILE.read_text().splitlines()
@@ -168,17 +168,13 @@ def test_outputs_of_evolve_set_up_beside_its_children_match_golden_digests(
     tmp_path, monkeypatch
 ):
     """At 100 KiB a process, evolve's input (about 322 KB) pays for two
-    processes of three CPUs: each evolve run hands both chunks to
-    children and prepares its statistics meanwhile.  analyze has no
-    set-up: one revision (about 107 KB) keeps to one process."""
+    processes of three CPUs: each evolve run analyzes chunk 0 in the
+    parent beside the one child that analyzes chunk 1.  analyze forks
+    nothing: one revision (about 107 KB) keeps to one process."""
     forks = _on_three_cpus(monkeypatch, 100 * 1024)
-    setups = []
-    prepare = cli._prepare_compare
-    monkeypatch.setattr(cli, "_prepare_compare", lambda k: setups.append(k) or prepare(k))
     lines = golden_digests(tmp_path)
     assert lines == DIGEST_FILE.read_text().splitlines()
-    assert setups == [3, 3]
-    assert len(forks) == 2 * 2
+    assert len(forks) == 2 * 1
 
 
 if __name__ == "__main__":
