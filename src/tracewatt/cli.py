@@ -16,7 +16,10 @@ analyze and evolve spread their executions over the CPUs the process
 may run on, as many as the input's size pays for: one forked child per
 chunk but the first, results merged in scan order, so outputs, exit
 codes and error lines are those of a run on one CPU (``taskset -c 0``,
-a small input, or a platform without fork runs no child).  A chunk the
+a small input, or a platform without fork runs no child).  Each process
+pins itself to its own CPU of the affinity mask, and the parent puts
+its mask back once its own chunk is done: where the cpuset leaves load
+balancing off, the kernel would keep every child on its parent's CPU.  A chunk the
 parent reruns for a child that sent nothing gets one ``note:`` line on
 stderr.  Each chunk's process forms its own methods.csv text; analyze
 writes the header, then those texts in chunk order.

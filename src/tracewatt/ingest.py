@@ -10,7 +10,11 @@ checks each distinct test name once per process (``trace``'s cache).
 The executions of every revision a command scans share one fan-out over
 the CPUs the process may run on, as many as their size pays for
 (``_analyze_executions``, ``_process_count``).  The CPU count is the
-affinity mask; a CPU quota below it is not read.
+affinity mask; a CPU quota below it is not read.  Each process of the
+fan-out pins itself to its own CPU of that mask: in a cpuset that does
+not balance load (``cpuset.sched_load_balance`` 0) the kernel never
+moves a forked child off its parent's CPU, and the two would take turns
+on one CPU.
 
 Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
@@ -298,15 +302,23 @@ def _analyze_chunk(
     return records, csv_text(rows)
 
 
+def _pin(cpus: Iterable[int]) -> None:
+    """Run this process on ``cpus`` alone, where the kernel lets it."""
+    with suppress(OSError):  # a CPU this host lacks, say: it runs where it did
+        os.sched_setaffinity(0, cpus)
+
+
 def _send_chunk(
-    chunk: list[Execution], config: AnalysisConfig, with_rows: bool, write_fd: int
+    chunk: list[Execution], config: AnalysisConfig, with_rows: bool,
+    cpus: list[int], write_fd: int,
 ) -> NoReturn:
-    """The forked child's whole life: analyze ``chunk`` and send its
-    records, as plain tuples, and its text up the pipe as marshal data, or
-    on any error send nothing and exit 1, leaving the error to the
-    parent's rerun."""
+    """The forked child's whole life: pin itself to ``cpus``, analyze
+    ``chunk`` and send its records, as plain tuples, and its text up the
+    pipe as marshal data, or on any error send nothing and exit 1, leaving
+    the error to the parent's rerun."""
     status = 1
     try:
+        _pin(cpus)
         records, text = _analyze_chunk(chunk, config, with_rows)
         payload = marshal.dumps(([tuple(record) for record in records], text))
         with open(write_fd, "wb") as pipe:
@@ -320,9 +332,12 @@ def _send_chunk(
 # costs: its fork, its copy-on-write faults, the release of its pages when
 # it ends in os._exit and its share of the machine.  n processes take
 # about (n - 1) * cost + work / n, so the n-th pays off while n * (n - 1)
-# of these fit in the input.  On a 2-vCPU VM a second process gained
-# nothing end to end on 385 KB of input (evolve, 96 executions), 15 % on
-# 1.4 MB and 21 % on 1.9 MB.
+# of these fit in the input.  On a 2-vCPU VM, with each process pinned to
+# its own CPU, a second process cut the benchmark's calibrated wall by
+# 28 % on 1.4 MB of input (analyze, 4 executions) and by 24 % on 1.9 MB
+# (evolve, 984 executions).  At 96 KiB, 385 KB (evolve, 96 executions)
+# would pay for a second process too, and its fresh-process wall rose
+# from 118 to 145 ms (median of 20 pairs, faster in 8).
 _PROCESS_COST_BYTES = 192 * 1024
 
 # The layer functions analyze_execution calls through this module's names,
@@ -338,9 +353,11 @@ _LAYERS = {
 def _process_count(executions: list[Execution]) -> int:
     """How many processes analyze ``executions``: at most one per CPU this
     process may run on and one per execution, and no more than the input's
-    size pays for.  Files are sized in scan order only until they pay for
-    every CPU.  1 where the process cannot fork, or while a layer function
-    is replaced (``_LAYERS``)."""
+    size pays for.  Each then runs on a CPU of its own, pinned there, as
+    the kernel does not spread them where load balancing is off
+    (_analyze_executions).  Files are sized in scan order only until they
+    pay for every CPU.  1 where the process cannot fork, or while a layer
+    function is replaced (``_LAYERS``)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = min(len(os.sched_getaffinity(0)), len(executions))
@@ -384,12 +401,24 @@ def _analyze_executions(
     error in execution order is raised, with its sequential text.  If the
     parent raises, every child still running is killed and reaped first.
     With one chunk no child is forked at all.
+
+    Each process runs on its own CPU of the affinity mask, read once per
+    fan-out: child i pins itself to the i-th CPU in order, and the parent,
+    after its last fork, pins itself to the first while it runs chunk 0.
+    Then, however chunk 0 ended, it puts back the mask it had, so a chunk
+    it runs again for a child runs on every CPU.  A pin the kernel refuses
+    (a CPU the host lacks) is skipped; one process pins nothing.  Unpinned
+    under a cpuset with ``sched_load_balance`` 0, a child never leaves its
+    parent's CPU: on a 2-vCPU VM so, two CPU-bound forked processes took
+    258-464 ms unpinned and 246-263 ms pinned, one alone 178-261 ms.
     """
     n = _process_count(executions)
     chunks = [
         executions[len(executions) * i // n : len(executions) * (i + 1) // n]
         for i in range(n)
     ]
+    mask = os.sched_getaffinity(0) if n > 1 else set()  # read once, put back below
+    cpus = sorted(mask)
     children = {}  # chunk index -> (pid, read end of its pipe), until reaped
     unstarted = ""  # why no child runs the chunks from the first fork that failed
     try:
@@ -404,13 +433,19 @@ def _analyze_executions(
                 unstarted = f"no child started: {exc}"
                 break
             read_fd, write_fd = fds
-            if pid == 0:
-                _send_chunk(chunks[i], config, with_rows, write_fd)
+            if pid == 0:  # a slice, which no mask narrowed since sizing can make raise here
+                _send_chunk(chunks[i], config, with_rows, cpus[i : i + 1], write_fd)
             # closed before the next fork, or that child would hold it open
             # and this pipe would never reach end of file
             os.close(write_fd)
             children[i] = (pid, open(read_fd, "rb"))
-        records, text = _analyze_chunk(chunks[0], config, with_rows)
+        try:  # pinned after the last fork, so that no child inherits the pin
+            if mask:
+                _pin(cpus[:1])
+            records, text = _analyze_chunk(chunks[0], config, with_rows)
+        finally:  # a chunk rerun below runs on every CPU again
+            if mask:
+                _pin(mask)
         texts = [text]
         sent, ended = {}, {}
         for i in list(children):  # all reaped before any chunk is run again

@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random trace/tree generators and the
 independent oracles the implementation is checked against."""
 
+import os
 import random
 
 from tracewatt.apimetric import ApiClassifier, ApiRule
@@ -8,6 +9,26 @@ from tracewatt.trace import CallNode, CallTree, MethodId, TestTrace, TraceEvent
 
 API_PACKAGES = ["android.util", "android.os", "java.util", "java.io"]
 INTERNAL_PACKAGES = ["com.app.core", "com.app.util", "org.lib.parser"]
+
+# The kernel's own affinity calls, whatever a test shows in their place.
+real_getaffinity = getattr(os, "sched_getaffinity", None)
+real_setaffinity = getattr(os, "sched_setaffinity", None)
+
+
+def show_cpus(monkeypatch, cpus: "set[int]") -> None:
+    """Show ``cpus`` as this process's affinity mask, as a host with those
+    CPUs would: setting that whole mask puts back the real one, and a pin
+    to any other set is made for real, so the kernel refuses a CPU this
+    host lacks with an OSError."""
+    shown = set(cpus)
+    real = real_getaffinity(0)
+
+    def setaffinity(pid, mask):
+        real_setaffinity(pid, real if set(mask) == shown else mask)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(shown), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+
 
 DEFAULT_CLASSIFIER = ApiClassifier(
     [ApiRule("android.", "android"), ApiRule("java.", "java")]

@@ -10,8 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import real_getaffinity, real_setaffinity, show_cpus
 
 from tracewatt import cli, evolution, ingest, stats
+from tracewatt.config import AnalysisConfig
 
 SPEC_TEXT = """
 [synth]
@@ -542,7 +544,23 @@ def _on_cpus(monkeypatch, cpus: "int | None") -> list[int]:
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        show_cpus(monkeypatch, set(range(cpus)))
+    return _counted_forks(monkeypatch)
+
+
+def _on_real_cpus(monkeypatch) -> tuple[list[int], list[int]]:
+    """Let input of any size pay for one process per CPU of this process's
+    real mask, which must hold at least 2.  Returns that mask's CPUs in
+    order, and the list of pids forked, as _on_cpus does."""
+    cpus = sorted(real_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("the affinity mask holds one CPU")
+    monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", 1)
+    return cpus, _counted_forks(monkeypatch)
+
+
+def _counted_forks(monkeypatch) -> list[int]:
+    """The list that each fork appends its child's pid to."""
     forks = []
     real_fork = os.fork
 
@@ -601,6 +619,16 @@ class TestFanOut:
     @staticmethod
     def target(fixture_dir: Path, command: str) -> Path:
         return fixture_dir / "1.0" if command == "analyze" else fixture_dir
+
+    @pytest.fixture(autouse=True)
+    def keeps_the_real_mask(self):
+        """Whatever a test shows or breaks, each fan-out puts back the real
+        affinity mask it pinned this process from."""
+        before = real_getaffinity(0)
+        yield
+        after = real_getaffinity(0)
+        real_setaffinity(0, before)  # so that one failure narrows no later test
+        assert after == before
 
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
     def test_outputs_match_one_cpu_byte_for_byte(
@@ -889,6 +917,142 @@ class TestFanOut:
         assert len(forks) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("death", [None, "killed"])
+    def test_each_chunk_runs_on_its_own_cpu(self, fixture_dir, monkeypatch, capsys, death):
+        """Chunk i runs on the i-th CPU of the mask, chunk 0 in the parent;
+        a chunk the parent runs again for a child runs on every CPU."""
+        cpus, forks = _on_real_cpus(monkeypatch)
+        [executions] = _chunks(fixture_dir, 1)
+        n = ingest._process_count(executions)
+        parent = os.getpid()
+        analyze_chunk = ingest._analyze_chunk
+
+        def reporting(*args):
+            if death and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            records, text = analyze_chunk(*args)
+            return records, text + f"{sorted(os.sched_getaffinity(0))}\n"
+
+        monkeypatch.setattr(ingest, "_analyze_chunk", reporting)
+        _, text = ingest._analyze_executions(executions, AnalysisConfig(), False)
+        _assert_no_child_left()
+        assert len(forks) == n - 1 >= 1
+        assert text.splitlines() == [str([cpus[0]])] + [
+            str(cpus if death else [cpu]) for cpu in cpus[1:n]
+        ]
+        assert os.sched_getaffinity(0) == set(cpus)
+        why = f"the child was killed by signal {int(signal.SIGKILL)}"
+        assert capsys.readouterr().err == "".join(
+            _rerun_note(chunk, why) for chunk in _chunks(fixture_dir, n)[1:] if death
+        )
+
+    @pytest.mark.parametrize(
+        "outcome", ["exit-0", "corrupt-first", "corrupt-last", "interrupt", "child-killed"]
+    )
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_the_real_mask_is_put_back(
+        self, fixture_dir, tmp_path, monkeypatch, command, outcome
+    ):
+        cpus, forks = _on_real_cpus(monkeypatch)
+        target = self.target(fixture_dir, command)
+        parent = os.getpid()
+        analyze_execution = ingest.analyze_execution
+
+        def failing(*args):
+            if os.getpid() == parent and outcome == "interrupt":
+                raise KeyboardInterrupt
+            if os.getpid() != parent and outcome == "child-killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return analyze_execution(*args)
+
+        monkeypatch.setattr(ingest, "analyze_execution", failing)
+        if outcome == "corrupt-first":
+            _corrupt_trace(fixture_dir / "1.0", 0)
+        if outcome == "corrupt-last":
+            _corrupt_trace(target if command == "analyze" else fixture_dir / "1.1")
+        argv = [command, str(target), "--out", str(tmp_path / "out")]
+        if outcome == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == (3 if outcome.startswith("corrupt") else 0)
+        _assert_no_child_left()
+        assert forks
+        assert os.sched_getaffinity(0) == set(cpus)
+
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_a_pin_the_kernel_refuses_changes_nothing(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, command
+    ):
+        target = str(self.target(fixture_dir, command))
+        _on_cpus(monkeypatch, 1)
+        assert cli.main([command, target, "--out", str(tmp_path / "one")]) == 0
+        forks = _on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        asked = []
+
+        def refused(pid, cpus):
+            if os.getpid() == parent:
+                asked.append(set(cpus))
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+        assert cli.main([command, target, "--out", str(tmp_path / "three")]) == 0
+        _assert_no_child_left()
+        assert len(forks) == 2
+        assert asked == [{0}, {0, 1, 2}]  # its pin, then the whole mask back
+        assert _output_tree(tmp_path / "three") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == ""
+
+    def test_an_interrupt_in_a_childs_pin_ends_only_that_child(
+        self, fixture_dir, tmp_path, monkeypatch, capsys
+    ):
+        """The child pins itself inside the try that ends it, so nothing
+        raised there unwinds into the parent's frames in the child."""
+        _on_cpus(monkeypatch, 1)
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "one")]) == 0
+        forks = _on_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        setaffinity = os.sched_setaffinity
+
+        def interrupted(pid, cpus):
+            if os.getpid() != parent:
+                raise KeyboardInterrupt
+            setaffinity(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", interrupted)
+        capsys.readouterr()
+        try:
+            code = cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "three")])
+        finally:
+            if os.getpid() != parent:  # a child unwound into this frame
+                os._exit(99)
+        assert code == 0
+        _assert_no_child_left()
+        assert len(forks) == 2
+        assert _output_tree(tmp_path / "three") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == "".join(
+            _rerun_note(chunk, "the child exited with status 1")
+            for chunk in _chunks(fixture_dir, 3)[1:]
+        )
+
+    @pytest.mark.parametrize("case", ["no-affinity", "one-cpu", "one-process", "traced"])
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_one_process_pins_nothing(
+        self, fixture_dir, tmp_path, monkeypatch, command, case
+    ):
+        target = self.target(fixture_dir, command)
+        forks = _on_cpus(monkeypatch, {"no-affinity": None, "one-cpu": 1}.get(case, 3))
+        if case == "one-process":
+            _paying_for(monkeypatch, target, 1)
+        if case == "traced":
+            parse_trace = ingest.parse_trace
+            monkeypatch.setattr(ingest, "parse_trace", lambda data: parse_trace(data))
+        pinned = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *args: pinned.append(args))
+        assert cli.main([command, str(target), "--out", str(tmp_path / "out")]) == 0
+        assert forks == pinned == []
 
 
 class TestProcessCount:

@@ -18,6 +18,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from conftest import real_getaffinity, show_cpus
+
 from tracewatt import cli, ingest
 
 DIGEST_FILE = Path(__file__).with_name("golden.sha256")
@@ -137,11 +139,15 @@ def test_outputs_match_golden_digests(tmp_path):
     assert lines == DIGEST_FILE.read_text().splitlines()
 
 
-def _on_three_cpus(monkeypatch, cost: int) -> list[int]:
-    """Show three CPUs with ``cost`` bytes paying for a process, and
-    return the list each fork appends its child's pid to."""
+@contextlib.contextmanager
+def _on_three_cpus(monkeypatch, cost: int):
+    """Show three CPUs with ``cost`` bytes paying for a process, and give
+    the list each fork appends its child's pid to.  Every process of a
+    fan-out pins itself to its own CPU of the three; afterwards this
+    process's real affinity mask must be as it was."""
+    real = real_getaffinity(0)
     monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    show_cpus(monkeypatch, {0, 1, 2})
     forks = []
     real_fork = os.fork
 
@@ -152,14 +158,15 @@ def _on_three_cpus(monkeypatch, cost: int) -> list[int]:
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
+    yield forks
+    assert real_getaffinity(0) == real
 
 
 def test_outputs_fanned_out_over_three_processes_match_golden_digests(tmp_path, monkeypatch):
     """At the real cost the fixture pays for one process, so the case
     above forks nothing; here any input pays for one process per CPU."""
-    forks = _on_three_cpus(monkeypatch, 1)
-    lines = golden_digests(tmp_path)
+    with _on_three_cpus(monkeypatch, 1) as forks:
+        lines = golden_digests(tmp_path)
     assert lines == DIGEST_FILE.read_text().splitlines()
     assert len(forks) == 2 * 3  # two per run, but the one-execution multi-root analyze
 
@@ -171,8 +178,8 @@ def test_outputs_of_evolve_set_up_beside_its_children_match_golden_digests(
     processes of three CPUs: each evolve run analyzes chunk 0 in the
     parent beside the one child that analyzes chunk 1.  analyze forks
     nothing: one revision (about 107 KB) keeps to one process."""
-    forks = _on_three_cpus(monkeypatch, 100 * 1024)
-    lines = golden_digests(tmp_path)
+    with _on_three_cpus(monkeypatch, 100 * 1024) as forks:
+        lines = golden_digests(tmp_path)
     assert lines == DIGEST_FILE.read_text().splitlines()
     assert len(forks) == 2 * 1
 
