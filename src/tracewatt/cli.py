@@ -16,13 +16,18 @@ analyze and evolve spread their executions over the CPUs the process
 may run on, as many as the input's size pays for: one forked child per
 chunk but the first, results merged in scan order, so outputs, exit
 codes and error lines are those of a run on one CPU (``taskset -c 0``,
-a small input, or a platform without fork runs no child).  Each process
-pins itself to its own CPU of the affinity mask, and the parent puts
-its mask back once its own chunk is done: where the cpuset leaves load
-balancing off, the kernel would keep every child on its parent's CPU.  A chunk the
-parent reruns for a child that sent nothing gets one ``note:`` line on
-stderr.  Each chunk's process forms its own methods.csv text; analyze
-writes the header, then those texts in chunk order.
+a small input, or a platform without fork runs no child).  Where that
+leaves a CPU idle, with input of at least one process's cost, evolve
+hands the first chunk to a child too, and meanwhile loads the
+statistics and builds their Tukey table on that CPU
+(``_prepare_compare``); else the table's pieces are built on first read.
+Each process pins itself to its own CPU of the affinity mask, and the
+parent puts its mask back once its own chunk or set-up is done: where
+the cpuset leaves load balancing off, the kernel would keep every child
+on its parent's CPU.  A chunk the parent reruns for a child that sent
+nothing gets one ``note:`` line on stderr.  Each chunk's process forms
+its own methods.csv text; analyze writes the header, then those texts
+in chunk order.
 
 Importing this module registers ``gc.freeze`` to run at exit, so the
 interpreter's finalization leaves the heap to the OS instead of walking
@@ -190,6 +195,16 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _prepare_compare(revisions: int) -> None:
+    """The work of evolution.compare that reads no record: load it, with
+    stats, and build the Tukey table of ``revisions`` groups.  evolve's
+    parent runs it while its children analyze, where the analysis leaves
+    a CPU idle; else all of it happens on first use."""
+    from . import evolution, stats  # noqa: F401  evolution for compare
+
+    stats.build_range_cdf_table(revisions)
+
+
 def cmd_evolve(args) -> int:
     config = _load_analysis_config(args.config)
     if args.alpha is not None:
@@ -207,7 +222,8 @@ def cmd_evolve(args) -> int:
             f"found {len(revision_dirs)}"
         )
     datasets, _ = analyze_revision(
-        _scan_revisions(config, revision_dirs), config, with_rows=False
+        _scan_revisions(config, revision_dirs), config, with_rows=False,
+        setup=lambda: _prepare_compare(len(revision_dirs)),
     )
     from . import evolution  # and stats: analyze runs no statistics
 

@@ -195,15 +195,16 @@ def compare(
     ``config.aggregation`` (mean or median).
     """
     aligned = align_tests(revisions)
+    aligned_set = set(aligned)
     ordered = sorted(revisions, key=lambda r: version_key(r.revision))
     excluded = {
-        rev.revision: sorted(rev.test_names() - set(aligned)) for rev in ordered
+        rev.revision: sorted(rev.test_names() - aligned_set) for rev in ordered
     }
 
     analysis_tests = aligned
     if config.top_k_tests is not None:
         top = select_top_energy_tests(ordered[0], config.top_k_tests)
-        analysis_tests = [t for t in top if t in set(aligned)]
+        analysis_tests = [t for t in top if t in aligned_set]
         analysis_tests.sort()
         if not analysis_tests:
             raise AnalysisError("top-k selection removed every aligned test")

@@ -14,7 +14,9 @@ affinity mask; a CPU quota below it is not read.  Each process of the
 fan-out pins itself to its own CPU of that mask: in a cpuset that does
 not balance load (``cpuset.sched_load_balance`` 0) the kernel never
 moves a forked child off its parent's CPU, and the two would take turns
-on one CPU.
+on one CPU.  Where the fan-out leaves a CPU idle, a caller's set-up
+(``evolve``'s statistics) runs in the parent on that CPU while children
+analyze every chunk.
 
 Each execution yields one ExecutionRecord: its test-window energy and U,
 all that ``evolve`` reads.  Per-method attribution runs only when the
@@ -42,7 +44,7 @@ from contextlib import suppress
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple, NoReturn
+from typing import Callable, Collection, Iterable, NamedTuple, NoReturn
 
 from .apimetric import uapi
 from .config import AnalysisConfig
@@ -337,7 +339,11 @@ def _send_chunk(
 # 28 % on 1.4 MB of input (analyze, 4 executions) and by 24 % on 1.9 MB
 # (evolve, 984 executions).  At 96 KiB, 385 KB (evolve, 96 executions)
 # would pay for a second process too, and its fresh-process wall rose
-# from 118 to 145 ms (median of 20 pairs, faster in 8).
+# from 118 to 145 ms (median of 20 pairs, faster in 8).  Where fewer
+# processes than CPUs leave one idle, one cost of input also pays for a
+# child to take chunk 0, so that the parent sets up on that CPU meanwhile
+# (_analyze_executions): below it, a 62 KB evolve of 3 revisions rose
+# from 76.8 to 86.2 ms that way (faster in 2 of 20 pairs).
 _PROCESS_COST_BYTES = 192 * 1024
 
 # The layer functions analyze_execution calls through this module's names,
@@ -350,30 +356,40 @@ _LAYERS = {
 }
 
 
-def _process_count(executions: list[Execution]) -> int:
+def _sized_process_count(executions: list[Execution]) -> tuple[int, list[int], int]:
     """How many processes analyze ``executions``: at most one per CPU this
     process may run on and one per execution, and no more than the input's
     size pays for.  Each then runs on a CPU of its own, pinned there, as
     the kernel does not spread them where load balancing is off
     (_analyze_executions).  Files are sized in scan order only until they
     pay for every CPU.  1 where the process cannot fork, or while a layer
-    function is replaced (``_LAYERS``)."""
+    function is replaced (``_LAYERS``).
+
+    Returned with the count: the CPUs of the affinity mask in order, none
+    where the process cannot fork, and the input bytes sized, 0 where the
+    count is 1 before any file is sized."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    cpus = min(len(os.sched_getaffinity(0)), len(executions))
-    if cpus < 2 or any(globals()[name] is not fn for name, fn in _LAYERS.items()):
-        return 1
+        return 1, [], 0
+    cpus = sorted(os.sched_getaffinity(0))
+    most = min(len(cpus), len(executions))
+    if most < 2 or any(globals()[name] is not fn for name, fn in _LAYERS.items()):
+        return 1, cpus, 0
     size = 0
     for _, _, trace_path, power_path in executions:
-        if size >= cpus * (cpus - 1) * _PROCESS_COST_BYTES:
+        if size >= most * (most - 1) * _PROCESS_COST_BYTES:
             break
         for path in (trace_path, power_path):
             with suppress(OSError):  # analyze_execution reports it, in order
                 size += os.stat(path).st_size
     n = 1
-    while n < cpus and (n + 1) * n * _PROCESS_COST_BYTES <= size:
+    while n < most and (n + 1) * n * _PROCESS_COST_BYTES <= size:
         n += 1
-    return n
+    return n, cpus, size
+
+
+def _process_count(executions: list[Execution]) -> int:
+    """How many processes analyze ``executions`` (_sized_process_count)."""
+    return _sized_process_count(executions)[0]
 
 
 def _reap(pid: int) -> str:
@@ -388,41 +404,47 @@ def _reap(pid: int) -> str:
 
 
 def _analyze_executions(
-    executions: list[Execution], config: AnalysisConfig, with_rows: bool
+    executions: list[Execution], config: AnalysisConfig, with_rows: bool,
+    setup: "Callable[[], object] | None" = None,
 ) -> tuple[list[ExecutionRecord], str]:
     """analyze_execution over ``executions``: the records in their order,
     and the methods.csv text of their rows.
 
     The executions are cut into ``_process_count`` contiguous chunks.  The
     parent forks a child for every chunk but the first, runs the first
-    itself, then reads the children's results in chunk order.  A child
-    that fails, dies or sends only part has its chunk run again by the
-    parent, which says so on stderr once the chunk succeeds, so the first
-    error in execution order is raised, with its sequential text.  If the
-    parent raises, every child still running is killed and reaped first.
-    With one chunk no child is forked at all.
+    itself, then reads the children's results in chunk order.  Where the
+    caller has a ``setup``, work that needs no record, and a CPU would
+    idle, with input of at least one process's cost, a child takes the
+    first chunk too and the parent runs ``setup`` meanwhile.  A child that
+    fails, dies or sends only part has its chunk run again by the parent,
+    which says so on stderr once the chunk succeeds, so the first error in
+    execution order is raised, with its sequential text.  If the parent
+    raises, every child still running is killed and reaped first.  With
+    one chunk and no ``setup`` no child is forked at all.
 
     Each process runs on its own CPU of the affinity mask, read once per
     fan-out: child i pins itself to the i-th CPU in order, and the parent,
-    after its last fork, pins itself to the first while it runs chunk 0.
-    Then, however chunk 0 ended, it puts back the mask it had, so a chunk
-    it runs again for a child runs on every CPU.  A pin the kernel refuses
-    (a CPU the host lacks) is skipped; one process pins nothing.  Unpinned
-    under a cpuset with ``sched_load_balance`` 0, a child never leaves its
+    after its last fork, pins itself to the first while it runs chunk 0,
+    or to the first CPU no child has while it runs ``setup``.  Then,
+    however that ended, it puts back the mask it had, so a chunk it runs
+    again for a child runs on every CPU.  A pin the kernel refuses (a CPU
+    the host lacks) is skipped; one process pins nothing.  Unpinned under
+    a cpuset with ``sched_load_balance`` 0, a child never leaves its
     parent's CPU: on a 2-vCPU VM so, two CPU-bound forked processes took
     258-464 ms unpinned and 246-263 ms pinned, one alone 178-261 ms.
     """
-    n = _process_count(executions)
+    n, cpus, size = _sized_process_count(executions)
+    # the first chunk a child takes: 0 where the parent sets up on a CPU no
+    # child needs, once the input pays for a fork; a traced run sizes nothing
+    first = 0 if setup is not None and n < len(cpus) and size >= _PROCESS_COST_BYTES else 1
     chunks = [
         executions[len(executions) * i // n : len(executions) * (i + 1) // n]
         for i in range(n)
     ]
-    mask = os.sched_getaffinity(0) if n > 1 else set()  # read once, put back below
-    cpus = sorted(mask)
     children = {}  # chunk index -> (pid, read end of its pipe), until reaped
     unstarted = ""  # why no child runs the chunks from the first fork that failed
     try:
-        for i in range(1, n):
+        for i in range(first, n):
             fds = ()
             try:
                 fds = os.pipe()
@@ -439,14 +461,18 @@ def _analyze_executions(
             # and this pipe would never reach end of file
             os.close(write_fd)
             children[i] = (pid, open(read_fd, "rb"))
+        records, texts = [], []
         try:  # pinned after the last fork, so that no child inherits the pin
-            if mask:
-                _pin(cpus[:1])
-            records, text = _analyze_chunk(chunks[0], config, with_rows)
+            if first < n:
+                _pin(cpus[:1] if first else cpus[n : n + 1])
+            if first:
+                records, text = _analyze_chunk(chunks[0], config, with_rows)
+                texts.append(text)
+            else:
+                setup()
         finally:  # a chunk rerun below runs on every CPU again
-            if mask:
-                _pin(mask)
-        texts = [text]
+            if first < n:
+                _pin(cpus)
         sent, ended = {}, {}
         for i in list(children):  # all reaped before any chunk is run again
             pid, pipe = children[i]
@@ -454,7 +480,7 @@ def _analyze_executions(
                 sent[i] = pipe.read()
             ended[i] = _reap(pid)  # at end of file, it has exited or is about to
             del children[i]
-        for i in range(1, n):
+        for i in range(first, n):
             try:  # a child writes all its results or nothing, then exits
                 sent_records, text = marshal.loads(sent.get(i, b""))
             except (EOFError, ValueError):  # nothing, or cut short: rerun
@@ -483,17 +509,18 @@ def _analyze_executions(
 
 def analyze_revision(
     revisions: list[tuple[str, list[Execution]]], config: AnalysisConfig, with_rows: bool,
+    setup: "Callable[[], object] | None" = None,
 ) -> tuple[list[RevisionDataset], str]:
     """Analyze every execution that scan_revision_dir found in each named
     revision directory, in its (test_name, sample_index) order.  The
-    executions of all revisions share one fan-out over the CPUs
-    (_analyze_executions).  Returns each revision's dataset, and the
-    methods.csv text below the header of every revision's rows, empty
-    unless ``with_rows``.  rU is left NaN: the caller sets it with
-    normalize_ruapi over the tests it compares."""
+    executions of all revisions share one fan-out over the CPUs, during
+    which the parent may run ``setup`` (_analyze_executions).  Returns
+    each revision's dataset, and the methods.csv text below the header of
+    every revision's rows, empty unless ``with_rows``.  rU is left NaN:
+    the caller sets it with normalize_ruapi over the tests it compares."""
     records, methods_csv = _analyze_executions(
         [execution for _, executions in revisions for execution in executions],
-        config, with_rows,
+        config, with_rows, setup,
     )
     analyzed = iter(records)
     return [

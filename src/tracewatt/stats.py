@@ -6,8 +6,12 @@ group sizes) post-hoc tests.
 The studentized range CDF integrates the normal range CDF R(w; k) over the
 density of the sample standard deviation (Copenhaver & Holland, 1988).  R
 is read from a piecewise Chebyshev table kept per k for the process, so
-the pairs of one Tukey family share one table, and each piece is built on
-its first read; ``ptukey`` says where the integral is skipped.
+the pairs of one Tukey family share one table.  Each piece is built on
+its first read, or all of them at once by ``build_range_cdf_table``,
+which ``evolve`` runs on a CPU its analysis leaves idle.  The outer
+integral's nodes and density weights are kept per interval, panel count
+and df, so the pairs of a family whose q puts no split inside the s
+range share them too; ``ptukey`` says where the integral is skipped.
 
 Everything here is pure and reentrant; no external numeric libraries.
 """
@@ -245,18 +249,39 @@ def _range_cdf_table(k: int) -> tuple[float, float, int, list]:
     return top, top / _CHEB_PIECES, k, [None] * _CHEB_PIECES
 
 
+@lru_cache(maxsize=None)
+def _cheb_basis() -> tuple[tuple[float, ...], tuple[tuple[float, tuple[float, ...]], ...]]:
+    """cos(a) at the _CHEB_NODES Chebyshev angles a, and per order m,
+    highest first, the scale (2 - [m = 0]) / n with the row cos(m a)."""
+    n = _CHEB_NODES
+    angles = [math.pi * (j + 0.5) / n for j in range(n)]
+    return tuple(math.cos(a) for a in angles), tuple(
+        ((2.0 - (m == 0)) / n, tuple(math.cos(m * a) for a in angles))
+        for m in reversed(range(n))
+    )
+
+
 def _range_cdf_piece(table: tuple, p: int) -> tuple[float, ...]:
     """Build and store piece ``p`` of ``table``: the coefficients, highest
     order first, of R's interpolant at the piece's Chebyshev points."""
     _, h, k, pieces = table
-    n = _CHEB_NODES
-    angles = [math.pi * (j + 0.5) / n for j in range(n)]
-    f = _range_cdf([(p + 0.5 + 0.5 * math.cos(a)) * h for a in angles], k, _RANGE_PANELS)
+    cosines, rows = _cheb_basis()
+    f = _range_cdf([(p + 0.5 + 0.5 * c) * h for c in cosines], k, _RANGE_PANELS)
     pieces[p] = tuple(
-        (2.0 - (m == 0)) / n * float_sum(v * math.cos(m * a) for v, a in zip(f, angles))
-        for m in reversed(range(n))
+        scale * float_sum(v * c for v, c in zip(f, row)) for scale, row in rows
     )
     return pieces[p]
+
+
+def build_range_cdf_table(k: int) -> None:
+    """Build now every piece of the range CDF table that ``ptukey`` reads
+    for k groups, each as its first read would: for k >= 3 only, as
+    k = 2 has the exact t formula."""
+    if k >= 3:
+        table = _range_cdf_table(k)
+        for p, piece in enumerate(table[3]):
+            if piece is None:
+                _range_cdf_piece(table, p)
 
 
 def _range_cdf_at(w: float, table: tuple) -> float:
@@ -286,12 +311,12 @@ def ptukey(q: float, k: int, df: float) -> float:
     integral of R(q s; k), the normal range CDF, over the scaled chi density
     of the sample standard deviation s (Copenhaver & Holland, 1988).  R is
     read from a piecewise Chebyshev table kept per k, each piece built on
-    its first read, which reads exactly 1.0 past its top W_k; the s axis
-    is split at W_k / q, so that a rise of R at small s, as at large q and
-    small df, lies in a part of its own.  The outer Gauss-Legendre panels double until two levels
-    agree within PTUKEY_OUTER_ABS_TOL, and the finer level is returned;
-    ConvergenceError is raised if that takes more than PTUKEY_MAX_DOUBLINGS
-    doublings.  Above PTUKEY_LARGE_DF the result is R(q; k).
+    its first read or by build_range_cdf_table, which reads exactly 1.0
+    past its top W_k; the s axis is split at W_k / q, so that a rise of R
+    at small s, as at large q and small df, lies in a part of its own.
+    The outer Gauss-Legendre panels double until two levels agree within
+    PTUKEY_OUTER_ABS_TOL, and the finer level is returned; ConvergenceError
+    is raised if that takes more than PTUKEY_MAX_DOUBLINGS doublings.  Above PTUKEY_LARGE_DF the result is R(q; k).
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
@@ -335,14 +360,27 @@ def _two_group_cdf(q: float, df: float) -> float:
     return 1.0 - regularized_incomplete_beta(0.5 * df, 0.5, df / (df + 0.5 * q * q))
 
 
-def _ptukey_outer(q: float, k: int, df: float, panels: int) -> float:
-    # outer integrand: density of s = sqrt(chi2_df / df), which is
-    # c * s^(df-1) * exp(-df s^2 / 2), times the conditional range CDF
+@lru_cache(maxsize=64)  # a family's q's that split [lo, hi] add an entry each
+def _outer_nodes(a: float, b: float, panels: int, df: float) -> tuple[tuple[float, float], ...]:
+    """(s, weight times density) per node of the outer integral on [a, b]:
+    the density of s = sqrt(chi2_df / df), c * s^(df-1) * exp(-df s^2 / 2).
+    Nodes where its log is below -50 are left out: together they add less
+    than 1e-20, and R needs no read there."""
     ln_const = (
         0.5 * df * math.log(df)
         - math.lgamma(0.5 * df)
         - (0.5 * df - 1.0) * math.log(2.0)
     )
+    nodes = []
+    for s, w in _panel_nodes(a, b, panels):
+        ln_density = ln_const + (df - 1.0) * math.log(s) - 0.5 * df * s * s
+        if ln_density >= -50.0:
+            nodes.append((s, w * math.exp(ln_density)))
+    return tuple(nodes)
+
+
+def _ptukey_outer(q: float, k: int, df: float, panels: int) -> float:
+    # outer integrand: density of s times the conditional range CDF
     sd = 1.0 / math.sqrt(2.0 * df)
     lo = max(0.0, 1.0 - 12.0 * sd - 1.5 / df)
     hi = 1.0 + 12.0 * sd + 4.0 / math.sqrt(df) + 3.0 / df
@@ -351,12 +389,8 @@ def _ptukey_outer(q: float, k: int, df: float, panels: int) -> float:
     edges = (lo, split, hi) if lo < split < hi else (lo, hi)
     total = 0.0
     for a, b in zip(edges, edges[1:]):
-        for s, w in _panel_nodes(a, b, panels):
-            ln_density = ln_const + (df - 1.0) * math.log(s) - 0.5 * df * s * s
-            # together such nodes add less than 1e-20, and R needs no read
-            if ln_density < -50.0:
-                continue
-            total += w * math.exp(ln_density) * _range_cdf_at(q * s, table)
+        for s, wd in _outer_nodes(a, b, panels, df):
+            total += wd * _range_cdf_at(q * s, table)
     return min(1.0, total)
 
 

@@ -600,17 +600,34 @@ def _rerun_note(chunk: list, why: str) -> str:
     )
 
 
+def _input_bytes(target: Path) -> int:
+    """The bytes of the traces and power files under ``target``."""
+    return sum(f.stat().st_size for f in target.rglob("*") if f.suffix in (".trace", ".power"))
+
+
 def _paying_for(monkeypatch, target: Path, processes: int) -> list[int]:
     """Show 3 CPUs and set the cost of a process so that the input under
     ``target``, at least one cost, pays for ``processes`` of them, 1 or 2.
     Returns the pids forked, as _on_cpus does."""
     forks = _on_cpus(monkeypatch, 3)
-    size = sum(f.stat().st_size for f in target.rglob("*") if f.suffix in (".trace", ".power"))
+    size = _input_bytes(target)
     cost = size * 2 // 3 if processes == 1 else size // 3
     monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
     return forks
 
 
+@pytest.fixture
+def keeps_the_real_mask():
+    """Whatever a test shows or breaks, each fan-out puts back the real
+    affinity mask it pinned this process from."""
+    before = real_getaffinity(0)
+    yield
+    after = real_getaffinity(0)
+    real_setaffinity(0, before)  # so that one failure narrows no later test
+    assert after == before
+
+
+@pytest.mark.usefixtures("keeps_the_real_mask")
 class TestFanOut:
     """analyze and evolve fan their executions out over the CPUs the
     process may run on (never more than 3 here) and must write the bytes,
@@ -619,16 +636,6 @@ class TestFanOut:
     @staticmethod
     def target(fixture_dir: Path, command: str) -> Path:
         return fixture_dir / "1.0" if command == "analyze" else fixture_dir
-
-    @pytest.fixture(autouse=True)
-    def keeps_the_real_mask(self):
-        """Whatever a test shows or breaks, each fan-out puts back the real
-        affinity mask it pinned this process from."""
-        before = real_getaffinity(0)
-        yield
-        after = real_getaffinity(0)
-        real_setaffinity(0, before)  # so that one failure narrows no later test
-        assert after == before
 
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
     def test_outputs_match_one_cpu_byte_for_byte(
@@ -659,13 +666,13 @@ class TestFanOut:
         assert trees[None] == trees[1] == trees[2] == trees[3]
 
     @pytest.mark.parametrize("processes", [1, 2])
-    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    @pytest.mark.parametrize("command", ["analyze"])  # evolve: TestSetUpBesideChildren
     def test_the_parent_keeps_chunk_0_with_cpus_to_spare(
         self, fixture_dir, tmp_path, monkeypatch, capsys, command, processes
     ):
         """Input that pays for fewer processes than there are CPUs still
-        has its first chunk analyzed in the parent: one process forks no
-        child, whichever the command."""
+        has its first chunk analyzed in analyze's parent, which has no
+        set-up to run beside its children: one process forks no child."""
         target = self.target(fixture_dir, command)
         _on_cpus(monkeypatch, 1)
         assert cli.main([command, str(target), "--out", str(tmp_path / "one")]) == 0
@@ -1046,6 +1053,8 @@ class TestFanOut:
         forks = _on_cpus(monkeypatch, {"no-affinity": None, "one-cpu": 1}.get(case, 3))
         if case == "one-process":
             _paying_for(monkeypatch, target, 1)
+        if case == "one-process" and command == "evolve":  # from one cost, a child sets up
+            monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", _input_bytes(target) + 1)
         if case == "traced":
             parse_trace = ingest.parse_trace
             monkeypatch.setattr(ingest, "parse_trace", lambda data: parse_trace(data))
@@ -1053,6 +1062,229 @@ class TestFanOut:
         monkeypatch.setattr(os, "sched_setaffinity", lambda *args: pinned.append(args))
         assert cli.main([command, str(target), "--out", str(tmp_path / "out")]) == 0
         assert forks == pinned == []
+
+
+@pytest.mark.usefixtures("keeps_the_real_mask")
+class TestSetUpBesideChildren:
+    """Where evolve's input pays for a fork and its fan-out leaves a CPU
+    idle, children analyze every chunk while the parent loads the
+    statistics and builds their Tukey table on that CPU; outputs, exit
+    codes and error lines stay those of a run on one CPU."""
+
+    @pytest.fixture
+    def root(self, fixture_dir):
+        """The fixture with a third revision, a copy of the second, so
+        that evolve's Tukey families read the range CDF table (k >= 3)."""
+        shutil.copytree(fixture_dir / "1.1", fixture_dir / "1.2")
+        return fixture_dir
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """Log, in this process only, each pin asked for, each set-up with
+        its k and the table pieces it built, each compare call and each
+        execution analyzed here rather than in a child.  The table starts
+        cold."""
+        calls, built = [], []
+        parent = os.getpid()
+        setaffinity, prepare, compare, analyze_execution, build_piece = (
+            os.sched_setaffinity, cli._prepare_compare, evolution.compare,
+            ingest.analyze_execution, stats._range_cdf_piece,
+        )
+
+        def pinned(pid, cpus):
+            if os.getpid() == parent:
+                calls.append(("pin", set(cpus)))
+            setaffinity(pid, cpus)
+
+        def prepared(k):
+            before = len(built)
+            prepare(k)
+            calls.append(("setup", k, len(built) - before))
+
+        def analyzed(*args):
+            if os.getpid() == parent:
+                calls.append(("analyze",))
+            return analyze_execution(*args)
+
+        monkeypatch.setattr(os, "sched_setaffinity", pinned)
+        monkeypatch.setattr(cli, "_prepare_compare", prepared)
+        monkeypatch.setattr(
+            evolution, "compare", lambda *args: calls.append(("compare",)) or compare(*args)
+        )
+        monkeypatch.setattr(ingest, "analyze_execution", analyzed)
+        monkeypatch.setattr(
+            stats, "_range_cdf_piece", lambda *args: built.append(args[1]) or build_piece(*args)
+        )
+        stats._range_cdf_table.cache_clear()
+        return calls
+
+    @staticmethod
+    def one_cpu_run(monkeypatch, root: Path, out: Path) -> int:
+        """evolve's exit code on one CPU, its outputs under ``out``."""
+        _on_cpus(monkeypatch, 1)
+        return cli.main(["evolve", str(root), "--out", str(out)])
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_children_analyze_every_chunk_while_the_parent_sets_up(
+        self, root, tmp_path, monkeypatch, capsys, processes
+    ):
+        """Child i takes chunk i; the parent pins itself to the first CPU
+        no child has, CPU ``processes`` of 0..2, sets up there, puts its
+        mask back, and compares with every piece of the table built."""
+        assert self.one_cpu_run(monkeypatch, root, tmp_path / "one") == 0
+        forks = _paying_for(monkeypatch, root, processes)
+        calls = self.spy(monkeypatch)
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        assert len(forks) == processes
+        assert calls == [
+            ("pin", {processes}), ("setup", 3, stats._CHEB_PIECES), ("pin", {0, 1, 2}),
+            ("compare",),
+        ]
+        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == ""
+
+    def test_the_set_up_and_every_chunk_run_on_cpus_of_their_own(self, root, monkeypatch):
+        """On this process's real mask, with input that pays for one
+        process fewer than its CPUs: chunk i runs in a child on the i-th
+        CPU, and the set-up in the parent on the n-th."""
+        cpus, forks = _on_real_cpus(monkeypatch)
+        [executions] = _chunks(root, 1)
+        most = min(len(cpus), len(executions))
+        size = sum(os.stat(path).st_size for e in executions for path in e[2:])
+        monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", size // (most * (most - 1)) + 1)
+        n = ingest._process_count(executions)
+        parent = os.getpid()
+        analyze_chunk = ingest._analyze_chunk
+
+        def reporting(*args):
+            records, text = analyze_chunk(*args)
+            return records, text + f"{os.getpid() != parent} {sorted(os.sched_getaffinity(0))}\n"
+
+        monkeypatch.setattr(ingest, "_analyze_chunk", reporting)
+        set_up_on = []
+        _, text = ingest._analyze_executions(
+            executions, AnalysisConfig(), False,
+            lambda: set_up_on.append(sorted(os.sched_getaffinity(0))),
+        )
+        _assert_no_child_left()
+        assert n == most - 1 and len(forks) == n
+        assert text.splitlines() == [f"True {[cpu]}" for cpu in cpus[:n]]
+        assert set_up_on == [[cpus[n]]]
+        assert os.sched_getaffinity(0) == set(cpus)
+
+    @pytest.mark.parametrize("case", ["under-one-cost", "traced", "n-equals-the-cpus"])
+    def test_the_parent_keeps_chunk_0_where_no_cpu_idles_or_no_fork_pays(
+        self, root, tmp_path, monkeypatch, case
+    ):
+        """No set-up beside the children: the parent analyzes chunk 0 as
+        analyze does, and compare builds the table's pieces on first read."""
+        assert self.one_cpu_run(monkeypatch, root, tmp_path / "one") == 0
+        forks = _on_cpus(monkeypatch, 3)  # input of any size pays for 3 processes
+        if case != "n-equals-the-cpus":
+            _paying_for(monkeypatch, root, 1)  # 1.5 costs: a CPU would idle
+        if case == "under-one-cost":
+            monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", _input_bytes(root) + 1)
+        if case == "traced":  # a spy that sees only this process's calls
+            parse_trace = ingest.parse_trace
+            monkeypatch.setattr(ingest, "parse_trace", lambda data: parse_trace(data))
+        calls = self.spy(monkeypatch)
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        n = 3 if case == "n-equals-the-cpus" else 1
+        assert len(forks) == n - 1
+        analyzed = [("analyze",)] * len(_chunks(root, n)[0])
+        if n > 1:
+            analyzed = [("pin", {0}), *analyzed, ("pin", {0, 1, 2})]
+        assert calls == analyzed + [("compare",)]
+        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_a_corrupt_trace_in_chunk_0_fails_as_on_one_cpu(
+        self, root, tmp_path, monkeypatch, capsys, processes
+    ):
+        """The child of chunk 0 sends nothing; the parent sets up, reaps
+        every child and runs chunk 0 again, which raises the first error in
+        scan order with its sequential line."""
+        victim = _corrupt_trace(root / "1.0", 0)
+        assert self.one_cpu_run(monkeypatch, root, tmp_path / "one") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: line 3: ") and err.count("\n") == 1
+        forks = _paying_for(monkeypatch, root, processes)
+        calls = self.spy(monkeypatch)
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "out")]) == 3
+        _assert_no_child_left()
+        assert len(forks) == processes
+        assert capsys.readouterr().err == err
+        assert calls == [
+            ("pin", {processes}), ("setup", 3, stats._CHEB_PIECES), ("pin", {0, 1, 2}),
+            ("analyze",),
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_an_interrupt_in_the_set_up_kills_every_child_and_restores_the_mask(
+        self, root, tmp_path, monkeypatch, processes
+    ):
+        forks = _paying_for(monkeypatch, root, processes)
+        calls = self.spy(monkeypatch)
+        parent = os.getpid()
+        analyze_execution = ingest.analyze_execution
+
+        def stuck_in_children(*args):
+            if os.getpid() != parent:  # killed, or the run takes two minutes
+                time.sleep(120)
+                os._exit(1)
+            return analyze_execution(*args)
+
+        def interrupted(k):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "analyze_execution", stuck_in_children)
+        monkeypatch.setattr(cli, "_prepare_compare", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["evolve", str(root), "--out", str(tmp_path / "out")])
+        assert time.monotonic() - started < 60
+        _assert_no_child_left()
+        assert len(forks) == processes
+        assert calls == [("pin", {processes}), ("pin", {0, 1, 2})]
+        assert not (tmp_path / "out").exists()
+
+    def test_every_fork_failing_gives_the_outputs_of_one_cpu(
+        self, root, tmp_path, monkeypatch, capsys
+    ):
+        assert self.one_cpu_run(monkeypatch, root, tmp_path / "one") == 0
+        _paying_for(monkeypatch, root, 1)
+        calls = self.spy(monkeypatch)
+
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        capsys.readouterr()
+        assert cli.main(["evolve", str(root), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        [chunk] = _chunks(root, 1)
+        assert calls == [
+            ("pin", {1}), ("setup", 3, stats._CHEB_PIECES), ("pin", {0, 1, 2}),
+            *[("analyze",)] * len(chunk), ("compare",),
+        ]
+        assert _output_tree(tmp_path / "out") == _output_tree(tmp_path / "one")
+        assert capsys.readouterr().err == _rerun_note(
+            chunk, "no child started: [Errno 11] Resource temporarily unavailable"
+        )
+
+    def test_evolve_over_two_revisions_builds_no_table(self, fixture_dir, tmp_path, monkeypatch):
+        """Two groups take the exact t formula, so the set-up builds no
+        piece and compare reads none."""
+        forks = _paying_for(monkeypatch, fixture_dir, 1)
+        calls = self.spy(monkeypatch)
+        assert cli.main(["evolve", str(fixture_dir), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        assert len(forks) == 1
+        assert calls == [("pin", {1}), ("setup", 2, 0), ("pin", {0, 1, 2}), ("compare",)]
+        assert stats._range_cdf_table.cache_info().currsize == 0
 
 
 class TestProcessCount:

@@ -140,14 +140,14 @@ def test_outputs_match_golden_digests(tmp_path):
 
 
 @contextlib.contextmanager
-def _on_three_cpus(monkeypatch, cost: int):
-    """Show three CPUs with ``cost`` bytes paying for a process, and give
-    the list each fork appends its child's pid to.  Every process of a
-    fan-out pins itself to its own CPU of the three; afterwards this
+def _on_cpus(monkeypatch, cpus: int, cost: int):
+    """Show ``cpus`` CPUs with ``cost`` bytes paying for a process, and
+    give the list each fork appends its child's pid to.  Every process of
+    a fan-out pins itself to its own CPU of those; afterwards this
     process's real affinity mask must be as it was."""
     real = real_getaffinity(0)
     monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", cost)
-    show_cpus(monkeypatch, {0, 1, 2})
+    show_cpus(monkeypatch, set(range(cpus)))
     forks = []
     real_fork = os.fork
 
@@ -163,9 +163,10 @@ def _on_three_cpus(monkeypatch, cost: int):
 
 
 def test_outputs_fanned_out_over_three_processes_match_golden_digests(tmp_path, monkeypatch):
-    """At the real cost the fixture pays for one process, so the case
-    above forks nothing; here any input pays for one process per CPU."""
-    with _on_three_cpus(monkeypatch, 1) as forks:
+    """At the real cost the fixture pays for one process, so in the case
+    above analyze forks nothing and evolve at most one child, for its only
+    chunk; here any input pays for one process per CPU."""
+    with _on_cpus(monkeypatch, 3, 1) as forks:
         lines = golden_digests(tmp_path)
     assert lines == DIGEST_FILE.read_text().splitlines()
     assert len(forks) == 2 * 3  # two per run, but the one-execution multi-root analyze
@@ -175,10 +176,21 @@ def test_outputs_of_evolve_set_up_beside_its_children_match_golden_digests(
     tmp_path, monkeypatch
 ):
     """At 100 KiB a process, evolve's input (about 322 KB) pays for two
-    processes of three CPUs: each evolve run analyzes chunk 0 in the
-    parent beside the one child that analyzes chunk 1.  analyze forks
-    nothing: one revision (about 107 KB) keeps to one process."""
-    with _on_three_cpus(monkeypatch, 100 * 1024) as forks:
+    processes of three CPUs, which leaves one idle: each evolve run forks
+    two children for chunks 0 and 1 and sets up its statistics in the
+    parent meanwhile.  analyze has no set-up: one revision (about 107 KB)
+    keeps to one process."""
+    with _on_cpus(monkeypatch, 3, 100 * 1024) as forks:
+        lines = golden_digests(tmp_path)
+    assert lines == DIGEST_FILE.read_text().splitlines()
+    assert len(forks) == 2 * 2
+
+
+def test_outputs_at_the_real_cost_on_two_cpus_match_golden_digests(tmp_path, monkeypatch):
+    """The benchmark's shape: at the real cost evolve's input pays for one
+    process of two CPUs, so each evolve run forks one child for its only
+    chunk and sets up in the parent on the other CPU."""
+    with _on_cpus(monkeypatch, 2, ingest._PROCESS_COST_BYTES) as forks:
         lines = golden_digests(tmp_path)
     assert lines == DIGEST_FILE.read_text().splitlines()
     assert len(forks) == 2 * 1

@@ -276,6 +276,28 @@ def _eager_range_cdf_table(k):
     return top, h, tuple(pieces)
 
 
+def _summed_outer(q, k, df, panels):
+    """The outer integral summed node by node, each density weight formed
+    where it is used, as stats summed it before it kept its nodes."""
+    ln_const = (
+        0.5 * df * math.log(df) - math.lgamma(0.5 * df) - (0.5 * df - 1.0) * math.log(2.0)
+    )
+    sd = 1.0 / math.sqrt(2.0 * df)
+    lo = max(0.0, 1.0 - 12.0 * sd - 1.5 / df)
+    hi = 1.0 + 12.0 * sd + 4.0 / math.sqrt(df) + 3.0 / df
+    table = stats._range_cdf_table(k)
+    split = table[0] / q
+    edges = (lo, split, hi) if lo < split < hi else (lo, hi)
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        for s, w in stats._panel_nodes(a, b, panels):
+            ln_density = ln_const + (df - 1.0) * math.log(s) - 0.5 * df * s * s
+            if ln_density < -50.0:
+                continue
+            total += w * math.exp(ln_density) * stats._range_cdf_at(q * s, table)
+    return min(1.0, total)
+
+
 class TestPtukey:
     def test_zero_and_infinite_q(self):
         assert ptukey(0.0, 4, 10) == 0.0
@@ -342,17 +364,22 @@ class TestPtukey:
         finer = stats._range_cdf(ws, k, 2 * stats._RANGE_PANELS)
         assert max(abs(stats._range_cdf_at(w, table) - r) for w, r in zip(ws, finer)) <= 1e-13
 
-    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled", "build_range_cdf_table"])
     @pytest.mark.parametrize("k", [3, 6, 8, 30])
     def test_pieces_built_on_first_read_match_the_table_built_at_once(self, k, order):
+        """Built on first read in either order, or all at once by evolve's
+        set-up, every piece has the same coefficients."""
         stats._range_cdf_table.cache_clear()
+        stats._cheb_basis.cache_clear()
         table = stats._range_cdf_table(k)
         top, h, _, pieces = table
         assert pieces == [None] * stats._CHEB_PIECES
+        if order == "build_range_cdf_table":
+            stats.build_range_cdf_table(k)
         first_reads = list(reversed(range(stats._CHEB_PIECES)))
         if order == "shuffled":
             random.Random(k).shuffle(first_reads)
-        for p in first_reads:
+        for p in first_reads if order != "build_range_cdf_table" else ():
             assert pieces[p] is None
             stats._range_cdf_at((p + 0.5) * h, table)
         eager_top, eager_h, eager_pieces = _eager_range_cdf_table(k)
@@ -360,6 +387,53 @@ class TestPtukey:
         assert [[c.hex() for c in piece] for piece in pieces] == [
             [c.hex() for c in piece] for piece in eager_pieces
         ]
+
+    def test_build_range_cdf_table_builds_each_piece_ptukey_reads_once(self, monkeypatch):
+        built = []
+        build = stats._range_cdf_piece
+
+        def counted(table, p):
+            built.append((table[2], p))
+            return build(table, p)
+
+        monkeypatch.setattr(stats, "_range_cdf_piece", counted)
+        stats._range_cdf_table.cache_clear()
+        stats.build_range_cdf_table(2)  # two groups use the exact t formula: no table
+        assert built == []
+        stats.build_range_cdf_table(5)
+        assert built == [(5, p) for p in range(stats._CHEB_PIECES)]
+        stats.build_range_cdf_table(5)
+        for q in (0.5, 2.0, 3.5, 5.0):
+            ptukey(q, 5, 20)
+        assert len(built) == stats._CHEB_PIECES
+
+    @pytest.mark.parametrize("k, df", [(3, 5), (8, 88), (30, 10)])
+    def test_outer_integral_keeps_its_bits_with_warm_and_cleared_caches(self, k, df):
+        """The outer nodes and the Chebyshev basis are kept per process;
+        a warm read gives the bits of a cold one, and both the bits of the
+        integral summed node by node as before either was kept, over q
+        whose s range is split at W_k / q and q whose range is not."""
+        caches = (stats._outer_nodes, stats._cheb_basis, stats._range_cdf_table)
+        top = stats._range_cdf_table(k)[0]
+        sd = 1.0 / math.sqrt(2.0 * df)
+        lo = max(0.0, 1.0 - 12.0 * sd - 1.5 / df)
+        hi = 1.0 + 12.0 * sd + 4.0 / math.sqrt(df) + 3.0 / df
+        qs = [top / hi * f for f in (0.3, 0.9)] + [top / s for s in (1.0, 0.5 * (lo + hi))]
+        assert {lo < top / q < hi for q in qs} == {False, True}
+        for cache in caches:
+            cache.cache_clear()
+        cold = []
+        for q in qs:
+            for cache in caches:
+                cache.cache_clear()
+            cold.append(ptukey(q, k, df).hex())
+        assert any(0.0 < float.fromhex(p) < 1.0 for p in cold)
+        assert [ptukey(q, k, df).hex() for q in qs] == cold
+        for q in qs:
+            for panels in (2, 4, 8):
+                assert stats._ptukey_outer(q, k, df, panels).hex() == _summed_outer(
+                    q, k, df, panels
+                ).hex()
 
     def test_table_reads_one_past_its_top(self):
         for k in (2, 3, 8, 30):
