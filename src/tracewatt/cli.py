@@ -13,21 +13,9 @@ when the command takes that flag; flags win):
     --out DIR       output directory (analyze, evolve, report)
 
 analyze and evolve spread their executions over the CPUs the process
-may run on, as many as the input's size pays for: one forked child per
-chunk but the first, results merged in scan order, so outputs, exit
-codes and error lines are those of a run on one CPU (``taskset -c 0``,
-a small input, or a platform without fork runs no child).  Where that
-leaves a CPU idle, with input of at least one process's cost, evolve
-hands the first chunk to a child too, and meanwhile loads the
-statistics and builds their Tukey table on that CPU
-(``_prepare_compare``); else the table's pieces are built on first read.
-Each process pins itself to its own CPU of the affinity mask, and the
-parent puts its mask back once its own chunk or set-up is done: where
-the cpuset leaves load balancing off, the kernel would keep every child
-on its parent's CPU.  A chunk the parent reruns for a child that sent
-nothing gets one ``note:`` line on stderr.  Each chunk's process forms
-its own methods.csv text; analyze writes the header, then those texts
-in chunk order.
+may run on, with the outputs, exit codes and error lines of a run on one
+CPU; README.md states the fan-out's rules and their reasons, and
+``ingest._analyze_executions`` follows them.
 
 Importing this module registers ``gc.freeze`` to run at exit, so the
 interpreter's finalization leaves the heap to the OS instead of walking

@@ -81,25 +81,9 @@ class ExecutionRecord(NamedTuple):
     ruapi: float
 
 
-class _DatasetFields(NamedTuple):
+class RevisionDataset(NamedTuple):
     revision: str
     records: tuple[ExecutionRecord, ...]
-
-
-class RevisionDataset(_DatasetFields):
-    __slots__ = ()
-
-    def __new__(cls, revision: str, records: tuple[ExecutionRecord, ...]):
-        self = super().__new__(cls, revision, records)
-        seen = set()
-        for r in self.records:
-            key = (r.test_name, r.sample_index)
-            if key in seen:
-                raise ValueError(
-                    f"revision {self.revision}: duplicate record for {key}"
-                )
-            seen.add(key)
-        return self
 
     def test_names(self) -> set[str]:
         return {r.test_name for r in self.records}
@@ -335,15 +319,13 @@ def _send_chunk(
 # it ends in os._exit and its share of the machine.  n processes take
 # about (n - 1) * cost + work / n, so the n-th pays off while n * (n - 1)
 # of these fit in the input.  On a 2-vCPU VM, with each process pinned to
-# its own CPU, a second process cut the benchmark's calibrated wall by
-# 28 % on 1.4 MB of input (analyze, 4 executions) and by 24 % on 1.9 MB
-# (evolve, 984 executions).  At 96 KiB, 385 KB (evolve, 96 executions)
-# would pay for a second process too, and its fresh-process wall rose
-# from 118 to 145 ms (median of 20 pairs, faster in 8).  Where fewer
-# processes than CPUs leave one idle, one cost of input also pays for a
-# child to take chunk 0, so that the parent sets up on that CPU meanwhile
-# (_analyze_executions): below it, a 62 KB evolve of 3 revisions rose
-# from 76.8 to 86.2 ms that way (faster in 2 of 20 pairs).
+# its own CPU: at 96 KiB, 385 KB (evolve, 96 executions) would pay for a
+# second process too, and its fresh-process wall rose from 118 to 145 ms
+# (median of 20 pairs, faster in 8).  Where fewer processes than CPUs
+# leave one idle, one cost of input also pays for a child to take chunk 0,
+# so that the parent sets up on that CPU meanwhile (_analyze_executions):
+# below it, a 62 KB evolve of 3 revisions rose from 76.8 to 86.2 ms that
+# way (faster in 2 of 20 pairs).
 _PROCESS_COST_BYTES = 192 * 1024
 
 # The layer functions analyze_execution calls through this module's names,
@@ -356,7 +338,7 @@ _LAYERS = {
 }
 
 
-def _sized_process_count(executions: list[Execution]) -> tuple[int, list[int], int]:
+def _process_count(executions: list[Execution]) -> tuple[int, list[int], int]:
     """How many processes analyze ``executions``: at most one per CPU this
     process may run on and one per execution, and no more than the input's
     size pays for.  Each then runs on a CPU of its own, pinned there, as
@@ -385,11 +367,6 @@ def _sized_process_count(executions: list[Execution]) -> tuple[int, list[int], i
     while n < most and (n + 1) * n * _PROCESS_COST_BYTES <= size:
         n += 1
     return n, cpus, size
-
-
-def _process_count(executions: list[Execution]) -> int:
-    """How many processes analyze ``executions`` (_sized_process_count)."""
-    return _sized_process_count(executions)[0]
 
 
 def _reap(pid: int) -> str:
@@ -433,7 +410,7 @@ def _analyze_executions(
     parent's CPU: on a 2-vCPU VM so, two CPU-bound forked processes took
     258-464 ms unpinned and 246-263 ms pinned, one alone 178-261 ms.
     """
-    n, cpus, size = _sized_process_count(executions)
+    n, cpus, size = _process_count(executions)
     # the first chunk a child takes: 0 where the parent sets up on a CPU no
     # child needs, once the input pays for a fork; a traced run sizes nothing
     first = 0 if setup is not None and n < len(cpus) and size >= _PROCESS_COST_BYTES else 1

@@ -7,11 +7,11 @@ The studentized range CDF integrates the normal range CDF R(w; k) over the
 density of the sample standard deviation (Copenhaver & Holland, 1988).  R
 is read from a piecewise Chebyshev table kept per k for the process, so
 the pairs of one Tukey family share one table.  Each piece is built on
-its first read, or all of them at once by ``build_range_cdf_table``,
-which ``evolve`` runs on a CPU its analysis leaves idle.  The outer
-integral's nodes and density weights are kept per interval, panel count
-and df, so the pairs of a family whose q puts no split inside the s
-range share them too; ``ptukey`` says where the integral is skipped.
+its first read, or all of them at once by ``build_range_cdf_table``.
+The outer integral's nodes and density weights are kept per interval,
+panel count and df, so the pairs of a family whose q puts no split
+inside the s range share them too; ``ptukey`` says where the integral is
+skipped.
 
 Everything here is pure and reentrant; no external numeric libraries.
 """
@@ -45,10 +45,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class ConvergenceError(ArithmeticError):
     """An iterative evaluation failed to reach its tolerance."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(f"{message} after {iterations} iterations")
-        self.iterations = iterations
 
 
 class AnovaResult(NamedTuple):
@@ -134,8 +130,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge for "
-        f"a={a}, b={b}, x={x}",
-        BETA_CF_MAX_ITER,
+        f"a={a}, b={b}, x={x} after {BETA_CF_MAX_ITER} iterations"
     )
 
 
@@ -249,26 +244,16 @@ def _range_cdf_table(k: int) -> tuple[float, float, int, list]:
     return top, top / _CHEB_PIECES, k, [None] * _CHEB_PIECES
 
 
-@lru_cache(maxsize=None)
-def _cheb_basis() -> tuple[tuple[float, ...], tuple[tuple[float, tuple[float, ...]], ...]]:
-    """cos(a) at the _CHEB_NODES Chebyshev angles a, and per order m,
-    highest first, the scale (2 - [m = 0]) / n with the row cos(m a)."""
-    n = _CHEB_NODES
-    angles = [math.pi * (j + 0.5) / n for j in range(n)]
-    return tuple(math.cos(a) for a in angles), tuple(
-        ((2.0 - (m == 0)) / n, tuple(math.cos(m * a) for a in angles))
-        for m in reversed(range(n))
-    )
-
-
 def _range_cdf_piece(table: tuple, p: int) -> tuple[float, ...]:
     """Build and store piece ``p`` of ``table``: the coefficients, highest
     order first, of R's interpolant at the piece's Chebyshev points."""
     _, h, k, pieces = table
-    cosines, rows = _cheb_basis()
-    f = _range_cdf([(p + 0.5 + 0.5 * c) * h for c in cosines], k, _RANGE_PANELS)
+    n = _CHEB_NODES
+    angles = [math.pi * (j + 0.5) / n for j in range(n)]
+    f = _range_cdf([(p + 0.5 + 0.5 * math.cos(a)) * h for a in angles], k, _RANGE_PANELS)
     pieces[p] = tuple(
-        scale * float_sum(v * c for v, c in zip(f, row)) for scale, row in rows
+        (2.0 - (m == 0)) / n * float_sum(v * math.cos(m * a) for v, a in zip(f, angles))
+        for m in reversed(range(n))
     )
     return pieces[p]
 
@@ -316,7 +301,8 @@ def ptukey(q: float, k: int, df: float) -> float:
     at small s, as at large q and small df, lies in a part of its own.
     The outer Gauss-Legendre panels double until two levels agree within
     PTUKEY_OUTER_ABS_TOL, and the finer level is returned; ConvergenceError
-    is raised if that takes more than PTUKEY_MAX_DOUBLINGS doublings.  Above PTUKEY_LARGE_DF the result is R(q; k).
+    is raised if that takes more than PTUKEY_MAX_DOUBLINGS doublings.
+    Above PTUKEY_LARGE_DF the result is R(q; k).
     """
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
@@ -350,8 +336,8 @@ def ptukey(q: float, k: int, df: float) -> float:
             return current
         previous = current
     raise ConvergenceError(
-        f"studentized range quadrature did not stabilize for q={q}, k={k}, df={df}",
-        PTUKEY_MAX_DOUBLINGS + 1,
+        f"studentized range quadrature did not stabilize for q={q}, k={k}, df={df} "
+        f"after {PTUKEY_MAX_DOUBLINGS + 1} iterations"
     )
 
 

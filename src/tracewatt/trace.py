@@ -9,7 +9,9 @@ A trace file is UTF-8 text with LF line endings:
 ``E`` marks a method entry, ``X`` the matching exit.  Timestamps are
 nanoseconds relative to test start.  Threads, timestamps and the sample
 index are unsigned decimal integers ``0|[1-9][0-9]*``, so parse-then-write
-keeps their bytes.  Lines starting with ``#`` after the header are
+keeps their bytes.  A timestamp has at most 19 digits, so it fits any
+signed 64-bit nanosecond clock and converts to a float; a longer one is
+an error on its line.  Lines starting with ``#`` after the header are
 comments.  Fields are ``;``-separated, so no escaping is needed: class
 and method names match ``[^;:.\s]+``, packages are such names joined by
 single dots.  The records check nothing: :func:`parse_trace` checks
@@ -40,10 +42,13 @@ _UINT_RE = re.compile("0|[1-9][0-9]*")
 _NAME_RE = re.compile(r"[^;:.\s]+")
 _PACKAGE_RE = re.compile(rf"{_NAME_RE.pattern}(?:\.{_NAME_RE.pattern})*")
 _METHOD_KEY_RE = re.compile(rf"{_PACKAGE_RE.pattern};{_NAME_RE.pattern};{_NAME_RE.pattern}")
+_TIMESTAMP_DIGITS = 19  # a signed 64-bit nanosecond clock's, Android's included
 # An event line's checked kind, thread and timestamp, and the rest of the
 # line as the method key.  [0-9], not \d, which also matches digits such as
 # "\u0661" that int() reads.
-_EVENT_LINE_RE = re.compile(rf"^([EX]);({_UINT_RE.pattern});({_UINT_RE.pattern});(.*)$", re.M)
+_EVENT_LINE_RE = re.compile(
+    rf"^([EX]);({_UINT_RE.pattern});(0|[1-9][0-9]{{0,{_TIMESTAMP_DIGITS - 1}}});(.*)$", re.M
+)
 _NAME_CACHE_SIZE = 4096  # distinct names per cache; past it, names are checked again
 
 
@@ -361,6 +366,10 @@ def _raise_first_bad_line(body: str) -> None:
                 raise TraceFormatError(f"unknown event kind {kind!r}", line=lineno)
             try:
                 thread = _parse_uint(thread_s, "thread")
+                if len(t_s) > _TIMESTAMP_DIGITS and _UINT_RE.fullmatch(t_s):
+                    raise ValueError(
+                        f"timestamp has {len(t_s)} digits, more than {_TIMESTAMP_DIGITS}"
+                    )
                 t_ns = _parse_uint(t_s, "timestamp")
                 method = _checked_method(package, class_name, method_name)
             except ValueError as exc:

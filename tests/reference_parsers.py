@@ -111,6 +111,9 @@ def reference_parse_trace(data: "bytes | str") -> TestTrace:
                 raise TraceFormatError(f"unknown event kind {kind!r}", line=lineno)
             try:
                 thread = _parse_uint(thread_s, "thread")
+                # at most the 19 digits of a signed 64-bit nanosecond clock
+                if re.fullmatch("[1-9][0-9]{19,}", t_s):
+                    raise ValueError(f"timestamp has {len(t_s)} digits, more than 19")
                 t_ns = _parse_uint(t_s, "timestamp")
                 method = _checked_method(package, class_name, method_name)
             except ValueError as exc:

@@ -510,7 +510,8 @@ class TestEvolveCommand:
     def test_quadrature_not_converging_exits_5(self, fixture_dir, tmp_path, monkeypatch, capsys):
         def diverging_tukey_hsd(groups, anova_result, alpha, labels):
             raise stats.ConvergenceError(
-                "studentized range quadrature did not stabilize for q=40.0, k=30, df=1", 6
+                "studentized range quadrature did not stabilize for q=40.0, k=30, df=1 "
+                "after 6 iterations"
             )
 
         monkeypatch.setattr(evolution, "tukey_hsd", diverging_tukey_hsd)
@@ -931,7 +932,7 @@ class TestFanOut:
         a chunk the parent runs again for a child runs on every CPU."""
         cpus, forks = _on_real_cpus(monkeypatch)
         [executions] = _chunks(fixture_dir, 1)
-        n = ingest._process_count(executions)
+        n = ingest._process_count(executions)[0]
         parent = os.getpid()
         analyze_chunk = ingest._analyze_chunk
 
@@ -1153,7 +1154,7 @@ class TestSetUpBesideChildren:
         most = min(len(cpus), len(executions))
         size = sum(os.stat(path).st_size for e in executions for path in e[2:])
         monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", size // (most * (most - 1)) + 1)
-        n = ingest._process_count(executions)
+        n = ingest._process_count(executions)[0]
         parent = os.getpid()
         analyze_chunk = ingest._analyze_chunk
 
@@ -1317,18 +1318,18 @@ class TestProcessCount:
         monkeypatch.setattr(
             ingest, "_PROCESS_COST_BYTES", self.size(executions) // costs_in_input
         )
-        assert ingest._process_count(executions) == expected
+        assert ingest._process_count(executions)[0] == expected
 
     def test_the_real_cost_forks_nothing_for_a_small_input(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
         assert self.size(executions) < ingest._PROCESS_COST_BYTES
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert ingest._process_count(executions) == 1  # not even one child
+        assert ingest._process_count(executions)[0] == 1  # not even one child
 
     def test_never_more_than_one_per_execution(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)[:2]
         _on_cpus(monkeypatch, 3)
-        assert ingest._process_count(executions) == 2
+        assert ingest._process_count(executions)[0] == 2
 
     def test_files_are_sized_only_until_every_cpu_is_paid_for(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
@@ -1341,14 +1342,14 @@ class TestProcessCount:
             return real_stat(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "stat", counted_stat)
-        assert ingest._process_count(executions) == 2
+        assert ingest._process_count(executions)[0] == 2
         assert sized == list(executions[0][2:])
 
     def test_a_file_gone_before_sizing_is_left_to_the_analysis(self, fixture_dir, monkeypatch):
         executions = self.executions(fixture_dir)
         _on_cpus(monkeypatch, 2)
         executions[0] = executions[0][:2] + (str(fixture_dir / "gone"), str(fixture_dir / "gone"))
-        assert ingest._process_count(executions) == 2
+        assert ingest._process_count(executions)[0] == 2
 
     @pytest.mark.parametrize("layer", ["parse_trace", "attribute", "integrate", "uapi"])
     def test_a_replaced_layer_function_keeps_every_execution_here(
@@ -1358,12 +1359,12 @@ class TestProcessCount:
         own process."""
         executions = self.executions(fixture_dir)
         _on_cpus(monkeypatch, 3)
-        assert ingest._process_count(executions) == 3
+        assert ingest._process_count(executions)[0] == 3
         monkeypatch.setattr(ingest, "_PROCESS_COST_BYTES", self.size(executions) // 2)
-        assert ingest._process_count(executions) == 2
+        assert ingest._process_count(executions)[0] == 2
         original = getattr(ingest, layer)
         monkeypatch.setattr(ingest, layer, lambda *args: original(*args))
-        assert ingest._process_count(executions) == 1
+        assert ingest._process_count(executions)[0] == 1
 
 
 def test_a_traced_run_counts_the_work_of_a_run_on_one_cpu(fixture_dir, tmp_path, monkeypatch):
@@ -1879,6 +1880,19 @@ def _header_only_outputs(out: Path) -> None:
     assert _read_csv(out / "methods.csv") == []
 
 
+def _timestamp_of_digits(digits: int, root: bool):
+    """Arguments whose trace exits at a timestamp of ``digits`` digits;
+    with ``root``, the arguments name the root, beside a good copy 1.1."""
+
+    def arguments(rev: Path) -> list[str]:
+        if root:
+            shutil.copytree(rev, rev.parent / "1.1")
+        _write(rev, "traces/a.B::t.0.trace", ONE_TRACE.replace(";2000;", f";{'1' * digits};"))
+        return [str(rev.parent if root else rev)]
+
+    return arguments
+
+
 # id -> (command; its arguments for the revision <tmp>/1.0, after any
 # change to it; exit code; start of stderr, {rev} standing for the
 # revision; check of the outputs of a run that succeeds)
@@ -1936,6 +1950,18 @@ FAILURE_PATHS = {
     "subdirectory-in-traces": (
         "analyze", lambda rev: _mkdir(rev, "traces/nested.0.trace"), 0, "", _one_test_row,
     ),
+    # a timestamp past 19 digits is a parse error, not a float overflow;
+    # one of 19 digits parses and overruns the power file
+    **{
+        f"{command}-timestamp-of-{digits}-digits": (
+            command, _timestamp_of_digits(digits, command == "evolve"), 4 if digits == 19 else 3,
+            "error: {rev}/power/a.B::t.0.power: " if digits == 19 else
+            f"error: {{rev}}/traces/a.B::t.0.trace: line 3: timestamp has {digits} digits, "
+            "more than 19\n", None,
+        )
+        for command in ("analyze", "evolve")
+        for digits in (19, 20, 400)
+    },
 }
 
 

@@ -338,8 +338,3 @@ def test_report_json_round_trip_keeps_inf_labels_and_infinite_statistics():
     assert restored == report
     assert list(restored.metrics) == list(report.metrics)
     assert restored.revisions == ["1.0", "inf"]
-
-
-def test_duplicate_records_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        RevisionDataset("1.0", (_record("a.B::x", 0, 1.0), _record("a.B::x", 0, 2.0)))

@@ -370,7 +370,6 @@ class TestPtukey:
         """Built on first read in either order, or all at once by evolve's
         set-up, every piece has the same coefficients."""
         stats._range_cdf_table.cache_clear()
-        stats._cheb_basis.cache_clear()
         table = stats._range_cdf_table(k)
         top, h, _, pieces = table
         assert pieces == [None] * stats._CHEB_PIECES
@@ -409,11 +408,11 @@ class TestPtukey:
 
     @pytest.mark.parametrize("k, df", [(3, 5), (8, 88), (30, 10)])
     def test_outer_integral_keeps_its_bits_with_warm_and_cleared_caches(self, k, df):
-        """The outer nodes and the Chebyshev basis are kept per process;
+        """The outer nodes and the range CDF table are kept per process;
         a warm read gives the bits of a cold one, and both the bits of the
-        integral summed node by node as before either was kept, over q
+        integral summed node by node as before the nodes were kept, over q
         whose s range is split at W_k / q and q whose range is not."""
-        caches = (stats._outer_nodes, stats._cheb_basis, stats._range_cdf_table)
+        caches = (stats._outer_nodes, stats._range_cdf_table)
         top = stats._range_cdf_table(k)[0]
         sd = 1.0 / math.sqrt(2.0 * df)
         lo = max(0.0, 1.0 - 12.0 * sd - 1.5 / df)

@@ -300,11 +300,20 @@ _NAME_CHARS = "abXY_$09\u00e9."
 def _mutate_fields(rng: random.Random, lines: list[str]) -> None:
     """Apply one mutation to the event lines (``lines[1:]``) that keeps
     every line's field count: swap or drop a line, set a kind to E or X,
-    rewrite a digit of a thread or timestamp, or rewrite a character of a
-    name on every line that carries that name."""
+    rewrite a digit of a thread or timestamp, rewrite a character of a
+    name on every line that carries that name, or write a numeral of 20
+    or about 400 digits into a thread, a timestamp or the header's sample
+    index."""
     n = len(lines)
-    op = rng.randrange(5)
-    if op == 0 and n > 3:
+    op = rng.randrange(6)
+    if op == 5:
+        digits = rng.choice((20, rng.randrange(390, 410)))
+        numeral = str(rng.randrange(10 ** (digits - 1), 10**digits))
+        i, f = rng.choice(((0, 2), (rng.randrange(1, n), rng.choice((1, 2)))))
+        fields = lines[i].split(";")
+        fields[f] = numeral
+        lines[i] = ";".join(fields)
+    elif op == 0 and n > 3:
         i, j = rng.sample(range(1, n), 2)
         lines[i], lines[j] = lines[j], lines[i]
     elif op == 1 and n > 2:
@@ -413,12 +422,18 @@ _H = "#trace v1;a.B::m;0\n"
         (_H + "E;1;0;p;C;m\x85\nX;1;2;p;C;m\x85\n", 2),
         (_H + "E;1;0;p\u00e9.q;C;m\nX;1;2;p\u00e9.q;C;m\n", None),
         (_H + "E;1;5;p;C;m\nX;1;3;p;C;m\nE;1;x;p;C;m\n", 3),
+        (_H + f"E;1;0;p;C;m\nX;1;{'9' * 19};p;C;m\n", None),
+        (_H + f"E;1;0;p;C;m\nX;1;{'1' * 20};p;C;m\n", 3),
+        (_H + f"E;1;0;p;C;m\nX;1;0{'1' * 19};p;C;m\n", 3),
+        (_H + f"E;{'1' * 20};0;p;C;m\nX;{'1' * 20};2;p;C;m\n", None),
     ],
     ids=["comment-mid", "comment-then-malformed", "comment-then-regression",
          "comment-then-unbalanced", "empty-line", "empty-last-line", "only-empty-line",
          "no-final-lf", "header-only-no-final-lf", "crlf", "crlf-body",
          "unicode-digit-thread", "unicode-digit-timestamp", "nel-in-name",
-         "non-ascii-package", "sequence-before-malformed"],
+         "non-ascii-package", "sequence-before-malformed", "timestamp-of-19-digits",
+         "timestamp-of-20-digits", "timestamp-of-20-with-a-leading-zero",
+         "thread-of-20-digits"],
 )
 def test_bulk_parse_matches_the_per_line_reference(text, bad_line):
     difference = parity_difference(parse_trace, reference_parse_trace, text)
